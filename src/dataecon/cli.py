@@ -173,21 +173,6 @@ def _csv_cell(v):
     return v
 
 
-def read_sweep_csv(path):
-    """Re-parse a sweep CSV into (rows of dicts with exact floats)."""
-    out = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            parsed = {"mask": row["mask"]}
-            for key in ("theta", "eta", "k_star", "c_star", "l_star",
-                        "y_star", "r_star"):
-                parsed[key] = float(row[key]) if row[key] != "" else math.nan
-            parsed["feasible"] = row["feasible"]
-            out.append(parsed)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Strict config loading
 
@@ -399,14 +384,12 @@ def _sweep_axes(opt: SweepOptions):
 
 
 def _sweep_rows(grid):
+    cols = (grid.k_star, grid.c_star, grid.l_star, grid.y_star, grid.r_star)
     for i, theta in enumerate(grid.theta_axis):
         for j, eta in enumerate(grid.eta_axis):
-            ss = grid.cells[i][j]
-            if ss is None:
-                yield (theta, eta, grid.mask[i, j], None, None, None, None, None, "")
-            else:
-                yield (theta, eta, grid.mask[i, j], ss.k_star, ss.c_star,
-                       ss.l_star, ss.y_star, ss.r_star, "true")
+            mask = grid.mask[i, j]
+            yield (theta, eta, mask, *(col[i, j] for col in cols),
+                   "true" if mask == "ok" else "")
 
 
 _SWEEP_HEADER = ["theta", "eta", "mask", "k_star", "c_star", "l_star",

@@ -30,7 +30,6 @@ from .errors import (ClassificationError, DegenerateError, DomainError,
 from .params import ModelParams
 
 _TINY = 1e-300
-_LOG_MAX = 709.0
 
 
 @dataclass(frozen=True)
@@ -115,26 +114,17 @@ def _unpack(s) -> tuple[float, float]:
 
 
 def _field(p: ModelParams):
-    """Plain-float vector field closure; bit-compatible with the core formulas."""
-    core._check_regime(p)
-    core._check_theta(p)
-    piw = core.profit_coefficient(p)
-    ae = p.alpha * p.eta
-    den = 1.0 - p.beta - ae
-    rr = (p.alpha / den) * piw
-    r_exp = p.k_exponent / den
-    lcy = (-p.beta / den) * math.log((1.0 - ae) / p.beta * p.w)
-    if ae != 0.0:
-        lcy = (ae / den) * math.log(p.theta) + lcy
-    y_exp = p.alpha / den
+    """Plain-float vector field closure on the coefficients of ``p``."""
+    co = core._reduced(p)
+    rr, r_exp, lcy, y_exp = (float(v) for v in (co.r_coef, co.r_exp, co.log_y, co.y_exp))
     rho_delta = p.rho + p.delta
-    sigma, delta = p.sigma, p.delta
+    sigma, delta, log_max = p.sigma, p.delta, core._LOG_MAX
 
     def f(c: float, k: float) -> tuple[float, float]:
         lk = math.log(k)
-        r = rr * math.exp(min(r_exp * lk, _LOG_MAX))
+        r = rr * math.exp(min(r_exp * lk, log_max))
         ly = lcy + y_exp * lk
-        y = math.inf if ly > _LOG_MAX else math.exp(ly)
+        y = math.inf if ly > log_max else math.exp(ly)
         return c * (r - rho_delta) / sigma, y - c - delta * k
 
     return f
@@ -153,11 +143,11 @@ def jacobian(s, p: ModelParams) -> np.ndarray:
     everywhere.
     """
     c, k = _unpack(s)
-    den = 1.0 - p.beta - p.alpha * p.eta
-    r = core.interest_rate(k, p)
-    y = core.reduced_output(k, p)
-    r_prime = (p.k_exponent / den) * r / k
-    y_prime = (p.alpha / den) * y / k
+    co = core._reduced(p, k)
+    r = float(co.rate(k))
+    y = float(co.output(k))
+    r_prime = float(co.r_exp) * r / k
+    y_prime = float(co.y_exp) * y / k
     return np.array([
         [(r - p.rho - p.delta) / p.sigma, c * r_prime / p.sigma],
         [-1.0, y_prime - p.delta],
@@ -237,7 +227,7 @@ def nullclines(p: ModelParams, k_range: tuple[float, float],
     if not klo <= ss.k_star <= khi:
         raise DomainError(f"k_range {k_range} does not contain k* = {ss.k_star:.6g}")
     ks = np.linspace(klo, khi, n)
-    cs = np.array([core.reduced_output(float(k), p) - p.delta * float(k) for k in ks])
+    cs = core.Coefficients(p).output(ks) - p.delta * ks
     k_null = np.column_stack([ks, cs])
     c_top = 1.25 * max(float(np.max(cs, initial=0.0)), ss.c_star)
     c_null = np.column_stack([np.full(n, ss.k_star), np.linspace(0.0, c_top, n)])

@@ -189,7 +189,8 @@ def _two_way_demean(mat: np.ndarray, unit_idx: np.ndarray, year_idx: np.ndarray)
     """Project out unit and year means by alternating sweeps.
 
     All columns share the projection sequence, so a linear identity between
-    columns survives the transformation to machine precision.
+    columns survives the transformation to machine precision.  Raises
+    DesignError when the sweeps stop without converging.
     """
     out = mat.astype(float, copy=True)
     n_u = unit_idx.max() + 1
@@ -210,6 +211,9 @@ def _two_way_demean(mat: np.ndarray, unit_idx: np.ndarray, year_idx: np.ndarray)
                         float(np.max(np.abs(y_means), initial=0.0)))
         if drift <= _DEMEAN_TOL * scale:
             break
+    else:
+        raise DesignError(f"two-way demeaning did not converge in "
+                          f"{_DEMEAN_MAX_SWEEPS} sweeps (final drift {drift:.3g})")
     return out
 
 

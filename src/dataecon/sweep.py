@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .core import SteadyState, steady_state
-from .errors import (DegenerateError, DomainError, RegimeError, SearchError)
+from .core import SteadyState, steady_state, steady_states
+from .errors import DegenerateError, DomainError, RegimeError, SearchError
 from .params import ModelParams
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # inverse golden ratio
@@ -24,25 +25,33 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # inverse golden ratio
 class SweepGrid:
     """Steady states on a theta x eta grid.
 
-    ``cells[i][j]`` holds the SteadyState for (theta_axis[i], eta_axis[j]) or
-    None when masked; ``mask`` holds 'ok', 'singular', 'infeasible', or
-    'degenerate' with the same layout.
+    ``mask[i, j]`` holds 'ok', 'singular', 'infeasible', or 'degenerate' for
+    (theta_axis[i], eta_axis[j]); each SteadyState quantity is a matrix of
+    the same layout, NaN on masked cells.
     """
 
     theta_axis: np.ndarray
     eta_axis: np.ndarray
-    cells: tuple[tuple[SteadyState | None, ...], ...]
+    k_star: np.ndarray
+    c_star: np.ndarray
+    l_star: np.ndarray
+    y_star: np.ndarray
+    r_star: np.ndarray
     mask: np.ndarray
     base: ModelParams
 
     def values(self, variable: str) -> np.ndarray:
         """Matrix of one SteadyState field, NaN on masked cells."""
-        out = np.full((len(self.theta_axis), len(self.eta_axis)), np.nan)
-        for i, row in enumerate(self.cells):
-            for j, ss in enumerate(row):
-                if ss is not None:
-                    out[i, j] = getattr(ss, variable)
-        return out
+        return getattr(self, variable)
+
+    @cached_property
+    def cells(self) -> tuple[tuple[SteadyState | None, ...], ...]:
+        """``cells[i][j]`` is the SteadyState of cell (i, j), None when masked."""
+        rows = zip(self.mask.tolist(), self.k_star.tolist(), self.c_star.tolist(),
+                   self.l_star.tolist(), self.y_star.tolist(), self.r_star.tolist())
+        return tuple(tuple(SteadyState(*values, True) if mask == "ok" else None
+                           for mask, *values in zip(*row))
+                     for row in rows)
 
 
 @dataclass(frozen=True)
@@ -109,34 +118,15 @@ def grid_sweep(p_base: ModelParams, theta_axis, eta_axis) -> SweepGrid:
     """Evaluate the steady state on every grid cell, masking failures.
 
     Cells are independent; singular-band, degenerate, and infeasible cells
-    are masked without affecting neighbors.
+    are masked without affecting neighbors.  Each unmasked cell equals
+    ``steady_state`` at its (theta, eta) bit for bit.
     """
     thetas = _check_axis("theta_axis", theta_axis)
     etas = _check_axis("eta_axis", eta_axis)
-    cells = []
-    mask = np.empty((len(thetas), len(etas)), dtype="<U10")
-    for i, theta in enumerate(thetas):
-        row = []
-        for j, eta in enumerate(etas):
-            p = p_base.replace(theta=float(theta), eta=float(eta))
-            try:
-                ss = steady_state(p)
-            except RegimeError:
-                row.append(None)
-                mask[i, j] = "singular"
-                continue
-            except (DegenerateError, DomainError):
-                row.append(None)
-                mask[i, j] = "degenerate"
-                continue
-            if not ss.feasible:
-                row.append(None)
-                mask[i, j] = "infeasible"
-            else:
-                row.append(ss)
-                mask[i, j] = "ok"
-        cells.append(tuple(row))
-    return SweepGrid(thetas, etas, tuple(cells), mask, p_base)
+    mask, values = steady_states(p_base, *np.meshgrid(thetas, etas, indexing="ij"))
+    ok = mask == "ok"
+    return SweepGrid(thetas, etas, mask=mask, base=p_base,
+                     **{name: np.where(ok, v, np.nan) for name, v in values.items()})
 
 
 def golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -181,16 +171,6 @@ def band_free_intervals(p: ModelParams, eta_range: tuple[float, float]) -> list[
     return out
 
 
-def _c_star_fn(p_base: ModelParams, theta: float):
-    def f(eta: float) -> float:
-        try:
-            ss = steady_state(p_base.replace(theta=theta, eta=float(eta)))
-        except (RegimeError, DegenerateError, DomainError):
-            return -math.inf
-        return ss.c_star if ss.feasible else -math.inf
-    return f
-
-
 def consumption_threshold(p_base: ModelParams, theta: float,
                           eta_range: tuple[float, float],
                           tol: float = 1e-4,
@@ -198,22 +178,32 @@ def consumption_threshold(p_base: ModelParams, theta: float,
     """Locate the argmax of c*(eta; theta), one result per band-free
     sub-interval of ``eta_range``.
 
-    A coarse scan brackets the maximum, golden-section search refines it to
-    within tol, and the shape tag records whether the maximum is interior or
-    pinned at a range boundary.
+    A coarse scan (one evaluator call) brackets the maximum, golden-section
+    search on the scalar solver refines it to within tol, and the shape tag
+    records whether the maximum is interior or pinned at a range boundary.
     """
-    f = _c_star_fn(p_base, float(theta))
+    p_theta = p_base.replace(theta=float(theta))
+
+    def c_at(eta: float) -> float:
+        """c*(eta) by the scalar solver, -inf where it refuses or is infeasible."""
+        try:
+            ss = steady_state(p_theta.replace(eta=eta))
+        except (RegimeError, DegenerateError, DomainError):
+            return -math.inf
+        return ss.c_star if ss.feasible else -math.inf
+
     results = []
     for lo, hi in band_free_intervals(p_base, eta_range):
         xs = np.linspace(lo, hi, coarse)
-        vals = np.array([f(float(x)) for x in xs])
+        mask, values = steady_states(p_theta, eta=xs)
+        vals = np.where(mask == "ok", values["c_star"], -np.inf)
         if not np.any(np.isfinite(vals)):
             raise SearchError(
                 f"no feasible steady state for theta={theta} on eta in [{lo}, {hi}]")
-        i = int(np.nanargmax(np.where(np.isfinite(vals), vals, -np.inf)))
+        i = int(np.argmax(vals))
         b_lo = xs[max(i - 1, 0)]
         b_hi = xs[min(i + 1, len(xs) - 1)]
-        eta_star, c_max = golden_section_max(f, float(b_lo), float(b_hi), tol)
+        eta_star, c_max = golden_section_max(c_at, float(b_lo), float(b_hi), tol)
         edge = max(2.0 * tol, 1e-6 * (hi - lo))
         shape = ("monotone-on-range"
                  if (eta_star - lo) <= edge or (hi - eta_star) <= edge
@@ -363,26 +353,20 @@ def sensitivity_signs(p: ModelParams, h: float = 1e-4) -> SensitivityReport:
 
     ``h`` is a relative step.  A derivative is declared zero when the two
     one-sided evaluations agree to within 1e-10 of their magnitude (the
-    noise floor of the closed forms).  Infeasible neighbors trigger a
-    step-shrink retry before failing.
+    noise floor of the closed forms).  Infeasible neighbors, and an eta step
+    that leaves [0, 1), trigger a step-shrink retry before failing.
     """
-    def eval_at(theta, eta):
-        ss = steady_state(p.replace(theta=theta, eta=eta))
-        if not ss.feasible:
-            raise DegenerateError("infeasible neighbor")
-        return ss.k_star, ss.c_star
-
     for attempt in range(7):
         step = h / (2 ** attempt)
         d_eta = step * max(abs(p.eta), 1e-3)
         d_theta = step * max(abs(p.theta), 1e-3)
-        try:
-            kp_e, cp_e = eval_at(p.theta, p.eta + d_eta)
-            km_e, cm_e = eval_at(p.theta, max(p.eta - d_eta, 0.0))
-            kp_t, cp_t = eval_at(min(p.theta + d_theta, 1.0), p.eta)
-            km_t, cm_t = eval_at(max(p.theta - d_theta, 0.0), p.eta)
-        except (DegenerateError, RegimeError, DomainError):
+        mask, values = steady_states(
+            p, [p.theta, p.theta, min(p.theta + d_theta, 1.0), max(p.theta - d_theta, 0.0)],
+            [p.eta + d_eta, max(p.eta - d_eta, 0.0), p.eta, p.eta])
+        if np.any(mask != "ok") or p.eta + d_eta >= 1.0:  # eta >= 1 lies outside the model
             continue
+        kp_e, km_e, kp_t, km_t = values["k_star"].tolist()
+        cp_e, cm_e, cp_t, cm_t = values["c_star"].tolist()
         return SensitivityReport(
             dk_deta=_derivative(kp_e, km_e, 2 * d_eta),
             dk_dtheta=_derivative(kp_t, km_t, 2 * d_theta),

@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 import subprocess
@@ -9,11 +10,20 @@ import pytest
 from dataecon import (ConfigError, RenderSpec, baseline_params, grid_sweep,
                       iso_equilibrium_contour, phase_portrait, render_svg,
                       steady_state)
-from dataecon.cli import (dumps_json, format_float, main, parse_config,
-                          read_sweep_csv, run_command)
+from dataecon.cli import dumps_json, format_float, main, parse_config, run_command
 from dataecon.svgplot import render_phase
 
 BASE = baseline_params()
+
+
+def read_sweep_csv(path):
+    """Rows of a sweep CSV as dicts, quantities as floats (NaN when empty)."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        for key in ("theta", "eta", "k_star", "c_star", "l_star", "y_star", "r_star"):
+            row[key] = float(row[key]) if row[key] else float("nan")
+    return rows
 
 
 def run_cli(*args, cwd=None):

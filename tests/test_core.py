@@ -242,6 +242,14 @@ def test_steady_state_singular_refused():
         steady_state(validate_params({"eta": 1.0 / 3.0}))
 
 
+def test_steady_state_capital_underflow_refused():
+    # k* = (r den / (alpha pi))^(den/kx) underflows to 0 for a tiny rho + delta
+    p = validate_params({"alpha": 0.9, "beta": 0.1, "eta": 0.05,
+                         "rho": 1e-20, "delta": 1e-20})
+    with pytest.raises(DomainError, match="capital must be positive, got 0.0"):
+        steady_state(p)
+
+
 @given(model_params(feasible=True))
 def test_steady_state_rate_residual_property(p):
     ss = steady_state(p)

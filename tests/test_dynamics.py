@@ -2,14 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from dataecon import (ClassificationError, DomainError, State, Trajectory,
-                      baseline_params, classify_equilibrium, classify_matrix,
-                      integrate, jacobian, nullclines, phase_portrait, rhs,
-                      saddle_path, saddle_path_deviation, shock_experiment,
-                      steady_state, validate_params)
+from dataecon import (ClassificationError, DomainError, ModelParams, State,
+                      Trajectory, baseline_params, classify_equilibrium,
+                      classify_matrix, integrate, jacobian, nullclines,
+                      phase_portrait, rhs, saddle_path, saddle_path_deviation,
+                      shock_experiment, steady_state, validate_params)
 from dataecon.dynamics import _field, _rk45
 
 from .strategies import model_params, positive_state
@@ -61,7 +61,9 @@ def test_jacobian_cdot_dc_zero_at_equilibrium():
 def _fd_jacobian(c, k, p):
     f = _field(p)
     out = np.empty((2, 2))
-    hc = 1e-6 * max(c, 1.0)
+    # Both components are affine in c, so a central difference in c is exact
+    # for any step; a large one keeps the rounding of a large k_dot out.
+    hc = 0.5 * c
     hk = 1e-6 * max(k, 1.0)
     fp, fm = f(c + hc, k), f(c - hc, k)
     out[0, 0] = (fp[0] - fm[0]) / (2 * hc)
@@ -79,6 +81,7 @@ def test_jacobian_matches_finite_differences_at_equilibrium():
 
 
 @given(model_params(feasible=True), positive_state(0.2, 30.0))
+@example(ModelParams(alpha=0.625, beta=0.375, eta=0.875, theta=1.0), (1.0, 7.0))
 def test_jacobian_fd_property(p, s):
     c, k = s
     j = jacobian((c, k), p)

@@ -4,6 +4,7 @@ import pytest
 from dataecon import (DesignError, DgpConfig, DomainError, Panel,
                       RankDeficiencyError, event_study, generate_panel,
                       read_panel_csv, twfe_did, write_panel_csv)
+from dataecon import empirics
 from dataecon.empirics import _treated_mask
 
 
@@ -96,6 +97,12 @@ def test_zero_noise_recovers_effect_exactly():
     res = twfe_did(generate_panel(small_cfg()))
     assert abs(res.att - 0.05) < 1e-10
     assert res.n_units_absorbed == 60
+
+
+def test_demeaning_that_does_not_converge_raises(monkeypatch):
+    monkeypatch.setattr(empirics, "_DEMEAN_MAX_SWEEPS", 1)
+    with pytest.raises(DesignError, match=r"did not converge in 1 sweeps \(final drift"):
+        twfe_did(generate_panel(small_cfg(noise_scale=0.2)))
 
 
 def test_estimator_paths_agree():

@@ -2,31 +2,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from scipy import stats
 
-from dataecon import (DomainError, SearchError, SteadyState, SweepGrid,
-                      band_free_intervals, baseline_params,
-                      consumption_threshold, default_eta_range,
-                      golden_section_max, grid_sweep, interest_rate,
-                      iso_equilibrium_contour, rhs, sensitivity_signs,
-                      steady_state, threshold_curve, validate_params)
+from dataecon import (DegenerateError, DomainError, ModelParams, RegimeError,
+                      SearchError, SweepGrid, band_free_intervals,
+                      baseline_params, consumption_threshold,
+                      default_eta_range, golden_section_max, grid_sweep,
+                      interest_rate, iso_equilibrium_contour, regime, rhs,
+                      sensitivity_signs, steady_state, threshold_curve,
+                      validate_params)
 
 BASE = baseline_params()
 
 
 def synthetic_grid(f, thetas, etas) -> SweepGrid:
     """Grid whose c_star / k_star equal an arbitrary field, for seam tests."""
-    cells = []
-    mask = np.full((len(thetas), len(etas)), "ok", dtype="<U10")
-    for t in thetas:
-        row = []
-        for e in etas:
-            v = f(t, e)
-            row.append(SteadyState(k_star=v, c_star=v, l_star=1.0,
-                                   y_star=1.0, r_star=0.15, feasible=True))
-        cells.append(tuple(row))
+    v = np.array([[f(t, e) for e in etas] for t in thetas], dtype=float)
     return SweepGrid(np.asarray(thetas, float), np.asarray(etas, float),
-                     tuple(cells), mask, BASE)
+                     k_star=v, c_star=v, l_star=np.ones_like(v),
+                     y_star=np.ones_like(v), r_star=np.full_like(v, 0.15),
+                     mask=np.full(v.shape, "ok", dtype="<U10"), base=BASE)
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +100,46 @@ def test_unmasked_cells_satisfy_equilibrium_conditions():
             c_dot, k_dot = rhs((ss.c_star, ss.k_star), p)
             assert abs(c_dot) <= 1e-8 * ss.c_star
             assert abs(k_dot) <= 1e-8 * max(ss.y_star, 1.0)
+
+
+@st.composite
+def sweep_case(draw):
+    """A valid base and short axes holding theta = 0, eta = 0, and etas
+    within 1e-12 of both edges of the singular band."""
+    alpha = draw(st.floats(0.05, 0.95))
+    beta = draw(st.floats(0.02, 1.0 - alpha))
+    assume(alpha + beta <= 1.0)
+    base = ModelParams(alpha=alpha, beta=beta, w=draw(st.floats(0.05, 20.0)),
+                       delta=draw(st.floats(0.005, 0.8)), rho=draw(st.floats(0.005, 0.3)))
+    edges = [(1.0 - alpha - beta + s * base.singular_band) / alpha for s in (-1.0, 1.0)]
+    etas = ({0.0} | {e + d for e in edges for d in (-1e-12, 0.0, 1e-12)}
+            | draw(st.sets(st.floats(0.0, 0.99), max_size=4)))
+    thetas = {0.0} | draw(st.sets(st.floats(0.0, 0.99), min_size=1, max_size=3))
+    return base, sorted(thetas), sorted(e for e in etas if 0.0 <= e < 1.0)
+
+
+def scalar_cell(p):
+    """Mask category and SteadyState of one cell by the scalar solver."""
+    try:
+        ss = steady_state(p)
+    except RegimeError:
+        return "singular", None
+    except (DegenerateError, DomainError):
+        return "degenerate", None
+    return ("ok", ss) if ss.feasible else ("infeasible", None)
+
+
+@given(sweep_case())
+def test_grid_matches_scalar_solver_cell_by_cell(case):
+    base, thetas, etas = case
+    grid = grid_sweep(base, thetas, etas)
+    for i, theta in enumerate(thetas):
+        for j, eta in enumerate(etas):
+            p = base.replace(theta=theta, eta=eta)
+            mask, ss = scalar_cell(p)
+            assert grid.mask[i, j] == mask, (theta, eta)
+            assert (mask == "singular") == regime(p).singular, (theta, eta)
+            assert grid.cells[i][j] == ss, (theta, eta)  # exact on 'ok' cells
 
 
 def test_axis_validation():
@@ -291,6 +328,17 @@ def test_sensitivity_flanks_around_threshold():
     above = sensitivity_signs(baseline_params(theta=0.5, eta=res.eta_star + 0.02))
     assert below.dc_deta.sign == 1
     assert above.dc_deta.sign == -1
+
+
+def test_sensitivity_step_shrink_keeps_eta_below_one():
+    # the first eta step would reach eta >= 1, outside the parameter domain
+    p = baseline_params(eta=0.99995)
+    rep = sensitivity_signs(p)
+    assert rep.step < 1e-4
+    d_eta = rep.step * p.eta
+    plus, minus = (steady_state(p.replace(eta=p.eta + s * d_eta)) for s in (1, -1))
+    assert rep.dk_deta.value == (plus.k_star - minus.k_star) / (2 * d_eta)
+    assert rep.dc_deta.value == (plus.c_star - minus.c_star) / (2 * d_eta)
 
 
 def test_sensitivity_step_shrink_near_band_edge():
