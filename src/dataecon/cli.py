@@ -198,10 +198,12 @@ def _coerce(section: str, key: str, default, value):
         if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
             raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
         return int(value)
+    if isinstance(value, (list, tuple)) and (default is None or isinstance(default, tuple)):
+        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value):
+            raise ConfigError(f"{section}.{key} must be a list of numbers, got {value!r}")
+        return tuple(value)
     if default is None:
-        # optional field: a number or a list, depending on what was given
-        if isinstance(value, (list, tuple)):
-            return tuple(value)
+        # optional field: a number, or a list (taken above)
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             return float(value)
         raise ConfigError(f"{section}.{key} must be a number or list, got {value!r}")
@@ -210,9 +212,7 @@ def _coerce(section: str, key: str, default, value):
             raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
         return float(value)
     if isinstance(default, tuple):
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{section}.{key} must be a list, got {value!r}")
-        return tuple(value)
+        raise ConfigError(f"{section}.{key} must be a list, got {value!r}")
     if isinstance(default, str):
         if not isinstance(value, str):
             raise ConfigError(f"{section}.{key} must be a string, got {value!r}")

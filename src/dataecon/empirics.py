@@ -3,10 +3,10 @@
 The generator builds balanced unit-year panels with additive unit and year
 effects, controls, noise, and a treatment contribution that is either a
 level shift from the adoption year onward or a per-relative-period dynamic
-profile.  The estimator absorbs unit and year fixed effects (within
-transformation by alternating demeaning, or explicit dummies for
-cross-checking), solves the projected system by SVD least squares, and
-reports unit-clustered standard errors (CR1 small-sample scaling).
+profile.  The estimator absorbs unit and year fixed effects by alternating
+demeaning, tests the rank of the projected design and solves it with one
+pivoted QR (explicit dummies refit it by least squares as a cross-check),
+and reports unit-clustered standard errors (CR1 small-sample scaling).
 
 Rows at relative period 0 (the adoption year itself) are excluded by
 default, mirroring designs that drop the implementation period; the plain
@@ -21,12 +21,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import qr
+from scipy.linalg import qr, solve_triangular
 
 from .errors import DesignError, DomainError, RankDeficiencyError
 
 _DEMEAN_TOL = 1e-13
 _DEMEAN_MAX_SWEEPS = 400
+_DUMMY_MAX_CELLS = 5e7  # doubles in the dense dummies oracle (400 MB)
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,8 @@ class DgpConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not all(isinstance(v, (int, np.integer)) for v in self.years):
+            raise DomainError(f"years must be integers, got {self.years}")
         y0, y1 = self.years
         if self.n_units < 2 or y1 < y0:
             raise DomainError("need at least 2 units and a nonempty year span")
@@ -60,6 +63,8 @@ class DgpConfig:
             raise DomainError(f"share_treated must lie in [0, 1], got {self.share_treated}")
         if self.noise_scale < 0.0:
             raise DomainError("noise_scale must be nonnegative")
+        if self.dynamic_profile is not None and len(self.dynamic_profile) == 0:
+            raise DomainError("dynamic_profile must be nonempty when given")
         if self.adoption_years is not None:
             if len(self.adoption_years) == 0:
                 raise DomainError("adoption_years must be nonempty when given")
@@ -222,6 +227,10 @@ def _dummy_design(x: np.ndarray, unit_idx: np.ndarray, year_idx: np.ndarray):
     n_u = unit_idx.max() + 1
     n_y = year_idx.max() + 1
     n = len(unit_idx)
+    cells = n * (x.shape[1] + n_u + n_y - 1)
+    if cells > _DUMMY_MAX_CELLS:
+        raise DesignError(f"dense dummy design would hold {cells} cells "
+                          f"(limit {_DUMMY_MAX_CELLS:.0f}); use method='within'")
     d_unit = np.zeros((n, n_u))
     d_unit[np.arange(n), unit_idx] = 1.0
     d_year = np.zeros((n, n_y - 1))
@@ -234,24 +243,21 @@ def _clustered_se(x_t: np.ndarray, resid: np.ndarray, clusters: np.ndarray,
                   n_absorbed: int) -> np.ndarray:
     """CR1 cluster-robust standard errors of the leading coefficients."""
     n, q = x_t.shape
-    xtx = x_t.T @ x_t
-    bread = np.linalg.pinv(xtx)
-    scores = x_t * resid[:, None]
+    bread = np.linalg.pinv(x_t.T @ x_t)
     n_c = clusters.max() + 1
-    meat = np.zeros((q, q))
-    for g in range(n_c):
-        s_g = scores[clusters == g].sum(axis=0)
-        meat += np.outer(s_g, s_g)
+    cluster_scores = np.zeros((n_c, q))
+    np.add.at(cluster_scores, clusters, x_t * resid[:, None])
+    meat = cluster_scores.T @ cluster_scores
     k_total = q + n_absorbed
     dof = (n_c / (n_c - 1)) * ((n - 1) / max(n - k_total, 1))
     cov = dof * bread @ meat @ bread
     return np.sqrt(np.clip(np.diag(cov), 0.0, None))
 
 
-def _check_rank(x: np.ndarray, names: list[str]) -> None:
-    if x.shape[1] == 0:
-        return
-    _, r, piv = qr(x, mode="economic", pivoting=True)
+def _qr_solve(x: np.ndarray, y: np.ndarray, names: list[str]) -> np.ndarray:
+    """Least squares by one pivoted QR of x; RankDeficiencyError names the
+    columns whose pivots fall below 1e-10 of the largest."""
+    q_mat, r, piv = qr(x, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     ref = diag[0] if diag.size else 0.0
     bad = [names[piv[i]] for i in range(len(diag))
@@ -262,6 +268,9 @@ def _check_rank(x: np.ndarray, names: list[str]) -> None:
         raise RankDeficiencyError(
             f"design is rank deficient after absorbing fixed effects; "
             f"offending columns: {', '.join(sorted(set(bad)))}", columns=bad)
+    beta = np.empty(x.shape[1])
+    beta[piv] = solve_triangular(r, q_mat.T @ y)
+    return beta
 
 
 def _prepare(panel: Panel, outcome, controls, drop_adoption_period: bool):
@@ -286,32 +295,25 @@ def _prepare(panel: Panel, outcome, controls, drop_adoption_period: bool):
     year_codes = np.unique(panel.year[keep])
     unit_idx = np.searchsorted(unit_codes, panel.unit[keep])
     year_idx = np.searchsorted(year_codes, panel.year[keep])
+    if not _treated_mask(rel[keep]).any():
+        raise DesignError("no treated observations in the estimation sample")
     return (y[keep], ctrl[keep], names, rel[keep],
             unit_idx, year_idx, len(unit_codes), len(year_codes))
 
 
 def _fit(y, x, names, unit_idx, year_idx, n_u, n_y, method):
-    if method == "within":
-        stacked = _two_way_demean(np.column_stack([y, x]), unit_idx, year_idx)
-        y_t, x_t = stacked[:, 0], stacked[:, 1:]
-        _check_rank(x_t, names)
-        beta, *_ = np.linalg.lstsq(x_t, y_t, rcond=None)
-        resid = y_t - x_t @ beta
-        n_absorbed = n_u + n_y - 1
-        se = _clustered_se(x_t, resid, unit_idx, n_absorbed)
-    elif method == "dummies":
-        full = _dummy_design(x, unit_idx, year_idx)
-        q = x.shape[1]
-        x_t = _two_way_demean(np.asarray(x, dtype=float), unit_idx, year_idx)
-        _check_rank(x_t, names)
-        beta_full, *_ = np.linalg.lstsq(full, y, rcond=None)
-        beta = beta_full[:q]
-        resid = y - full @ beta_full
-        n_absorbed = n_u + n_y - 1
-        se = _clustered_se(x_t, resid, unit_idx, n_absorbed)
-    else:
+    if method not in ("within", "dummies"):
         raise DomainError(f"unknown method {method!r}; use 'within' or 'dummies'")
-    return beta, se, n_absorbed
+    stacked = _two_way_demean(np.column_stack([y, x]), unit_idx, year_idx)
+    y_t, x_t = stacked[:, 0], stacked[:, 1:]
+    beta = _qr_solve(x_t, y_t, names)
+    resid = y_t - x_t @ beta
+    if method == "dummies":
+        # oracle: refit on the explicit dummy design instead of the projection
+        full = _dummy_design(x, unit_idx, year_idx)
+        beta_full, *_ = np.linalg.lstsq(full, y, rcond=None)
+        beta, resid = beta_full[:x.shape[1]], y - full @ beta_full
+    return beta, _clustered_se(x_t, resid, unit_idx, n_u + n_y - 1)
 
 
 def twfe_did(panel: Panel, outcome=None, controls="all",
@@ -325,13 +327,11 @@ def twfe_did(panel: Panel, outcome=None, controls="all",
      unit_idx, year_idx, n_u, n_y) = _prepare(panel, outcome, controls,
                                               drop_adoption_period)
     treated = _treated_mask(rel)
-    if not treated.any():
-        raise DesignError("no treated observations in the estimation sample")
     if treated.all():
         raise DesignError("no untreated observations in the estimation sample")
     x = np.column_stack([treated.astype(float), ctrl])
-    beta, se, _ = _fit(y, x, ["treated_post"] + names,
-                           unit_idx, year_idx, n_u, n_y, method)
+    beta, se = _fit(y, x, ["treated_post"] + names,
+                    unit_idx, year_idx, n_u, n_y, method)
     return DidResult(att=float(beta[0]), se=float(se[0]), n_obs=int(len(y)),
                      n_units_absorbed=n_u, n_years_absorbed=n_y)
 
@@ -350,8 +350,6 @@ def event_study(panel: Panel, window: tuple[int, int] = (-5, 5), outcome=None,
     (y, ctrl, names, rel,
      unit_idx, year_idx, n_u, n_y) = _prepare(panel, outcome, controls,
                                               drop_adoption_period)
-    if not _treated_mask(rel).any():
-        raise DesignError("no treated observations in the estimation sample")
 
     rel_binned = np.clip(rel, w_lo, w_hi)
     periods = [t for t in range(w_lo, w_hi + 1)
@@ -359,16 +357,14 @@ def event_study(panel: Panel, window: tuple[int, int] = (-5, 5), outcome=None,
     cols = [(~np.isnan(rel_binned) & (rel_binned == t)).astype(float) for t in periods]
     x = np.column_stack(cols + [ctrl]) if ctrl.size else np.column_stack(cols)
     col_names = [f"rel_{t}" for t in periods] + names
-    beta, se, _ = _fit(y, x, col_names, unit_idx, year_idx, n_u, n_y, method)
+    beta, se = _fit(y, x, col_names, unit_idx, year_idx, n_u, n_y, method)
 
     all_periods = np.arange(w_lo, w_hi + 1)
     coefs = np.full(len(all_periods), np.nan)
     errs = np.full(len(all_periods), np.nan)
-    coefs[all_periods == -1] = 0.0
-    errs[all_periods == -1] = 0.0
-    for pos, t in enumerate(periods):
-        coefs[all_periods == t] = beta[pos]
-        errs[all_periods == t] = se[pos]
+    coefs[-1 - w_lo] = errs[-1 - w_lo] = 0.0
+    pos = np.asarray(periods) - w_lo
+    coefs[pos], errs[pos] = beta[:len(pos)], se[:len(pos)]
     return EventStudyResult(all_periods, coefs, errs, n_obs=int(len(y)),
                             n_units_absorbed=n_u, n_years_absorbed=n_y)
 

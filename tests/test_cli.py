@@ -1,8 +1,10 @@
 import csv
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,9 +28,20 @@ def read_sweep_csv(path):
     return rows
 
 
+ROOT = Path(__file__).resolve().parents[1]
+# child interpreters import the package from this checkout's src/
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+
+
 def run_cli(*args, cwd=None):
     return subprocess.run([sys.executable, "-m", "dataecon.cli", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd, env=ENV)
+
+
+def run_script(name, *args):
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, env=ENV)
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +92,23 @@ def test_invalid_param_file_exits_2_naming_field(tmp_path):
     proc = run_cli("steady", "--config", str(cfg_file), "--out", str(tmp_path / "o"))
     assert proc.returncode == 2
     assert "alpha" in proc.stderr
+
+
+@pytest.mark.parametrize("doc", [
+    {"dgp": {"dynamic_profile": []}},
+    {"dgp": {"dynamic_profile": [0.0, "x"]}},
+    {"dgp": {"control_coefs": ["x"]}},
+    {"threshold": {"thetas": ["a"]}},
+    {"threshold": {"thetas": [0.5, True]}},
+    {"dgp": {"years": [2000.5, 2010]}},
+])
+def test_bad_config_list_exits_2(tmp_path, doc):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(doc))
+    proc = run_cli("did-sim", "--config", str(cfg_file), "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_unknown_format_rejected():
@@ -212,6 +242,22 @@ def test_did_sim_command(tmp_path):
     assert lines[0] == "period,coefficient,std_error"
     assert (tmp_path / "panel.csv").exists()
     assert (tmp_path / "panel.csv.meta.json").exists()
+
+
+def test_run_did_study_script(tmp_path):
+    proc = run_script("run_did_study.py", "--reps", "5", "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert "replications : 5" in proc.stdout
+    assert (tmp_path / "event_study.svg").read_text().rstrip().endswith("</svg>")
+
+
+def test_run_model_figures_script(tmp_path):
+    proc = run_script("run_model_figures.py", "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    for name in ("steady.json", "qsteady.json", "sweep.csv", "threshold.csv",
+                 "contour.svg", "phase.svg", "effective_config.json",
+                 "shock_eta/shock.json", "shock_theta/shock.json"):
+        assert (tmp_path / name).stat().st_size > 0, name
 
 
 def test_usage_error_on_unknown_command():

@@ -82,6 +82,10 @@ def test_config_validation():
         DgpConfig(noise_scale=-0.1)
     with pytest.raises(DomainError):
         DgpConfig(adoption_years=(1990,), years=(2000, 2010))
+    with pytest.raises(DomainError, match="dynamic_profile must be nonempty"):
+        DgpConfig(dynamic_profile=())
+    with pytest.raises(DomainError, match="years must be integers"):
+        DgpConfig(years=(2000.5, 2010))
 
 
 def test_duplicate_rows_rejected():
@@ -155,9 +159,64 @@ def test_rank_deficiency_names_columns():
     dup = Panel(panel.unit, panel.year, panel.outcome, panel.adoption_year,
                 np.column_stack([panel.controls, panel.controls[:, 0]]),
                 ("control_1", "control_dup"))
+    for fit in (twfe_did, event_study):
+        with pytest.raises(RankDeficiencyError) as exc:
+            fit(dup)
+        assert exc.value.columns == ("control_dup",)
+        assert str(exc.value) == ("design is rank deficient after absorbing fixed "
+                                  "effects; offending columns: control_dup")
     with pytest.raises(RankDeficiencyError) as exc:
-        twfe_did(dup)
-    assert "control_dup" in str(exc.value) or "control_1" in str(exc.value)
+        empirics._qr_solve(np.zeros((10, 2)), np.ones(10), ["a", "b"])
+    assert exc.value.columns == ("a", "b")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_qr_solve_matches_lstsq(seed):
+    rng = np.random.default_rng(seed)
+    n, q = int(rng.integers(20, 400)), int(rng.integers(1, 12))
+    x = rng.normal(size=(n, q)) * rng.uniform(0.1, 10.0, q)
+    y = x @ rng.normal(size=q) + rng.normal(size=n)
+    beta = empirics._qr_solve(x, y, [f"x{j}" for j in range(q)])
+    ref, *_ = np.linalg.lstsq(x, y, rcond=None)
+    assert np.linalg.norm(beta - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def masked_loop_se(x_t, resid, clusters, n_absorbed):
+    """CR1 standard errors with one boolean mask per cluster: the O(n G)
+    reference for the scatter-add in empirics._clustered_se."""
+    n, q = x_t.shape
+    bread = np.linalg.pinv(x_t.T @ x_t)
+    scores = x_t * resid[:, None]
+    n_c = clusters.max() + 1
+    meat = np.zeros((q, q))
+    for g in range(n_c):
+        s_g = scores[clusters == g].sum(axis=0)
+        meat += np.outer(s_g, s_g)
+    dof = (n_c / (n_c - 1)) * ((n - 1) / max(n - q - n_absorbed, 1))
+    cov = dof * bread @ meat @ bread
+    return np.sqrt(np.clip(np.diag(cov), 0.0, None))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_clustered_se_matches_masked_loop(seed):
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 15, 80)
+    sizes[rng.choice(80, 10, replace=False)] = 1  # singleton clusters
+    clusters = rng.permutation(np.repeat(np.arange(80), sizes))
+    n, q = len(clusters), int(rng.integers(1, 8))
+    x_t = rng.normal(size=(n, q))
+    resid = rng.normal(size=n)
+    se = empirics._clustered_se(x_t, resid, clusters, 40)
+    ref = masked_loop_se(x_t, resid, clusters, 40)
+    assert np.all(np.abs(se - ref) <= 1e-12 * np.abs(ref))
+
+
+def test_dummies_oracle_refuses_oversized_design(monkeypatch):
+    panel = generate_panel(small_cfg(noise_scale=0.2))
+    monkeypatch.setattr(empirics, "_DUMMY_MAX_CELLS", 1000)
+    with pytest.raises(DesignError, match=r"dense dummy design would hold \d+ cells"):
+        twfe_did(panel, method="dummies")
+    assert twfe_did(panel).se > 0.0
 
 
 def test_no_treated_units_design_error():
