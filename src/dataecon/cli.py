@@ -7,8 +7,10 @@ two steady-state blocks, ``sweep``/``threshold``/``contour`` cover the
 
 Outputs are deterministic: floats serialize with 17 significant digits in
 both CSV and JSON, keys are sorted, and SVG is assembled from fixed-format
-strings.  Every artifact carries the effective parameters and tool version,
-embedded for JSON and as a ``.meta.json`` sidecar for CSV/SVG.
+strings.  CSV is written in blocks of columns, each column formatted in one
+pass, so a large sweep streams one theta row at a time.  Every artifact
+carries the effective parameters and tool version, embedded for JSON and as
+a ``.meta.json`` sidecar for CSV/SVG.
 """
 
 from __future__ import annotations
@@ -103,9 +105,12 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # Deterministic serialization
 
+_FLOAT_FORMAT = "%.17g"
+
+
 def format_float(v: float) -> str:
     """17-significant-digit decimal form; round-trips float64 exactly."""
-    return "%.17g" % v
+    return _FLOAT_FORMAT % v
 
 
 def _jsonable(v):
@@ -154,23 +159,30 @@ def dumps_json(obj) -> str:
     return emit(_jsonable(obj), 0) + "\n"
 
 
-def write_csv(path, header, rows) -> None:
-    """RFC-4180 CSV, UTF-8, LF line endings, 17-digit floats."""
+def write_csv(path, header, blocks) -> None:
+    """RFC-4180 CSV, UTF-8, LF line endings, 17-digit floats.
+
+    ``blocks`` is an iterable of blocks, each a sequence of equally long
+    columns in header order; the rows of one block are written before the
+    next block is read.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_csv_cell(v) for v in row])
+        for block in blocks:
+            writer.writerows(zip(*(_csv_column(col) for col in block)))
 
 
-def _csv_cell(v):
-    if v is None:
-        return ""
-    if isinstance(v, (float, np.floating)):
-        return "" if math.isnan(v) else format_float(float(v))
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return v
+def _csv_column(col) -> list:
+    """Cells of one column: floats in 17 digits (NaN empty), integers in
+    decimal, anything else as given (None empty)."""
+    arr = np.asarray(col)
+    values = arr.tolist()
+    if arr.dtype.kind == "f":
+        return [_FLOAT_FORMAT % v if v == v else "" for v in values]
+    if arr.dtype.kind in "iu":
+        return list(map(str, values))
+    return ["" if v is None else v for v in values]
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +353,10 @@ class _Writer:
         with open(self.path(name), "w", encoding="utf-8") as fh:
             fh.write(dumps_json(doc))
 
-    def csv(self, name: str, header, rows, extra_meta: dict | None = None):
+    def csv(self, name: str, header, blocks, extra_meta: dict | None = None):
         if "csv" not in self.cfg.formats:
             return
-        write_csv(self.path(name), header, rows)
+        write_csv(self.path(name), header, blocks)
         self.sidecar(name, extra_meta)
 
     def svg(self, name: str, text: str, extra_meta: dict | None = None):
@@ -383,13 +395,14 @@ def _sweep_axes(opt: SweepOptions):
             np.linspace(opt.eta_min, opt.eta_max, opt.eta_n))
 
 
-def _sweep_rows(grid):
-    cols = (grid.k_star, grid.c_star, grid.l_star, grid.y_star, grid.r_star)
-    for i, theta in enumerate(grid.theta_axis):
-        for j, eta in enumerate(grid.eta_axis):
-            mask = grid.mask[i, j]
-            yield (theta, eta, mask, *(col[i, j] for col in cols),
-                   "true" if mask == "ok" else "")
+def _sweep_blocks(grid):
+    """One CSV block per theta row; the theta and eta cells are formatted once."""
+    etas = _csv_column(grid.eta_axis)
+    values = (grid.k_star, grid.c_star, grid.l_star, grid.y_star, grid.r_star)
+    for i, theta in enumerate(_csv_column(grid.theta_axis)):
+        mask = grid.mask[i].tolist()
+        yield ([theta] * len(etas), etas, mask, *(v[i] for v in values),
+               ["true" if m == "ok" else "" for m in mask])
 
 
 _SWEEP_HEADER = ["theta", "eta", "mask", "k_star", "c_star", "l_star",
@@ -399,11 +412,12 @@ _SWEEP_HEADER = ["theta", "eta", "mask", "k_star", "c_star", "l_star",
 def _cmd_sweep(cfg: RunConfig, w: _Writer, args):
     thetas, etas = _sweep_axes(cfg.sweep)
     grid = grid_sweep(cfg.params, thetas, etas)
-    w.csv("sweep.csv", _SWEEP_HEADER, _sweep_rows(grid))
+    # heatmaps first: they refuse a one-point axis before any sweep file is written
     for var in ("k_star", "c_star"):
         w.svg(f"sweep_{var}.svg",
               render_heatmap(grid, var, RenderSpec(kind="surface-heatmap")),
               {"variable": var})
+    w.csv("sweep.csv", _SWEEP_HEADER, _sweep_blocks(grid))
 
 
 def _cmd_threshold(cfg: RunConfig, w: _Writer, args):
@@ -413,7 +427,7 @@ def _cmd_threshold(cfg: RunConfig, w: _Writer, args):
         rng = (opt.eta_lo, opt.eta_hi)
     curve = threshold_curve(cfg.params, opt.thetas, rng, opt.tol)
     w.csv("threshold.csv", ["theta", "eta_star", "c_star_max", "shape"],
-          zip(curve.thetas, curve.eta_star, curve.c_star_max, curve.shapes),
+          [(curve.thetas, curve.eta_star, curve.c_star_max, curve.shapes)],
           {"eta_range": list(curve.eta_range), "tol": opt.tol})
     w.svg("threshold.svg",
           render_curve(curve.thetas, curve.eta_star,
@@ -440,11 +454,11 @@ def _cmd_contour(cfg: RunConfig, w: _Writer, args):
     if level is None:
         level = float(np.median(finite)) if finite.size else 0.0
     contour = iso_equilibrium_contour(grid, variable, float(level))
-    rows = []
-    for ci, comp in enumerate(contour.components):
-        for theta, eta in comp:
-            rows.append((ci, theta, eta))
-    w.csv("contour.csv", ["component", "theta", "eta"], rows,
+    comps = contour.components
+    points = np.concatenate(comps) if comps else np.empty((0, 2))
+    ids = np.repeat(np.arange(len(comps)), [len(c) for c in comps])
+    w.csv("contour.csv", ["component", "theta", "eta"],
+          [(ids, points[:, 0], points[:, 1])],
           {"variable": variable, "level": float(level)})
     spec = RenderSpec(kind="contour",
                       x_range=(float(thetas[0]), float(thetas[-1])),
@@ -459,17 +473,15 @@ def _cmd_contour(cfg: RunConfig, w: _Writer, args):
 
 
 def _phase_files(w: _Writer, portrait, prefix: str):
-    nc_rows = [("c_nullcline", k, c) for k, c in portrait.c_nullcline]
-    nc_rows += [("k_nullcline", k, c) for k, c in portrait.k_nullcline]
-    w.csv(f"{prefix}_nullclines.csv", ["curve", "k", "c"], nc_rows)
-    saddle_rows = []
-    for name, path in zip(("low", "high"), portrait.stable_paths):
-        for t, (c, k) in zip(path.t, path.states):
-            saddle_rows.append((name, t, c, k))
-    if saddle_rows:
-        w.csv(f"{prefix}_saddle.csv", ["branch", "t", "c", "k"], saddle_rows)
+    curves = (("c_nullcline", portrait.c_nullcline), ("k_nullcline", portrait.k_nullcline))
+    w.csv(f"{prefix}_nullclines.csv", ["curve", "k", "c"],
+          [([name] * len(kc), kc[:, 0], kc[:, 1]) for name, kc in curves])
+    branches = [([name] * len(path.t), path.t, path.states[:, 0], path.states[:, 1])
+                for name, path in zip(("low", "high"), portrait.stable_paths)]
+    if any(len(path.t) for path in portrait.stable_paths):
+        w.csv(f"{prefix}_saddle.csv", ["branch", "t", "c", "k"], branches)
     w.csv(f"{prefix}_field.csv", ["k", "c", "c_dot", "k_dot"],
-          [tuple(row) for row in portrait.vector_field])
+          [portrait.vector_field.T])
 
 
 def _cmd_phase(cfg: RunConfig, w: _Writer, args):
@@ -533,7 +545,7 @@ def _cmd_did_sim(cfg: RunConfig, w: _Writer, args):
         "true_effect": cfg.dgp.effect,
     }, {"dgp": asdict(cfg.dgp)})
     w.csv("event_study.csv", ["period", "coefficient", "std_error"],
-          zip(es.periods, es.coefficients, es.std_errors),
+          [(es.periods, es.coefficients, es.std_errors)],
           {"window": list(window)})
     w.svg("event_study.svg",
           render_event_study(es, RenderSpec(kind="event-study")),

@@ -287,6 +287,10 @@ def _prepare(panel: Panel, outcome, controls, drop_adoption_period: bool):
         ctrl = panel.controls
         names = list(panel.control_names)
     else:
+        unknown = [c for c in controls if c not in panel.control_names]
+        if unknown:
+            raise DomainError(f"unknown controls {unknown}; the panel has "
+                              f"{list(panel.control_names)}")
         idx = [list(panel.control_names).index(c) for c in controls]
         ctrl = panel.controls[:, idx]
         names = list(controls)
@@ -372,19 +376,26 @@ def event_study(panel: Panel, window: tuple[int, int] = (-5, 5), outcome=None,
 # CSV schema: unit,year,outcome,adoption_year,control_1..control_m with an
 # empty adoption_year for never-treated rows.
 
+_CSV_CHUNK_ROWS = 4096
+
+
 def write_panel_csv(panel: Panel, path) -> None:
+    """Write the panel in chunks of rows, formatting each column of a chunk
+    in one pass (17-digit floats)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["unit", "year", "outcome", "adoption_year",
                          *panel.control_names])
-        for i in range(len(panel.unit)):
-            adopt = panel.adoption_year[i]
-            writer.writerow([
-                int(panel.unit[i]), int(panel.year[i]),
-                "%.17g" % panel.outcome[i],
-                "" if math.isnan(adopt) else int(adopt),
-                *("%.17g" % v for v in panel.controls[i]),
-            ])
+        for start in range(0, len(panel.unit), _CSV_CHUNK_ROWS):
+            rows = slice(start, start + _CSV_CHUNK_ROWS)
+            floats = np.column_stack([panel.outcome[rows], panel.controls[rows]])
+            cols = [["%.17g" % v for v in col] for col in floats.T.tolist()]
+            writer.writerows(zip(
+                panel.unit[rows].astype(int).tolist(),
+                panel.year[rows].astype(int).tolist(),
+                cols[0],
+                ["" if a != a else int(a) for a in panel.adoption_year[rows].tolist()],
+                *cols[1:]))
 
 
 def read_panel_csv(path) -> Panel:

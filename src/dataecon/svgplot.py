@@ -2,6 +2,9 @@
 
 No external assets, no plotting library: every figure is assembled from
 fixed-format strings, so identical inputs produce byte-identical documents.
+Heatmaps are written row-wise: the cell geometry is formatted once per
+theta and once per eta, and the colours of one theta row come from one
+vectorized ramp.
 """
 
 from __future__ import annotations
@@ -42,10 +45,15 @@ class RenderSpec:
         if self.width <= 0 or self.height <= 0:
             raise DomainError("render dimensions must be positive")
         for rng in (self.x_range, self.y_range):
-            if rng is not None and not rng[1] > rng[0]:
-                raise DomainError(f"empty axis range {rng}")
+            if rng is not None:
+                _check_range(rng)
         if self.colormap not in _COLORMAPS:
             raise DomainError(f"unknown colormap {self.colormap!r}")
+
+
+def _check_range(rng) -> None:
+    if not rng[1] > rng[0]:
+        raise DomainError(f"empty axis range {rng}")
 
 
 _MARGIN = 56.0
@@ -55,14 +63,22 @@ def _fmt(v: float) -> str:
     return "%.2f" % v
 
 
+_HEX = tuple("%02x" % n for n in range(256))
+
+
+def _ramp(cmap: str, t) -> list[str]:
+    """Hex colours of the values ``t`` (clipped to [0, 1]) on a colormap;
+    channels round half to even, like Python's ``round``."""
+    stops = np.asarray(_COLORMAPS[cmap])
+    x = np.clip(t, 0.0, 1.0) * (len(stops) - 1)
+    i = np.minimum(x.astype(int), len(stops) - 2)
+    f = (x - i)[:, None]
+    rgb = np.rint(255 * (stops[i] + f * (stops[i + 1] - stops[i]))).astype(int)
+    return ["#" + _HEX[r] + _HEX[g] + _HEX[b] for r, g, b in rgb.tolist()]
+
+
 def _color(cmap: str, t: float) -> str:
-    stops = _COLORMAPS[cmap]
-    t = min(max(t, 0.0), 1.0)
-    x = t * (len(stops) - 1)
-    i = min(int(x), len(stops) - 2)
-    f = x - i
-    rgb = [stops[i][c] + f * (stops[i + 1][c] - stops[i][c]) for c in range(3)]
-    return "#%02x%02x%02x" % tuple(int(round(255 * v)) for v in rgb)
+    return _ramp(cmap, np.array([t]))[0]
 
 
 class _Canvas:
@@ -147,7 +163,17 @@ class _Canvas:
 def _grid_ranges(grid: SweepGrid, spec: RenderSpec):
     xr = spec.x_range or (float(grid.theta_axis[0]), float(grid.theta_axis[-1]))
     yr = spec.y_range or (float(grid.eta_axis[0]), float(grid.eta_axis[-1]))
+    _check_range(xr)
+    _check_range(yr)
     return xr, yr
+
+
+def _cell_spans(axis):
+    """(lo, hi) of each cell along one axis: the midpoints to its
+    neighbours, clamped at the axis ends."""
+    mids = 0.5 * (axis[:-1] + axis[1:])
+    return zip(np.concatenate([axis[:1], mids]).tolist(),
+               np.concatenate([mids, axis[-1:]]).tolist())
 
 
 def render_heatmap(grid: SweepGrid, variable: str, spec: RenderSpec) -> str:
@@ -168,24 +194,20 @@ def render_heatmap(grid: SweepGrid, variable: str, spec: RenderSpec) -> str:
     scale_tag = "log10" if log_scale else "linear"
     cv = _Canvas(spec, xr, yr, f"{variable} ({scale_tag} color scale)",
                  "theta", "eta")
-    tx, ey = grid.theta_axis, grid.eta_axis
-    for i in range(len(tx)):
-        x_lo = tx[i] if i == 0 else 0.5 * (tx[i - 1] + tx[i])
-        x_hi = tx[i] if i == len(tx) - 1 else 0.5 * (tx[i] + tx[i + 1])
-        for j in range(len(ey)):
-            y_lo = ey[j] if j == 0 else 0.5 * (ey[j - 1] + ey[j])
-            y_hi = ey[j] if j == len(ey) - 1 else 0.5 * (ey[j] + ey[j + 1])
-            v = vals[i, j]
-            if np.isfinite(v):
-                t = ((math.log10(v) if log_scale else v) - lo) / span
-                fill = _color(spec.colormap, t)
-            else:
-                fill = "#bbbbbb"
-            x_px, y_px = cv.px(x_lo), cv.py(y_hi)
-            w_px = cv.px(x_hi) - cv.px(x_lo)
-            h_px = cv.py(y_lo) - cv.py(y_hi)
-            cv.parts.append(f'<rect x="{_fmt(x_px)}" y="{_fmt(y_px)}" '
-                            f'width="{_fmt(w_px)}" height="{_fmt(h_px)}" fill="{fill}"/>\n')
+    cols = [(_fmt(cv.px(a)), _fmt(cv.px(b) - cv.px(a)))
+            for a, b in _cell_spans(grid.theta_axis)]
+    rows = [(_fmt(cv.py(b)), _fmt(cv.py(a) - cv.py(b)))
+            for a, b in _cell_spans(grid.eta_axis)]
+    for (x_s, w_s), row in zip(cols, vals):
+        ok = np.isfinite(row)
+        # libm's log10, not numpy's: a vectorized log10 may differ by an ulp
+        # on some CPUs, and an ulp of t can flip a rounded colour channel
+        norm = [math.log10(v) for v in row[ok].tolist()] if log_scale else row[ok]
+        fills = np.full(len(row), "#bbbbbb", dtype=object)
+        fills[ok] = _ramp(spec.colormap, (np.asarray(norm) - lo) / span)
+        cv.parts.append("".join(
+            f'<rect x="{x_s}" y="{y_s}" width="{w_s}" height="{h_s}" fill="{fill}"/>\n'
+            for (y_s, h_s), fill in zip(rows, fills.tolist())))
     cv.parts.append(f'<rect x="{_fmt(cv.px0)}" y="{_fmt(cv.py1)}" '
                     f'width="{_fmt(cv.px1 - cv.px0)}" height="{_fmt(cv.py0 - cv.py1)}" '
                     'fill="none" stroke="black" stroke-width="1"/>\n')

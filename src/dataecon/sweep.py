@@ -327,22 +327,29 @@ def _chain_segments(segments):
     return chains
 
 
+def _crossing_segments(x, y, z, level):
+    """Segments of every cell whose four corners are non-NaN and one to
+    three of them above the level, in row-major cell order."""
+    corners = (np.s_[:-1, :-1], np.s_[1:, :-1], np.s_[:-1, 1:], np.s_[1:, 1:])
+    finite = np.logical_and.reduce([~np.isnan(z[c]) for c in corners])
+    above = sum((z[c] > level).astype(int) for c in corners)
+    keep = finite & (above > 0) & (above < 4)
+    segments = []
+    for i, j in zip(*(idx.tolist() for idx in np.nonzero(keep))):
+        segments.extend(_cell_segments(i, j, x, y, z, level))
+    return segments
+
+
 def iso_equilibrium_contour(grid: SweepGrid, variable: str, level: float) -> IsoContour:
     """Marching-squares contour of one variable over the unmasked cells.
 
-    Cells touching a masked corner are skipped; a level outside the value
-    range yields an empty contour rather than an error.
+    Cells touching a masked corner are skipped; a finite level outside the
+    value range yields an empty contour rather than an error.
     """
-    z = grid.values(variable)
-    x, y = grid.theta_axis, grid.eta_axis
-    segments = []
-    for i in range(len(x) - 1):
-        for j in range(len(y) - 1):
-            block = z[i:i + 2, j:j + 2]
-            if np.any(np.isnan(block)):
-                continue
-            segments.extend(_cell_segments(i, j, x, y, z, level))
-    chains = _chain_segments(segments)
+    if not math.isfinite(level):
+        raise DomainError(f"contour level must be finite, got {level}")
+    chains = _chain_segments(_crossing_segments(
+        grid.theta_axis, grid.eta_axis, grid.values(variable), level))
     chains.sort(key=len, reverse=True)
     points = chains[0] if chains else np.empty((0, 2))
     return IsoContour(float(level), variable, points, tuple(chains))

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -12,8 +13,12 @@ import pytest
 from dataecon import (ConfigError, RenderSpec, baseline_params, grid_sweep,
                       iso_equilibrium_contour, phase_portrait, render_svg,
                       steady_state)
-from dataecon.cli import dumps_json, format_float, main, parse_config, run_command
+from dataecon import cli
+from dataecon.cli import (dumps_json, format_float, main, parse_config, run_command,
+                          write_csv)
 from dataecon.svgplot import render_phase
+
+from .textdiff import first_difference
 
 BASE = baseline_params()
 
@@ -179,6 +184,85 @@ def test_sweep_csv_round_trip(tmp_path):
         assert row["mask"] == grid.mask[i, j]
         if row["mask"] == "ok":
             assert row["k_star"] == k[i, j]  # 17-digit serialization is exact
+
+
+def csv_cell(v):
+    """The per-cell rule write_csv applied before it formatted whole columns."""
+    if v is None:
+        return ""
+    if isinstance(v, (float, np.floating)):
+        return "" if math.isnan(v) else format_float(float(v))
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return v
+
+
+def write_rowwise_csv(path, header, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([csv_cell(v) for v in row])
+
+
+def rowwise_sweep_rows(grid):
+    cols = (grid.k_star, grid.c_star, grid.l_star, grid.y_star, grid.r_star)
+    for i, theta in enumerate(grid.theta_axis):
+        for j, eta in enumerate(grid.eta_axis):
+            mask = grid.mask[i, j]
+            yield (theta, eta, mask, *(col[i, j] for col in cols),
+                   "true" if mask == "ok" else "")
+
+
+def test_sweep_csv_matches_rowwise_writer(tmp_path):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({
+        "params": {"w": 2.0, "alpha": 0.3, "beta": 0.5},
+        "sweep": {"theta_min": 0.0, "theta_max": 0.99, "theta_n": 23,
+                  "eta_min": 0.0, "eta_max": 0.99, "eta_n": 17},
+        "formats": ["csv"], "out_dir": str(tmp_path / "o")}))
+    cfg = parse_config(str(cfg_file))
+    run_command(cfg, "sweep")
+    grid = grid_sweep(cfg.params, *cli._sweep_axes(cfg.sweep))
+    assert {"ok", "singular", "degenerate"} <= set(grid.mask.ravel().tolist())
+    write_rowwise_csv(tmp_path / "ref.csv", cli._SWEEP_HEADER, rowwise_sweep_rows(grid))
+    assert first_difference((tmp_path / "o" / "sweep.csv").read_bytes().decode(),
+                            (tmp_path / "ref.csv").read_bytes().decode()) is None
+
+
+def test_write_csv_matches_rowwise_writer(tmp_path):
+    blocks = [
+        (np.array([3, -1, 0]), np.array([0.1, math.nan, math.inf]),
+         ["a", None, "b,c"], [1.5, 2.0, 1e-300], np.float32([0.1, 2, 3])),
+        (np.array([7], dtype=np.uint8), np.array([-0.0]), ["x"], [math.nan],
+         np.float32([math.nan])),
+        ((), (), (), (), ()),
+    ]
+    header = ["i", "f", "s", "list", "f32"]
+    write_csv(tmp_path / "cols.csv", header, blocks)
+    write_rowwise_csv(tmp_path / "rows.csv", header,
+                      [row for block in blocks for row in zip(*block)])
+    assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+@pytest.mark.parametrize("axis", ["theta_n", "eta_n"])
+def test_one_point_sweep_axis_exits_with_error(tmp_path, axis):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"sweep": {axis: 1}}))
+    proc = run_cli("sweep", "--config", str(cfg_file), "--out", str(tmp_path / "o"))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: empty axis range (0.05, 0.05)")
+    assert "Traceback" not in proc.stderr
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["effective_config.json"]
+
+
+@pytest.mark.parametrize("level", ["nan", "inf", "-inf"])
+def test_contour_non_finite_level_exits_with_error(tmp_path, level):
+    proc = run_cli("contour", f"--level={level}", "--out", str(tmp_path))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: contour level must be finite")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "contour.json").exists()
 
 
 def test_shock_displacement_json_and_svg(tmp_path):

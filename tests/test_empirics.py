@@ -1,3 +1,6 @@
+import csv
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,8 @@ from dataecon import (DesignError, DgpConfig, DomainError, Panel,
                       read_panel_csv, twfe_did, write_panel_csv)
 from dataecon import empirics
 from dataecon.empirics import _treated_mask
+
+from .textdiff import first_difference
 
 
 def small_cfg(**kw):
@@ -170,6 +175,15 @@ def test_rank_deficiency_names_columns():
     assert exc.value.columns == ("a", "b")
 
 
+def test_unknown_control_names_raise_domain_error():
+    panel = generate_panel(small_cfg(noise_scale=0.1, control_coefs=(0.5, -0.2)))
+    for fit in (twfe_did, event_study):
+        with pytest.raises(DomainError) as exc:
+            fit(panel, controls=["control_2", "nope"])
+        assert str(exc.value) == ("unknown controls ['nope']; the panel has "
+                                  "['control_1', 'control_2']")
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_qr_solve_matches_lstsq(seed):
     rng = np.random.default_rng(seed)
@@ -310,6 +324,35 @@ def test_panel_csv_round_trip_exact(tmp_path):
     assert np.array_equal(back.controls, panel.controls)
     assert back.control_names == panel.control_names
     assert back.balanced
+
+
+def rowwise_panel_csv(panel, path):
+    """The row-at-a-time panel writer the chunked one replaced."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["unit", "year", "outcome", "adoption_year",
+                         *panel.control_names])
+        for i in range(len(panel.unit)):
+            adopt = panel.adoption_year[i]
+            writer.writerow([
+                int(panel.unit[i]), int(panel.year[i]),
+                "%.17g" % panel.outcome[i],
+                "" if math.isnan(adopt) else int(adopt),
+                *("%.17g" % v for v in panel.controls[i]),
+            ])
+
+
+@pytest.mark.parametrize("chunk", [7, empirics._CSV_CHUNK_ROWS])
+def test_panel_csv_matches_rowwise_writer(tmp_path, monkeypatch, chunk):
+    # 400 units x 12 years = 4800 rows: more than one default chunk
+    panel = generate_panel(small_cfg(n_units=400, noise_scale=0.7,
+                                     control_coefs=(0.2, -1.1)))
+    assert np.isnan(panel.adoption_year).any()  # never-treated rows
+    monkeypatch.setattr(empirics, "_CSV_CHUNK_ROWS", chunk)
+    write_panel_csv(panel, tmp_path / "chunked.csv")
+    rowwise_panel_csv(panel, tmp_path / "rowwise.csv")
+    assert first_difference((tmp_path / "chunked.csv").read_bytes().decode(),
+                            (tmp_path / "rowwise.csv").read_bytes().decode()) is None
 
 
 def test_panel_csv_header_schema(tmp_path):

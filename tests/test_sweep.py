@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -13,6 +13,7 @@ from dataecon import (DegenerateError, DomainError, ModelParams, RegimeError,
                       interest_rate, iso_equilibrium_contour, regime, rhs,
                       sensitivity_signs, steady_state, threshold_curve,
                       validate_params)
+from dataecon.sweep import _cell_segments, _chain_segments, _crossing_segments
 
 BASE = baseline_params()
 
@@ -293,6 +294,56 @@ def test_contour_level_outside_range_empty():
     grid = grid_sweep(BASE, np.linspace(0.1, 0.9, 6), np.linspace(0.6, 0.9, 6))
     cont = iso_equilibrium_contour(grid, "c_star", 1e9)
     assert len(cont.points) == 0
+
+
+@pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
+def test_contour_non_finite_level_refused(level):
+    grid = grid_sweep(BASE, np.linspace(0.1, 0.9, 6), np.linspace(0.6, 0.9, 6))
+    with pytest.raises(DomainError, match="contour level must be finite"):
+        iso_equilibrium_contour(grid, "c_star", level)
+
+
+def loop_segments(x, y, z, level):
+    """The cell-by-cell scan the vectorized one replaced."""
+    segments = []
+    for i in range(len(x) - 1):
+        for j in range(len(y) - 1):
+            block = z[i:i + 2, j:j + 2]
+            if np.any(np.isnan(block)):
+                continue
+            segments.extend(_cell_segments(i, j, x, y, z, level))
+    return segments
+
+
+@st.composite
+def holed_field(draw):
+    """Axes, a field of few distinct values with NaN holes, and a level that
+    is often exactly a corner value, so the ``>`` ties are exercised."""
+    nx, ny = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    x = np.cumsum([draw(st.floats(0.01, 1.0)) for _ in range(nx)])
+    y = np.cumsum([draw(st.floats(0.01, 1.0)) for _ in range(ny)])
+    cell = st.one_of(st.sampled_from([0.0, 1.0, 2.0, math.nan]),
+                     st.floats(-3.0, 3.0))
+    z = np.array(draw(st.lists(cell, min_size=nx * ny, max_size=nx * ny)),
+                 dtype=float).reshape(nx, ny)
+    finite = z[~np.isnan(z)].tolist()
+    level = draw(st.one_of(st.sampled_from(finite or [1.0]), st.floats(-3.0, 3.0)))
+    return x, y, z, level
+
+
+@settings(max_examples=300, deadline=None)
+@given(holed_field())
+def test_contour_scan_matches_cell_loop(case):
+    x, y, z, level = case
+    segments = _crossing_segments(x, y, z, level)
+    expected = loop_segments(x, y, z, level)
+    assert segments == expected
+    grid = SweepGrid(x, y, k_star=z, c_star=z, l_star=z, y_star=z, r_star=z,
+                     mask=np.full(z.shape, "ok"), base=BASE)
+    chains = sorted(_chain_segments(expected), key=len, reverse=True)
+    components = iso_equilibrium_contour(grid, "c_star", level).components
+    assert len(components) == len(chains)
+    assert all(np.array_equal(a, b) for a, b in zip(components, chains))
 
 
 # ---------------------------------------------------------------------------
