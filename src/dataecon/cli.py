@@ -5,6 +5,10 @@ two steady-state blocks, ``sweep``/``threshold``/``contour`` cover the
 (theta, eta) plane, ``phase``/``shock`` draw the dynamical system, and
 ``did-sim`` runs the synthetic staggered-DID harness.
 
+Config files follow ``RunConfig`` and its section dataclasses: sections, keys
+and value types come from their fields and annotations, and a malformed value
+raises ``ConfigError`` (exit code 2) when the file is parsed.
+
 Outputs are deterministic: floats serialize with 17 significant digits in
 both CSV and JSON, keys are sorted, and SVG is assembled from fixed-format
 strings.  CSV is written in blocks of columns, each column formatted in one
@@ -21,7 +25,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -30,14 +36,14 @@ from .core import steady_state
 from .dynamics import phase_portrait, shock_experiment
 from .empirics import DgpConfig, event_study, generate_panel, twfe_did, write_panel_csv
 from .errors import ConfigError, ModelError, ParameterError
-from .params import ModelParams, validate_params
+from .params import BASELINE, ModelParams
 from .qtheory import firm_steady_state, investment_rate
 from .svgplot import (RenderSpec, render_contour, render_curve,
                       render_event_study, render_heatmap, render_phase,
                       render_shock)
 from .sweep import grid_sweep, iso_equilibrium_contour, threshold_curve
 
-PARAM_FLAGS = ("alpha", "beta", "eta", "theta", "w", "delta", "rho", "sigma", "a")
+PARAM_FLAGS = tuple(BASELINE)
 
 
 @dataclass(frozen=True)
@@ -63,10 +69,14 @@ class PhaseOptions:
 
 @dataclass(frozen=True)
 class ThresholdOptions:
-    thetas: tuple = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+    thetas: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
     eta_lo: float | None = None
     eta_hi: float | None = None
     tol: float = 1e-4
+
+    def __post_init__(self):
+        if (self.eta_lo is None) != (self.eta_hi is None):
+            raise ConfigError("give both eta_lo and eta_hi, or neither")
 
 
 @dataclass(frozen=True)
@@ -90,7 +100,7 @@ class DidOptions:
 
 @dataclass(frozen=True)
 class RunConfig:
-    params: ModelParams
+    params: ModelParams = ModelParams()
     sweep: SweepOptions = SweepOptions()
     phase: PhaseOptions = PhaseOptions()
     threshold: ThresholdOptions = ThresholdOptions()
@@ -98,7 +108,7 @@ class RunConfig:
     dgp: DgpConfig = DgpConfig()
     did: DidOptions = DidOptions()
     out_dir: str = "out"
-    formats: tuple = ("csv", "json", "svg")
+    formats: tuple[str, ...] = ("csv", "json", "svg")
     seed: int | None = None
 
 
@@ -188,68 +198,65 @@ def _csv_column(col) -> list:
 # ---------------------------------------------------------------------------
 # Strict config loading
 
-_SECTIONS = {
-    "sweep": SweepOptions,
-    "phase": PhaseOptions,
-    "threshold": ThresholdOptions,
-    "contour": ContourOptions,
-    "dgp": DgpConfig,
-    "did": DidOptions,
-}
-_TOP_KEYS = {"params", "out_dir", "formats", "seed", *_SECTIONS}
+_KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+_FLAG_KEYS = {"out": "out_dir", "format": "formats", "seed": "seed"}
 
 
-def _coerce(section: str, key: str, default, value):
-    if value is None:
-        return None
-    if isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise ConfigError(f"{section}.{key} must be a boolean, got {value!r}")
-        return value
-    if isinstance(default, int) and not isinstance(default, bool):
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
-            raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
-        return int(value)
-    if isinstance(value, (list, tuple)) and (default is None or isinstance(default, tuple)):
-        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value):
-            raise ConfigError(f"{section}.{key} must be a list of numbers, got {value!r}")
-        return tuple(value)
-    if default is None:
-        # optional field: a number, or a list (taken above)
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
-        raise ConfigError(f"{section}.{key} must be a number or list, got {value!r}")
-    if isinstance(default, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
-        return float(value)
-    if isinstance(default, tuple):
-        raise ConfigError(f"{section}.{key} must be a list, got {value!r}")
-    if isinstance(default, str):
-        if not isinstance(value, str):
-            raise ConfigError(f"{section}.{key} must be a string, got {value!r}")
-        return value
-    return value
+def _coerce(where: str, hint, value):
+    """``value`` from JSON as the annotation ``hint``: bool, int, float, str,
+    ``tuple[T, ...]`` or ``tuple[T, T]`` (from a list), or ``X | None``."""
+    args = get_args(hint)
+    if get_origin(hint) in (Union, UnionType):  # X | None
+        if value is None:
+            return None
+        (hint,) = (a for a in args if a is not type(None))
+        return _coerce(where, hint, value)
+    if get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list, got {value!r}")
+        items = args[:1] * len(value) if args[-1] is Ellipsis else args
+        if len(items) != len(value):
+            raise ConfigError(f"{where} must be a list of {len(items)} items, got {value!r}")
+        return tuple(_coerce(f"{where}[{i}]", t, v) for i, (t, v) in enumerate(zip(items, value)))
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not {bool: isinstance(value, bool),
+            int: number and (isinstance(value, int) or value.is_integer()),
+            # an integer literal beyond float range is not a number either
+            float: number and (isinstance(value, float) or abs(value) <= sys.float_info.max),
+            str: isinstance(value, str)}[hint]:
+        raise ConfigError(f"{where} must be {_KINDS[hint]}, got {value!r}")
+    return hint(value)
 
 
-def _build_section(cls, data: dict, section: str):
-    proto = cls()
-    known = {f.name: getattr(proto, f.name) for f in fields(cls)}
-    unknown = sorted(set(data) - set(known))
+def _build(cls, data, where: str):
+    """The dataclass ``cls`` from the JSON object ``data``: unknown keys are
+    refused, values coerced to their annotations, and each field whose
+    default is a dataclass built from its own section."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"'{where}' must be a JSON object")
+    prefix = f"{where}." if where else ""
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
     if unknown:
-        raise ConfigError(f"unknown key '{section}.{unknown[0]}'")
-    kwargs = {k: _coerce(section, k, known[k], v) for k, v in data.items()}
+        raise ConfigError(f"unknown key '{prefix}{unknown[0]}'")
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        if is_dataclass(f.default):
+            kwargs[f.name] = _build(type(f.default), data.get(f.name, {}), f.name)
+        elif f.name in data:
+            kwargs[f.name] = _coerce(prefix + f.name, hints[f.name], data[f.name])
     try:
-        return replace(proto, **kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid {section} options: {exc}") from exc
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
 def parse_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
     """Assemble the run configuration.
 
     Precedence: command-line overrides > config file > built-in baseline.
-    Unknown keys are rejected at every level.
+    Unknown keys and values that do not match their field's annotation are
+    refused; None or empty overrides count as not given.
     """
     file_data: dict = {}
     if path is not None:
@@ -262,59 +269,25 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(file_data, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = sorted(set(file_data) - _TOP_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown key '{unknown[0]}'")
 
-    overrides = overrides or {}
-    param_record = dict(file_data.get("params", {}))
-    if not isinstance(param_record, dict):
-        raise ConfigError("'params' must be a JSON object")
-    for name in PARAM_FLAGS:
-        if overrides.get(name) is not None:
-            param_record[name] = overrides[name]
-    try:
-        params = validate_params(param_record)
-    except ParameterError as exc:
-        raise ConfigError(f"invalid params: {exc}") from exc
-
-    sections = {}
-    for name, cls in _SECTIONS.items():
-        data = file_data.get(name, {})
-        if not isinstance(data, dict):
-            raise ConfigError(f"'{name}' must be a JSON object")
-        sections[name] = _build_section(cls, data, name)
-
-    out_dir = overrides.get("out") or file_data.get("out_dir", "out")
-    formats = file_data.get("formats", ["csv", "json", "svg"])
-    if overrides.get("format"):
-        formats = [f.strip() for f in overrides["format"].split(",") if f.strip()]
-    bad = sorted(set(formats) - {"csv", "json", "svg"})
+    flags = {k: v for k, v in (overrides or {}).items() if v is not None and v != ""}
+    if "format" in flags:
+        flags["format"] = [f.strip() for f in flags["format"].split(",") if f.strip()]
+    data = {**file_data, **{key: flags[flag] for flag, key in _FLAG_KEYS.items() if flag in flags}}
+    if isinstance(data.get("params", {}), dict):  # anything else _build refuses
+        data["params"] = {**data.get("params", {}),
+                          **{name: flags[name] for name in PARAM_FLAGS if name in flags}}
+    cfg = _build(RunConfig, data, "")
+    bad = sorted(set(cfg.formats) - set(RunConfig.formats))
     if bad:
-        raise ConfigError(f"unknown format {bad[0]!r} (choose from csv, json, svg)")
-    seed = overrides.get("seed", file_data.get("seed"))
-    if seed is not None:
-        seed = int(seed)
-        sections["dgp"] = replace(sections["dgp"], seed=seed)
-
-    return RunConfig(params=params, out_dir=str(out_dir),
-                     formats=tuple(formats), seed=seed, **sections)
+        raise ConfigError(f"unknown format {bad[0]!r} (choose from {', '.join(RunConfig.formats)})")
+    if cfg.seed is not None:
+        cfg = replace(cfg, dgp=replace(cfg.dgp, seed=cfg.seed))
+    return cfg
 
 
 def effective_config(cfg: RunConfig) -> dict:
-    return {
-        "params": asdict(cfg.params),
-        "sweep": asdict(cfg.sweep),
-        "phase": asdict(cfg.phase),
-        "threshold": asdict(cfg.threshold),
-        "contour": asdict(cfg.contour),
-        "dgp": asdict(cfg.dgp),
-        "did": asdict(cfg.did),
-        "out_dir": cfg.out_dir,
-        "formats": list(cfg.formats),
-        "seed": cfg.seed,
-        "version": __version__,
-    }
+    return {**asdict(cfg), "version": __version__}
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +332,10 @@ class _Writer:
         write_csv(self.path(name), header, blocks)
         self.sidecar(name, extra_meta)
 
-    def svg(self, name: str, text: str, extra_meta: dict | None = None):
+    def svg(self, name: str, render, extra_meta: dict | None = None):
         if "svg" not in self.cfg.formats:
             return
+        text = render()
         with open(self.path(name), "w", encoding="utf-8") as fh:
             fh.write(text)
         self.sidecar(name, extra_meta)
@@ -411,28 +385,28 @@ _SWEEP_HEADER = ["theta", "eta", "mask", "k_star", "c_star", "l_star",
 
 def _cmd_sweep(cfg: RunConfig, w: _Writer, args):
     thetas, etas = _sweep_axes(cfg.sweep)
+    # the spec refuses a one-point axis before any file is written, whatever the formats
+    spec = RenderSpec(kind="surface-heatmap",
+                      x_range=(float(thetas[0]), float(thetas[-1])),
+                      y_range=(float(etas[0]), float(etas[-1])))
     grid = grid_sweep(cfg.params, thetas, etas)
-    # heatmaps first: they refuse a one-point axis before any sweep file is written
     for var in ("k_star", "c_star"):
-        w.svg(f"sweep_{var}.svg",
-              render_heatmap(grid, var, RenderSpec(kind="surface-heatmap")),
+        w.svg(f"sweep_{var}.svg", lambda: render_heatmap(grid, var, spec),
               {"variable": var})
     w.csv("sweep.csv", _SWEEP_HEADER, _sweep_blocks(grid))
 
 
 def _cmd_threshold(cfg: RunConfig, w: _Writer, args):
     opt = cfg.threshold
-    rng = None
-    if opt.eta_lo is not None and opt.eta_hi is not None:
-        rng = (opt.eta_lo, opt.eta_hi)
+    rng = None if opt.eta_lo is None else (opt.eta_lo, opt.eta_hi)
     curve = threshold_curve(cfg.params, opt.thetas, rng, opt.tol)
     w.csv("threshold.csv", ["theta", "eta_star", "c_star_max", "shape"],
           [(curve.thetas, curve.eta_star, curve.c_star_max, curve.shapes)],
           {"eta_range": list(curve.eta_range), "tol": opt.tol})
     w.svg("threshold.svg",
-          render_curve(curve.thetas, curve.eta_star,
-                       RenderSpec(kind="contour"),
-                       "consumption-maximizing eta by theta", "theta", "eta*"),
+          lambda: render_curve(curve.thetas, curve.eta_star,
+                               RenderSpec(kind="contour"),
+                               "consumption-maximizing eta by theta", "theta", "eta*"),
           {"eta_range": list(curve.eta_range)})
     w.json("threshold.json", {
         "thetas": curve.thetas, "eta_star": curve.eta_star,
@@ -463,7 +437,7 @@ def _cmd_contour(cfg: RunConfig, w: _Writer, args):
     spec = RenderSpec(kind="contour",
                       x_range=(float(thetas[0]), float(thetas[-1])),
                       y_range=(float(etas[0]), float(etas[-1])))
-    w.svg("contour.svg", render_contour(contour, spec),
+    w.svg("contour.svg", lambda: render_contour(contour, spec),
           {"variable": variable, "level": float(level)})
     w.json("contour.json", {
         "variable": variable, "level": float(level),
@@ -500,7 +474,7 @@ def _cmd_phase(cfg: RunConfig, w: _Writer, args):
         "branch_status": [p.status for p in portrait.stable_paths],
     })
     _phase_files(w, portrait, "phase")
-    w.svg("phase.svg", render_phase(portrait, RenderSpec(kind="phase")))
+    w.svg("phase.svg", lambda: render_phase(portrait, RenderSpec(kind="phase")))
 
 
 def _cmd_shock(cfg: RunConfig, w: _Writer, args):
@@ -526,7 +500,7 @@ def _cmd_shock(cfg: RunConfig, w: _Writer, args):
     })
     _phase_files(w, shock.before, "shock_before")
     _phase_files(w, shock.after, "shock_after")
-    w.svg("shock.svg", render_shock(shock, RenderSpec(kind="phase")))
+    w.svg("shock.svg", lambda: render_shock(shock, RenderSpec(kind="phase")))
 
 
 def _cmd_did_sim(cfg: RunConfig, w: _Writer, args):
@@ -548,7 +522,7 @@ def _cmd_did_sim(cfg: RunConfig, w: _Writer, args):
           [(es.periods, es.coefficients, es.std_errors)],
           {"window": list(window)})
     w.svg("event_study.svg",
-          render_event_study(es, RenderSpec(kind="event-study")),
+          lambda: render_event_study(es, RenderSpec(kind="event-study")),
           {"window": list(window)})
 
 
@@ -610,12 +584,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    overrides = {name: getattr(args, name, None) for name in PARAM_FLAGS}
-    overrides["out"] = args.out
-    overrides["format"] = args.format
-    overrides["seed"] = args.seed
     try:
-        cfg = parse_config(args.config, overrides)
+        cfg = parse_config(args.config, vars(args))
         return run_command(cfg, args.command, args)
     except (ConfigError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)

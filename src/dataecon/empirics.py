@@ -54,8 +54,10 @@ class DgpConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not all(isinstance(v, (int, np.integer)) for v in self.years):
-            raise DomainError(f"years must be integers, got {self.years}")
+        for name in ("years", "adoption_years"):
+            values = getattr(self, name) or ()
+            if not all(isinstance(v, (int, np.integer)) for v in values):
+                raise DomainError(f"{name} must be integers, got {values}")
         y0, y1 = self.years
         if self.n_units < 2 or y1 < y0:
             raise DomainError("need at least 2 units and a nonempty year span")

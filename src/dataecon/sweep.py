@@ -9,7 +9,7 @@ squares, and reports local finite-difference sensitivity signs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -19,6 +19,7 @@ from .errors import DegenerateError, DomainError, RegimeError, SearchError
 from .params import ModelParams
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # inverse golden ratio
+_QUANTITIES = tuple(f.name for f in fields(SteadyState) if f.name != "feasible")
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,10 @@ class SweepGrid:
     base: ModelParams
 
     def values(self, variable: str) -> np.ndarray:
-        """Matrix of one SteadyState field, NaN on masked cells."""
+        """Matrix of one SteadyState quantity, NaN on masked cells."""
+        if variable not in _QUANTITIES:
+            raise DomainError(f"unknown variable {variable!r}; choose from "
+                              f"{', '.join(_QUANTITIES)}")
         return getattr(self, variable)
 
     @cached_property

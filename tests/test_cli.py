@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,8 @@ from dataecon import (ConfigError, RenderSpec, baseline_params, grid_sweep,
                       iso_equilibrium_contour, phase_portrait, render_svg,
                       steady_state)
 from dataecon import cli
-from dataecon.cli import (dumps_json, format_float, main, parse_config, run_command,
-                          write_csv)
+from dataecon.cli import (RunConfig, ThresholdOptions, dumps_json, effective_config,
+                          format_float, main, parse_config, run_command, write_csv)
 from dataecon.svgplot import render_phase
 
 from .textdiff import first_difference
@@ -86,9 +87,27 @@ def test_unknown_section_key_rejected(tmp_path):
 
 def test_bad_type_rejected(tmp_path):
     cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({"sweep": {"theta_n": "fifty"}}))
-    with pytest.raises(ConfigError):
-        parse_config(str(cfg_file), {})
+    for doc in ({"sweep": {"theta_n": "fifty"}}, {"seed": "x"}):
+        cfg_file.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError):
+            parse_config(str(cfg_file), {})
+
+
+def test_every_field_written_at_its_default_parses_to_the_default(tmp_path):
+    default = parse_config(None, {})
+    doc = json.loads(dumps_json(effective_config(default)))
+    del doc["version"]
+    assert set(doc) == {f.name for f in fields(RunConfig)}
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(doc))
+    assert parse_config(str(cfg_file), {}) == default
+
+
+def test_half_given_eta_range_refused():
+    for half in ({"eta_lo": 0.1}, {"eta_hi": 0.5}):
+        with pytest.raises(ConfigError, match="give both eta_lo and eta_hi"):
+            ThresholdOptions(**half)
+    assert ThresholdOptions(eta_lo=0.45, eta_hi=0.9).eta_hi == 0.9
 
 
 def test_invalid_param_file_exits_2_naming_field(tmp_path):
@@ -116,6 +135,37 @@ def test_bad_config_list_exits_2(tmp_path, doc):
     assert "Traceback" not in proc.stderr
 
 
+MALFORMED_VALUES = [
+    ("contour", '{"contour": {"level": [1, 2]}}', "contour.level must be a number"),
+    ("threshold", '{"threshold": {"eta_lo": [0.1], "eta_hi": 0.5}}',
+     "threshold.eta_lo must be a number"),
+    ("threshold", '{"threshold": {"eta_lo": 0.1}}', "give both eta_lo and eta_hi"),
+    ("sweep", '{"sweep": {"theta_n": NaN}}', "sweep.theta_n must be an integer"),
+    ("sweep", '{"sweep": {"theta_min": 1%s}}' % ("0" * 400), "sweep.theta_min must be a number"),
+    ("steady", '{"did": {"window_lag": 1e400}}', "did.window_lag must be an integer"),
+    ("did-sim", '{"seed": "x"}', "seed must be an integer"),
+    ("steady", '{"params": [["eta", 0.3]]}', "'params' must be a JSON object"),
+    ("steady", '{"params": {"w": true}}', "params.w must be a number"),
+    ("did-sim", '{"dgp": {"adoption_years": [2005.5, 2010]}}',
+     "dgp.adoption_years[0] must be an integer"),
+    ("did-sim", '{"dgp": {"dynamic_profile": 0.5}}', "dgp.dynamic_profile must be a list"),
+    ("did-sim", '{"dgp": {"years": [2000]}}', "dgp.years must be a list of 2 items"),
+]
+
+
+@pytest.mark.parametrize("command, text, message", MALFORMED_VALUES,
+                         ids=[message for _, _, message in MALFORMED_VALUES])
+def test_malformed_config_value_exits_2(tmp_path, command, text, message):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(text)
+    proc = run_cli(command, "--config", str(cfg_file), "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_format_rejected():
     with pytest.raises(ConfigError):
         parse_config(None, {"format": "csv,pdf"})
@@ -125,6 +175,19 @@ def test_seed_flag_reaches_dgp():
     cfg = parse_config(None, {"seed": 99})
     assert cfg.dgp.seed == 99
     assert cfg.seed == 99
+
+
+def test_config_file_seed_reaches_dgp_through_main(tmp_path):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"seed": 11, "dgp": {"n_units": 40}}))
+    for flags, seed in (((), 11), (("--seed", "5"), 5)):
+        out = tmp_path / str(seed)
+        assert main(["did-sim", "--config", str(cfg_file), "--out", str(out),
+                     "--format", "json", *flags]) == 0
+        did = json.loads((out / "did.json").read_text())
+        assert did["meta"]["dgp"]["seed"] == did["meta"]["seed"] == seed
+        effective = json.loads((out / "effective_config.json").read_text())
+        assert effective["dgp"]["seed"] == effective["seed"] == seed
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +312,30 @@ def test_write_csv_matches_rowwise_writer(tmp_path):
 def test_one_point_sweep_axis_exits_with_error(tmp_path, axis):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"sweep": {axis: 1}}))
-    proc = run_cli("sweep", "--config", str(cfg_file), "--out", str(tmp_path / "o"))
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error: empty axis range (0.05, 0.05)")
-    assert "Traceback" not in proc.stderr
-    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["effective_config.json"]
+    for n, fmt in enumerate(("csv,json,svg", "csv")):
+        out = tmp_path / f"o{n}"
+        proc = run_cli("sweep", "--config", str(cfg_file), "--out", str(out), "--format", fmt)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: empty axis range (0.05, 0.05)")
+        assert "Traceback" not in proc.stderr
+        assert sorted(p.name for p in out.iterdir()) == ["effective_config.json"]
+
+
+@pytest.mark.parametrize("command, renderer", [
+    ("sweep", "render_heatmap"), ("threshold", "render_curve"),
+    ("contour", "render_contour"), ("phase", "render_phase"),
+    ("shock", "render_shock"), ("did-sim", "render_event_study"),
+])
+def test_no_figure_rendered_without_svg_format(tmp_path, monkeypatch, command, renderer):
+    calls = []
+    monkeypatch.setattr(cli, renderer, lambda *a, **k: calls.append(a))
+    cfg = parse_config(None, {"out": str(tmp_path / "csv"), "format": "csv,json"})
+    run_command(replace(cfg, sweep=cli.SweepOptions(theta_n=5, eta_n=4)), command)
+    assert calls == []
+    assert not list((tmp_path / "csv").glob("*.svg"))
+    monkeypatch.setattr(cli, renderer, lambda *a, **k: calls.append(a) or "<svg/>")
+    run_command(replace(cfg, out_dir=str(tmp_path / "svg"), formats=("svg",)), command)
+    assert len(calls) == (2 if command == "sweep" else 1)
 
 
 @pytest.mark.parametrize("level", ["nan", "inf", "-inf"])
@@ -263,6 +345,16 @@ def test_contour_non_finite_level_exits_with_error(tmp_path, level):
     assert proc.stderr.startswith("error: contour level must be finite")
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "contour.json").exists()
+
+
+def test_contour_unknown_variable_exits_with_error(tmp_path):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"contour": {"variable": "base"}}))
+    proc = run_cli("contour", "--config", str(cfg_file), "--out", str(tmp_path / "o"))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: unknown variable 'base'")
+    assert "Traceback" not in proc.stderr
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["effective_config.json"]
 
 
 def test_shock_displacement_json_and_svg(tmp_path):

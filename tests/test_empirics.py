@@ -91,6 +91,8 @@ def test_config_validation():
         DgpConfig(dynamic_profile=())
     with pytest.raises(DomainError, match="years must be integers"):
         DgpConfig(years=(2000.5, 2010))
+    with pytest.raises(DomainError, match="adoption_years must be integers"):
+        DgpConfig(adoption_years=(2005.5, 2010))
 
 
 def test_duplicate_rows_rejected():

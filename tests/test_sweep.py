@@ -296,6 +296,18 @@ def test_contour_level_outside_range_empty():
     assert len(cont.points) == 0
 
 
+@pytest.mark.parametrize("variable", ["nope", "base", "mask", "feasible"])
+def test_unknown_variable_refused(variable):
+    grid = grid_sweep(BASE, np.linspace(0.1, 0.9, 6), np.linspace(0.6, 0.9, 6))
+    names = "k_star, c_star, l_star, y_star, r_star"
+    with pytest.raises(DomainError, match=f"unknown variable '{variable}'; choose from {names}$"):
+        grid.values(variable)
+    with pytest.raises(DomainError, match="unknown variable"):
+        iso_equilibrium_contour(grid, variable, 0.1)
+    for name in names.split(", "):
+        assert grid.values(name) is getattr(grid, name)
+
+
 @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
 def test_contour_non_finite_level_refused(level):
     grid = grid_sweep(BASE, np.linspace(0.1, 0.9, 6), np.linspace(0.6, 0.9, 6))
