@@ -421,6 +421,10 @@ def _cmd_contour(cfg: RunConfig, w: _Writer, args):
     variable = getattr(args, "variable", None) or opt.variable
     thetas = np.linspace(opt.theta_min, opt.theta_max, opt.theta_n)
     etas = np.linspace(opt.eta_min, opt.eta_max, opt.eta_n)
+    # the spec refuses a one-point axis before any file is written, as in sweep
+    spec = RenderSpec(kind="contour",
+                      x_range=(float(thetas[0]), float(thetas[-1])),
+                      y_range=(float(etas[0]), float(etas[-1])))
     grid = grid_sweep(cfg.params, thetas, etas)
     vals = grid.values(variable)
     finite = vals[np.isfinite(vals)]
@@ -434,9 +438,6 @@ def _cmd_contour(cfg: RunConfig, w: _Writer, args):
     w.csv("contour.csv", ["component", "theta", "eta"],
           [(ids, points[:, 0], points[:, 1])],
           {"variable": variable, "level": float(level)})
-    spec = RenderSpec(kind="contour",
-                      x_range=(float(thetas[0]), float(thetas[-1])),
-                      y_range=(float(etas[0]), float(etas[-1])))
     w.svg("contour.svg", lambda: render_contour(contour, spec),
           {"variable": variable, "level": float(level)})
     w.json("contour.json", {

@@ -3,8 +3,9 @@
 The generator builds balanced unit-year panels with additive unit and year
 effects, controls, noise, and a treatment contribution that is either a
 level shift from the adoption year onward or a per-relative-period dynamic
-profile.  The estimator absorbs unit and year fixed effects by alternating
-demeaning, tests the rank of the projected design and solves it with one
+profile.  The estimator absorbs unit and year fixed effects by an exact
+projection (within-unit demeaning, then one small solve for the year
+effects), tests the rank of the projected design and solves it with one
 pivoted QR (explicit dummies refit it by least squares as a cross-check),
 and reports unit-clustered standard errors (CR1 small-sample scaling).
 
@@ -25,8 +26,6 @@ from scipy.linalg import qr, solve_triangular
 
 from .errors import DesignError, DomainError, RankDeficiencyError
 
-_DEMEAN_TOL = 1e-13
-_DEMEAN_MAX_SWEEPS = 400
 _DUMMY_MAX_CELLS = 5e7  # doubles in the dense dummies oracle (400 MB)
 
 
@@ -91,8 +90,9 @@ class Panel:
         if not (len(self.year) == len(self.outcome) == len(self.adoption_year) == n
                 and self.controls.shape[0] in (n, 0)):
             raise DomainError("panel columns must have equal length")
-        pairs = set(zip(self.unit.tolist(), self.year.tolist()))
-        if len(pairs) != n:
+        order = np.lexsort((self.year, self.unit))
+        unit, year = self.unit[order], self.year[order]
+        if np.any((unit[1:] == unit[:-1]) & (year[1:] == year[:-1])):
             raise DomainError("duplicate (unit, year) rows")
         start = int(self.year.min())
         adopt = self.adoption_year[~np.isnan(self.adoption_year)]
@@ -193,34 +193,37 @@ def _treated_mask(rel: np.ndarray) -> np.ndarray:
 
 
 def _two_way_demean(mat: np.ndarray, unit_idx: np.ndarray, year_idx: np.ndarray) -> np.ndarray:
-    """Project out unit and year means by alternating sweeps.
+    """Project unit and year fixed effects out of every column, exactly.
 
-    All columns share the projection sequence, so a linear identity between
-    columns survives the transformation to machine precision.  Raises
-    DesignError when the sweeps stop without converging.
+    Demeans within units, then removes the remaining year effects b by one
+    least-squares solve of ``A b = Y'x`` with ``A = diag(year counts) -
+    C' diag(1/unit counts) C``, C the unit-by-year count table (Wansbeek &
+    Kapteyn 1989); the min-norm solution covers disconnected panels.  The
+    factors swap roles when units are fewer, so A is on the shorter one.
+    Raises DesignError when C would exceed the dummies oracle's cell bound.
     """
-    out = mat.astype(float, copy=True)
-    n_u = unit_idx.max() + 1
-    n_y = year_idx.max() + 1
-    u_counts = np.bincount(unit_idx, minlength=n_u).astype(float)
-    y_counts = np.bincount(year_idx, minlength=n_y).astype(float)
-    scale = max(float(np.max(np.abs(out), initial=0.0)), 1.0)
-    for _ in range(_DEMEAN_MAX_SWEEPS):
-        drift = 0.0
-        for j in range(out.shape[1]):
-            col = out[:, j]
-            u_means = np.bincount(unit_idx, weights=col, minlength=n_u) / u_counts
-            col -= u_means[unit_idx]
-            y_means = np.bincount(year_idx, weights=col, minlength=n_y) / y_counts
-            col -= y_means[year_idx]
-            drift = max(drift,
-                        float(np.max(np.abs(u_means), initial=0.0)),
-                        float(np.max(np.abs(y_means), initial=0.0)))
-        if drift <= _DEMEAN_TOL * scale:
-            break
-    else:
-        raise DesignError(f"two-way demeaning did not converge in "
-                          f"{_DEMEAN_MAX_SWEEPS} sweeps (final drift {drift:.3g})")
+    n_u = int(unit_idx.max()) + 1
+    n_y = int(year_idx.max()) + 1
+    if n_u < n_y:
+        unit_idx, year_idx, n_u, n_y = year_idx, unit_idx, n_y, n_u
+    if n_u * n_y > _DUMMY_MAX_CELLS:
+        raise DesignError(f"two-way count table would hold {n_u * n_y} cells "
+                          f"(limit {_DUMMY_MAX_CELLS:.0f})")
+    counts = np.bincount(unit_idx * n_y + year_idx,
+                         minlength=n_u * n_y).reshape(n_u, n_y).astype(float)
+    u_counts = counts.sum(axis=1)
+    system = np.diag(counts.sum(axis=0)) - counts.T @ (counts / u_counts[:, None])
+    out = np.array(mat, dtype=float, order="F")  # contiguous columns
+    year_sums = np.empty((n_y, out.shape[1]))
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        col -= (np.bincount(unit_idx, weights=col, minlength=n_u) / u_counts)[unit_idx]
+        year_sums[:, j] = np.bincount(year_idx, weights=col, minlength=n_y)
+    year_fx = np.linalg.lstsq(system, year_sums, rcond=1e-10)[0]
+    # unit means of year_fx[year_idx], read off the count table
+    unit_fx = (counts @ year_fx) / u_counts[:, None]
+    for j in range(out.shape[1]):
+        out[:, j] -= year_fx[:, j][year_idx] - unit_fx[:, j][unit_idx]
     return out
 
 
@@ -247,8 +250,9 @@ def _clustered_se(x_t: np.ndarray, resid: np.ndarray, clusters: np.ndarray,
     n, q = x_t.shape
     bread = np.linalg.pinv(x_t.T @ x_t)
     n_c = clusters.max() + 1
-    cluster_scores = np.zeros((n_c, q))
-    np.add.at(cluster_scores, clusters, x_t * resid[:, None])
+    scores = x_t * resid[:, None]
+    cluster_scores = np.column_stack(
+        [np.bincount(clusters, weights=s, minlength=n_c) for s in scores.T])
     meat = cluster_scores.T @ cluster_scores
     k_total = q + n_absorbed
     dof = (n_c / (n_c - 1)) * ((n - 1) / max(n - k_total, 1))
@@ -256,10 +260,23 @@ def _clustered_se(x_t: np.ndarray, resid: np.ndarray, clusters: np.ndarray,
     return np.sqrt(np.clip(np.diag(cov), 0.0, None))
 
 
-def _qr_solve(x: np.ndarray, y: np.ndarray, names: list[str]) -> np.ndarray:
-    """Least squares by one pivoted QR of x; RankDeficiencyError names the
-    columns whose pivots fall below 1e-10 of the largest."""
-    q_mat, r, piv = qr(x, mode="economic", pivoting=True)
+def _qr_solve(xy: np.ndarray, names: list[str]) -> np.ndarray:
+    """Least squares of the last column y of ``xy = [x y]`` on the others x
+    by a column-pivoted QR of x; RankDeficiencyError names the columns
+    whose pivots fall below 1e-10 of the largest.
+
+    numpy's unpivoted QR of ``[x y]`` does the tall O(n k^2) work and
+    yields ``Q'y``; scipy pivots only its small triangle, which has x's
+    Gram matrix and so x's pivots.  Every large product of the fit then
+    runs on numpy's BLAS threads: scipy bundles its own OpenBLAS, and its
+    thread pool fought numpy's, still spinning from the previous product,
+    for the cores, which at random made the QR take several times as long.
+    Column-major ``xy`` is factored fastest.
+    """
+    n, k = xy.shape[0], xy.shape[1] - 1
+    r_aug = np.zeros((k + 1, k + 1))  # zero rows pad a design of fewer rows
+    r_aug[:min(n, k + 1)] = np.linalg.qr(xy, mode="r")
+    q_mat, r, piv = qr(r_aug[:k, :k], pivoting=True)
     diag = np.abs(np.diag(r))
     ref = diag[0] if diag.size else 0.0
     bad = [names[piv[i]] for i in range(len(diag))
@@ -270,8 +287,8 @@ def _qr_solve(x: np.ndarray, y: np.ndarray, names: list[str]) -> np.ndarray:
         raise RankDeficiencyError(
             f"design is rank deficient after absorbing fixed effects; "
             f"offending columns: {', '.join(sorted(set(bad)))}", columns=bad)
-    beta = np.empty(x.shape[1])
-    beta[piv] = solve_triangular(r, q_mat.T @ y)
+    beta = np.empty(k)
+    beta[piv] = solve_triangular(r, q_mat.T @ r_aug[:k, k])
     return beta
 
 
@@ -310,9 +327,9 @@ def _prepare(panel: Panel, outcome, controls, drop_adoption_period: bool):
 def _fit(y, x, names, unit_idx, year_idx, n_u, n_y, method):
     if method not in ("within", "dummies"):
         raise DomainError(f"unknown method {method!r}; use 'within' or 'dummies'")
-    stacked = _two_way_demean(np.column_stack([y, x]), unit_idx, year_idx)
-    y_t, x_t = stacked[:, 0], stacked[:, 1:]
-    beta = _qr_solve(x_t, y_t, names)
+    stacked = _two_way_demean(np.column_stack([x, y]), unit_idx, year_idx)
+    x_t, y_t = stacked[:, :-1], stacked[:, -1]
+    beta = _qr_solve(stacked, names)
     resid = y_t - x_t @ beta
     if method == "dummies":
         # oracle: refit on the explicit dummy design instead of the projection

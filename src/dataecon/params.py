@@ -15,6 +15,7 @@ refused there.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 
 from .errors import ParameterError
@@ -45,7 +46,7 @@ def _violations(alpha, beta, eta, theta, w, delta, rho, sigma, a, singular_band)
                         ("theta", theta), ("w", w), ("delta", delta),
                         ("rho", rho), ("sigma", sigma), ("a", a),
                         ("singular_band", singular_band)):
-        if not isinstance(value, (int, float)) or value != value:
+        if not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
             out.append(f"{name} must be a finite number, got {value!r}")
     if out:
         return out

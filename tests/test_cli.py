@@ -146,6 +146,7 @@ MALFORMED_VALUES = [
     ("did-sim", '{"seed": "x"}', "seed must be an integer"),
     ("steady", '{"params": [["eta", 0.3]]}', "'params' must be a JSON object"),
     ("steady", '{"params": {"w": true}}', "params.w must be a number"),
+    ("steady", '{"params": {"w": 1e400}}', "w must be a finite number, got inf"),
     ("did-sim", '{"dgp": {"adoption_years": [2005.5, 2010]}}',
      "dgp.adoption_years[0] must be an integer"),
     ("did-sim", '{"dgp": {"dynamic_profile": 0.5}}', "dgp.dynamic_profile must be a list"),
@@ -317,6 +318,19 @@ def test_one_point_sweep_axis_exits_with_error(tmp_path, axis):
         proc = run_cli("sweep", "--config", str(cfg_file), "--out", str(out), "--format", fmt)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: empty axis range (0.05, 0.05)")
+        assert "Traceback" not in proc.stderr
+        assert sorted(p.name for p in out.iterdir()) == ["effective_config.json"]
+
+
+@pytest.mark.parametrize("axis, value", [("theta_n", 0.05), ("eta_n", 0.6)])
+def test_one_point_contour_axis_exits_with_error(tmp_path, axis, value):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"contour": {axis: 1}}))
+    for n, fmt in enumerate(("csv,json,svg", "csv")):
+        out = tmp_path / f"o{n}"
+        proc = run_cli("contour", "--config", str(cfg_file), "--out", str(out), "--format", fmt)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: empty axis range ({value}, {value})")
         assert "Traceback" not in proc.stderr
         assert sorted(p.name for p in out.iterdir()) == ["effective_config.json"]
 

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from dataecon import (DesignError, DgpConfig, DomainError, Panel,
                       RankDeficiencyError, event_study, generate_panel,
@@ -101,6 +104,20 @@ def test_duplicate_rows_rejected():
               np.array([np.nan, np.nan]), np.empty((2, 0)), ())
 
 
+def test_duplicate_rows_rejected_in_unsorted_panel():
+    panel = generate_panel(small_cfg(control_coefs=(0.5,)))
+    order = np.random.default_rng(2).permutation(len(panel.unit))
+
+    def rows(idx):
+        return Panel(panel.unit[idx], panel.year[idx], panel.outcome[idx],
+                     panel.adoption_year[idx], panel.controls[idx], panel.control_names)
+
+    rows(order)  # shuffled, no duplicates
+    order[-1] = order[0]  # the first row again, far from it
+    with pytest.raises(DomainError, match=r"^duplicate \(unit, year\) rows$"):
+        rows(order)
+
+
 # ---------------------------------------------------------------------------
 # TWFE estimator
 
@@ -110,10 +127,132 @@ def test_zero_noise_recovers_effect_exactly():
     assert res.n_units_absorbed == 60
 
 
-def test_demeaning_that_does_not_converge_raises(monkeypatch):
-    monkeypatch.setattr(empirics, "_DEMEAN_MAX_SWEEPS", 1)
-    with pytest.raises(DesignError, match=r"did not converge in 1 sweeps \(final drift"):
-        twfe_did(generate_panel(small_cfg(noise_scale=0.2)))
+def test_count_table_bound_refuses_before_allocating(monkeypatch):
+    panel = generate_panel(small_cfg(noise_scale=0.2))  # 60 units x 12 years
+    monkeypatch.setattr(empirics, "_DUMMY_MAX_CELLS", 60 * 12 - 1)
+    monkeypatch.setattr(empirics.np, "bincount", None)  # nothing may be counted first
+    with pytest.raises(DesignError, match=r"^two-way count table would hold 720 cells "
+                                          r"\(limit 719\)$"):
+        twfe_did(panel)
+    monkeypatch.undo()
+    monkeypatch.setattr(empirics, "_DUMMY_MAX_CELLS", 60 * 12)
+    assert twfe_did(panel).n_obs == len(panel.unit) - 30  # adoption years dropped
+
+
+def sweep_demean(mat, unit_idx, year_idx, tol=1e-13, max_sweeps=400):
+    """Alternating unit and year sweeps: the iterative reference for the
+    exact projection in empirics._two_way_demean.  None when the sweeps
+    stop without converging."""
+    out = mat.astype(float, copy=True)
+    n_u = unit_idx.max() + 1
+    n_y = year_idx.max() + 1
+    u_counts = np.bincount(unit_idx, minlength=n_u).astype(float)
+    y_counts = np.bincount(year_idx, minlength=n_y).astype(float)
+    scale = max(float(np.max(np.abs(out), initial=0.0)), 1.0)
+    for _ in range(max_sweeps):
+        drift = 0.0
+        for j in range(out.shape[1]):
+            col = out[:, j]
+            u_means = np.bincount(unit_idx, weights=col, minlength=n_u) / u_counts
+            col -= u_means[unit_idx]
+            y_means = np.bincount(year_idx, weights=col, minlength=n_y) / y_counts
+            col -= y_means[year_idx]
+            drift = max(drift,
+                        float(np.max(np.abs(u_means), initial=0.0)),
+                        float(np.max(np.abs(y_means), initial=0.0)))
+        if drift <= tol * scale:
+            return out
+    return None
+
+
+def dummies_demean(mat, unit_idx, year_idx):
+    """Residuals of mat on the dense unit and year dummy design."""
+    full = empirics._dummy_design(np.empty((len(unit_idx), 0)), unit_idx, year_idx)
+    return mat - full @ np.linalg.lstsq(full, mat, rcond=None)[0]
+
+
+@st.composite
+def unbalanced_design(draw):
+    """Unit and year codes of a shuffled unbalanced panel: one or two blocks
+    of units that see disjoint years (a disconnected unit-year graph), a
+    unit seen once in each block, and often fewer units than years."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    units, years = [], []
+    for block in range(draw(st.integers(1, 2))):
+        n_u, n_y = draw(st.integers(2, 9)), draw(st.integers(1, 14))
+        seen = rng.random((n_u, n_y)) < draw(st.floats(0.2, 1.0))
+        seen[np.arange(n_u), rng.integers(0, n_y, n_u)] = True
+        seen[0] = False
+        seen[0, rng.integers(n_y)] = True
+        u, y = np.nonzero(seen)
+        units.append(u + 100 * block)
+        years.append(y + 100 * block)
+    order = rng.permutation(sum(len(u) for u in units))
+    unit_idx = np.unique(np.concatenate(units), return_inverse=True)[1][order]
+    year_idx = np.unique(np.concatenate(years), return_inverse=True)[1][order]
+    return unit_idx, year_idx
+
+
+def design_columns(unit_idx, year_idx, rng):
+    """A random column, a scaled one, and one made of fixed effects only."""
+    n = len(unit_idx)
+    fx = (rng.normal(size=unit_idx.max() + 1)[unit_idx]
+          + rng.normal(size=year_idx.max() + 1)[year_idx])
+    return np.column_stack([rng.normal(size=n), 1e3 * rng.normal(size=n) + 50.0, fx])
+
+
+@given(unbalanced_design())
+def test_projection_matches_dummies_and_sweeps(design):
+    unit_idx, year_idx = design
+    mat = design_columns(unit_idx, year_idx, np.random.default_rng(len(unit_idx)))
+    out = empirics._two_way_demean(mat, unit_idx, year_idx)
+    scale = np.linalg.norm(mat)
+    assert np.linalg.norm(out - dummies_demean(mat, unit_idx, year_idx)) <= 1e-12 * scale
+    assert np.linalg.norm(out[:, 2]) <= 1e-12 * scale
+    swept = sweep_demean(mat, unit_idx, year_idx)
+    if swept is not None:
+        assert np.linalg.norm(out - swept) <= 1e-10 * scale
+
+
+@given(unbalanced_design())
+def test_collinear_control_still_names_its_column(design):
+    unit_idx, year_idx = design
+    rng = np.random.default_rng(len(unit_idx))
+    n_u = unit_idx.max() + 1
+    adopt = np.where(np.arange(n_u) % 2 == 0, np.nan,
+                     2000.0 + rng.integers(0, year_idx.max() + 1, n_u))
+    adopt[1] = 2000.0  # treated in every year it is seen
+    mat = design_columns(unit_idx, year_idx, rng)
+    panel = Panel(unit_idx, 2000 + year_idx, mat[:, 1], adopt[unit_idx], mat[:, [0, 2]],
+                  ("control_1", "control_fe"))
+
+    def converged_sweeps(*args):
+        out = sweep_demean(*args)
+        assume(out is not None)
+        return out
+
+    columns = {}
+    for name, demean in (("exact", empirics._two_way_demean), ("sweeps", converged_sweeps)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(empirics, "_two_way_demean", demean)
+            with pytest.raises(RankDeficiencyError) as exc:
+                twfe_did(panel, drop_adoption_period=False)
+        # as a set: when several columns vanish, rounding noise orders the pivots
+        columns[name] = set(exc.value.columns)
+    assert "control_fe" in columns["exact"]
+    assert columns["exact"] == columns["sweeps"]
+
+
+def test_projection_on_a_chain_the_sweeps_do_not_converge_on():
+    # unit i is seen in years i and i+1 only: connected, but so weakly that
+    # 400 alternating sweeps stop far from the projection
+    unit_idx = np.repeat(np.arange(80), 2)
+    year_idx = unit_idx + np.tile([0, 1], 80)
+    mat = design_columns(unit_idx, year_idx, np.random.default_rng(0))
+    assert sweep_demean(mat, unit_idx, year_idx) is None
+    out = empirics._two_way_demean(mat, unit_idx, year_idx)
+    ref = dummies_demean(mat, unit_idx, year_idx)
+    assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(mat)
 
 
 def test_estimator_paths_agree():
@@ -173,7 +312,7 @@ def test_rank_deficiency_names_columns():
         assert str(exc.value) == ("design is rank deficient after absorbing fixed "
                                   "effects; offending columns: control_dup")
     with pytest.raises(RankDeficiencyError) as exc:
-        empirics._qr_solve(np.zeros((10, 2)), np.ones(10), ["a", "b"])
+        empirics._qr_solve(np.zeros((10, 3)), ["a", "b"])
     assert exc.value.columns == ("a", "b")
 
 
@@ -192,9 +331,34 @@ def test_qr_solve_matches_lstsq(seed):
     n, q = int(rng.integers(20, 400)), int(rng.integers(1, 12))
     x = rng.normal(size=(n, q)) * rng.uniform(0.1, 10.0, q)
     y = x @ rng.normal(size=q) + rng.normal(size=n)
-    beta = empirics._qr_solve(x, y, [f"x{j}" for j in range(q)])
+    beta = empirics._qr_solve(np.column_stack([x, y]), [f"x{j}" for j in range(q)])
     ref, *_ = np.linalg.lstsq(x, y, rcond=None)
     assert np.linalg.norm(beta - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_qr_solve_names_the_columns_a_pivoted_qr_of_x_names(seed):
+    """Pivoting the triangle of an unpivoted QR flags the same columns as
+    scipy's pivoted QR of the whole design."""
+    rng = np.random.default_rng(seed)
+    n, q = int(rng.integers(20, 400)), int(rng.integers(3, 12))
+    x = rng.normal(size=(n, q)) * rng.uniform(0.1, 10.0, q)
+    x[:, rng.integers(2, q)] = x[:, :2] @ rng.normal(size=2) + 1e-13 * rng.normal(size=n)
+    names = [f"x{j}" for j in range(q)]
+    _, r, piv = scipy.linalg.qr(x, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    expected = [names[piv[i]] for i in range(q) if diag[i] <= 1e-10 * max(diag[0], 1.0)]
+    assert len(expected) == 1
+    with pytest.raises(RankDeficiencyError) as exc:
+        empirics._qr_solve(np.column_stack([x, rng.normal(size=n)]), names)
+    assert exc.value.columns == tuple(expected)
+
+
+def test_qr_solve_with_fewer_rows_than_columns_raises():
+    x = np.random.default_rng(0).normal(size=(3, 5))
+    with pytest.raises(RankDeficiencyError) as exc:
+        empirics._qr_solve(np.column_stack([x, np.ones(3)]), list("abcde"))
+    assert len(exc.value.columns) == 2
 
 
 def masked_loop_se(x_t, resid, clusters, n_absorbed):

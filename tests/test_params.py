@@ -1,7 +1,10 @@
+import math
+
 import pytest
 
 from dataecon import (BASELINE, ModelParams, ParameterError, baseline_params,
                       regime, validate_params)
+from dataecon.params import _FIELDS
 
 
 def test_baseline_values():
@@ -26,6 +29,14 @@ def test_out_of_range_rejected_naming_field(field, value):
     with pytest.raises(ParameterError) as exc:
         validate_params({field: value})
     assert field in str(exc.value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400])
+@pytest.mark.parametrize("field", _FIELDS)
+def test_non_finite_value_rejected(field, value):
+    with pytest.raises(ParameterError) as exc:
+        ModelParams(**{field: value})
+    assert exc.value.violations == [f"{field} must be a finite number, got {value!r}"]
 
 
 def test_alpha_plus_beta_bound():
