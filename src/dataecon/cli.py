@@ -41,7 +41,7 @@ from .qtheory import firm_steady_state, investment_rate
 from .svgplot import (RenderSpec, render_contour, render_curve,
                       render_event_study, render_heatmap, render_phase,
                       render_shock)
-from .sweep import grid_sweep, iso_equilibrium_contour, threshold_curve
+from .sweep import _QUANTITIES, grid_sweep, iso_equilibrium_contour, threshold_curve
 
 PARAM_FLAGS = tuple(BASELINE)
 
@@ -123,25 +123,19 @@ def format_float(v: float) -> str:
     return _FLOAT_FORMAT % v
 
 
-def _jsonable(v):
-    if isinstance(v, (np.floating, float)):
-        return float(v)
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, np.ndarray):
-        return [_jsonable(x) for x in v.tolist()]
-    if isinstance(v, complex):
-        return [v.real, v.imag]
-    if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    return v
-
-
 def dumps_json(obj) -> str:
-    """JSON with sorted keys and 17-significant-digit floats."""
+    """JSON with sorted keys and 17-significant-digit floats; numpy scalars
+    and arrays are written as their Python values, complex numbers as
+    ``[real, imag]``."""
     def emit(v, depth):
+        if isinstance(v, np.ndarray):
+            v = v.tolist()
+        elif isinstance(v, complex):
+            v = [v.real, v.imag]
+        elif isinstance(v, np.floating):
+            v = float(v)
+        elif isinstance(v, np.integer):
+            v = int(v)
         pad = "  " * depth
         if isinstance(v, dict):
             if not v:
@@ -166,7 +160,7 @@ def dumps_json(obj) -> str:
         if isinstance(v, int):
             return str(v)
         return json.dumps(str(v))
-    return emit(_jsonable(obj), 0) + "\n"
+    return emit(obj, 0) + "\n"
 
 
 def write_csv(path, header, blocks) -> None:
@@ -341,14 +335,9 @@ class _Writer:
         self.sidecar(name, extra_meta)
 
 
-def _steady_payload(ss) -> dict:
-    return {"k_star": ss.k_star, "c_star": ss.c_star, "l_star": ss.l_star,
-            "y_star": ss.y_star, "r_star": ss.r_star, "feasible": ss.feasible}
-
-
 def _cmd_steady(cfg: RunConfig, w: _Writer, args):
     ss = steady_state(cfg.params)
-    w.json("steady.json", _steady_payload(ss))
+    w.json("steady.json", asdict(ss))
 
 
 def _cmd_qsteady(cfg: RunConfig, w: _Writer, args):
@@ -364,32 +353,32 @@ def _cmd_qsteady(cfg: RunConfig, w: _Writer, args):
     })
 
 
-def _sweep_axes(opt: SweepOptions):
-    return (np.linspace(opt.theta_min, opt.theta_max, opt.theta_n),
-            np.linspace(opt.eta_min, opt.eta_max, opt.eta_n))
+def _surface(p: ModelParams, opt: SweepOptions | ContourOptions, kind: str):
+    """The grid of a sweep or contour section and the figure spec over its
+    axes; the spec refuses a one-point axis before any file is written,
+    whatever the formats."""
+    thetas = np.linspace(opt.theta_min, opt.theta_max, opt.theta_n)
+    etas = np.linspace(opt.eta_min, opt.eta_max, opt.eta_n)
+    spec = RenderSpec(kind=kind,
+                      x_range=(float(thetas[0]), float(thetas[-1])),
+                      y_range=(float(etas[0]), float(etas[-1])))
+    return grid_sweep(p, thetas, etas), spec
 
 
 def _sweep_blocks(grid):
     """One CSV block per theta row; the theta and eta cells are formatted once."""
     etas = _csv_column(grid.eta_axis)
-    values = (grid.k_star, grid.c_star, grid.l_star, grid.y_star, grid.r_star)
     for i, theta in enumerate(_csv_column(grid.theta_axis)):
         mask = grid.mask[i].tolist()
-        yield ([theta] * len(etas), etas, mask, *(v[i] for v in values),
+        yield ([theta] * len(etas), etas, mask, *(getattr(grid, q)[i] for q in _QUANTITIES),
                ["true" if m == "ok" else "" for m in mask])
 
 
-_SWEEP_HEADER = ["theta", "eta", "mask", "k_star", "c_star", "l_star",
-                 "y_star", "r_star", "feasible"]
+_SWEEP_HEADER = ["theta", "eta", "mask", *_QUANTITIES, "feasible"]
 
 
 def _cmd_sweep(cfg: RunConfig, w: _Writer, args):
-    thetas, etas = _sweep_axes(cfg.sweep)
-    # the spec refuses a one-point axis before any file is written, whatever the formats
-    spec = RenderSpec(kind="surface-heatmap",
-                      x_range=(float(thetas[0]), float(thetas[-1])),
-                      y_range=(float(etas[0]), float(etas[-1])))
-    grid = grid_sweep(cfg.params, thetas, etas)
+    grid, spec = _surface(cfg.params, cfg.sweep, "surface-heatmap")
     for var in ("k_star", "c_star"):
         w.svg(f"sweep_{var}.svg", lambda: render_heatmap(grid, var, spec),
               {"variable": var})
@@ -419,13 +408,7 @@ def _cmd_contour(cfg: RunConfig, w: _Writer, args):
     opt = cfg.contour
     level_flag = getattr(args, "level", None)
     variable = getattr(args, "variable", None) or opt.variable
-    thetas = np.linspace(opt.theta_min, opt.theta_max, opt.theta_n)
-    etas = np.linspace(opt.eta_min, opt.eta_max, opt.eta_n)
-    # the spec refuses a one-point axis before any file is written, as in sweep
-    spec = RenderSpec(kind="contour",
-                      x_range=(float(thetas[0]), float(thetas[-1])),
-                      y_range=(float(etas[0]), float(etas[-1])))
-    grid = grid_sweep(cfg.params, thetas, etas)
+    grid, spec = _surface(cfg.params, opt, "contour")
     vals = grid.values(variable)
     finite = vals[np.isfinite(vals)]
     level = level_flag if level_flag is not None else opt.level
@@ -492,8 +475,8 @@ def _cmd_shock(cfg: RunConfig, w: _Writer, args):
                              include_saddle=cfg.phase.include_saddle,
                              tol=cfg.phase.tol)
     w.json("shock.json", {
-        "before": _steady_payload(steady_state(p_before)),
-        "after": _steady_payload(steady_state(p_after)),
+        "before": asdict(steady_state(p_before)),
+        "after": asdict(steady_state(p_after)),
         "dk_star": shock.dk_star,
         "dc_star": shock.dc_star,
         "params_before": asdict(p_before),

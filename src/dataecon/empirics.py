@@ -83,7 +83,6 @@ class Panel:
     adoption_year: np.ndarray  # NaN marks never-treated
     controls: np.ndarray  # shape (n_rows, n_controls)
     control_names: tuple[str, ...]
-    balanced: bool = True
 
     def __post_init__(self):
         n = len(self.unit)
@@ -200,6 +199,9 @@ def _two_way_demean(mat: np.ndarray, unit_idx: np.ndarray, year_idx: np.ndarray)
     C' diag(1/unit counts) C``, C the unit-by-year count table (Wansbeek &
     Kapteyn 1989); the min-norm solution covers disconnected panels.  The
     factors swap roles when units are fewer, so A is on the shorter one.
+    A is a dense m x m matrix, m the shorter factor's length, and its SVD
+    solve costs O(m^3): nothing at 23 years, about 1 s on a sparse
+    6,000-row panel of some 1,500 units and 1,500 years.
     Raises DesignError when C would exceed the dummies oracle's cell bound.
     """
     n_u = int(unit_idx.max()) + 1
@@ -433,7 +435,5 @@ def read_panel_csv(path) -> Panel:
             ctrls.append([float(v) for v in row[4:]])
     n = len(units)
     controls = np.asarray(ctrls, dtype=float) if names else np.empty((n, 0))
-    balanced = len(set(years)) * len(set(units)) == n
     return Panel(np.asarray(units), np.asarray(years), np.asarray(outcomes),
-                 np.asarray(adopts), controls.reshape(n, len(names)), names,
-                 balanced=balanced)
+                 np.asarray(adopts), controls.reshape(n, len(names)), names)

@@ -16,40 +16,22 @@ refused there.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import ParameterError
 
 DEFAULT_SINGULAR_BAND = 0.02
 
-#: Baseline calibration: alpha=0.6, beta=0.2, w=1, delta=0.08, rho=0.07.
-#: sigma and a do not affect steady states; their defaults (2, 2) are a
-#: conventional macro calibration, not calibrated values.
-BASELINE = {
-    "alpha": 0.6,
-    "beta": 0.2,
-    "eta": 0.2,
-    "theta": 0.5,
-    "w": 1.0,
-    "delta": 0.08,
-    "rho": 0.07,
-    "sigma": 2.0,
-    "a": 2.0,
-}
 
-_FIELDS = tuple(BASELINE) + ("singular_band",)
-
-
-def _violations(alpha, beta, eta, theta, w, delta, rho, sigma, a, singular_band):
+def _violations(p: "ModelParams") -> list[str]:
     out = []
-    for name, value in (("alpha", alpha), ("beta", beta), ("eta", eta),
-                        ("theta", theta), ("w", w), ("delta", delta),
-                        ("rho", rho), ("sigma", sigma), ("a", a),
-                        ("singular_band", singular_band)):
+    for f in fields(p):
+        value = getattr(p, f.name)
         if not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
-            out.append(f"{name} must be a finite number, got {value!r}")
+            out.append(f"{f.name} must be a finite number, got {value!r}")
     if out:
         return out
+    alpha, beta, eta = p.alpha, p.beta, p.eta
     if not 0.0 < alpha < 1.0:
         out.append(f"alpha must lie in (0, 1), got {alpha}")
     if not 0.0 < beta < 1.0:
@@ -58,20 +40,20 @@ def _violations(alpha, beta, eta, theta, w, delta, rho, sigma, a, singular_band)
         out.append(f"alpha + beta must not exceed 1, got {alpha + beta}")
     if not 0.0 <= eta < 1.0:
         out.append(f"eta must lie in [0, 1), got {eta}")
-    if not 0.0 <= theta <= 1.0:
-        out.append(f"theta must lie in [0, 1], got {theta}")
-    if not w > 0.0:
-        out.append(f"w must be positive, got {w}")
-    if not delta > 0.0:
-        out.append(f"delta must be positive, got {delta}")
-    if not rho > 0.0:
-        out.append(f"rho must be positive, got {rho}")
-    if not sigma > 1.0:
-        out.append(f"sigma must exceed 1, got {sigma}")
-    if not a > 0.0:
-        out.append(f"a must be positive, got {a}")
-    if not singular_band >= 0.0:
-        out.append(f"singular_band must be nonnegative, got {singular_band}")
+    if not 0.0 <= p.theta <= 1.0:
+        out.append(f"theta must lie in [0, 1], got {p.theta}")
+    if not p.w > 0.0:
+        out.append(f"w must be positive, got {p.w}")
+    if not p.delta > 0.0:
+        out.append(f"delta must be positive, got {p.delta}")
+    if not p.rho > 0.0:
+        out.append(f"rho must be positive, got {p.rho}")
+    if not p.sigma > 1.0:
+        out.append(f"sigma must exceed 1, got {p.sigma}")
+    if not p.a > 0.0:
+        out.append(f"a must be positive, got {p.a}")
+    if not p.singular_band >= 0.0:
+        out.append(f"singular_band must be nonnegative, got {p.singular_band}")
     if not out:
         # Both follow from the ranges above; asserted anyway.
         if not 1.0 - alpha * eta > 0.0:
@@ -83,23 +65,27 @@ def _violations(alpha, beta, eta, theta, w, delta, rho, sigma, a, singular_band)
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Validated parameter vector; construction rejects out-of-range values."""
+    """Validated parameter vector; construction rejects out-of-range values.
 
-    alpha: float = BASELINE["alpha"]
-    beta: float = BASELINE["beta"]
-    eta: float = BASELINE["eta"]
-    theta: float = BASELINE["theta"]
-    w: float = BASELINE["w"]
-    delta: float = BASELINE["delta"]
-    rho: float = BASELINE["rho"]
-    sigma: float = BASELINE["sigma"]
-    a: float = BASELINE["a"]
+    The defaults are the baseline calibration: alpha=0.6, beta=0.2, w=1,
+    delta=0.08, rho=0.07.  sigma and a do not affect steady states; their
+    defaults (2, 2) are a conventional macro calibration, not calibrated
+    values.
+    """
+
+    alpha: float = 0.6
+    beta: float = 0.2
+    eta: float = 0.2
+    theta: float = 0.5
+    w: float = 1.0
+    delta: float = 0.08
+    rho: float = 0.07
+    sigma: float = 2.0
+    a: float = 2.0
     singular_band: float = DEFAULT_SINGULAR_BAND
 
     def __post_init__(self):
-        bad = _violations(self.alpha, self.beta, self.eta, self.theta, self.w,
-                          self.delta, self.rho, self.sigma, self.a,
-                          self.singular_band)
+        bad = _violations(self)
         if bad:
             raise ParameterError(bad)
 
@@ -112,6 +98,10 @@ class ModelParams:
         return replace(self, **changes)
 
 
+#: The baseline calibration: every model parameter with its default.
+BASELINE = {f.name: f.default for f in fields(ModelParams) if f.name != "singular_band"}
+
+
 @dataclass(frozen=True)
 class Regime:
     """Sign of the composite exponent and whether it sits in the singular band."""
@@ -120,34 +110,29 @@ class Regime:
     singular: bool
 
 
-def regime(p: ModelParams, band: float | None = None) -> Regime:
+def regime(p: ModelParams) -> Regime:
     """Classify the exponent regime of ``p``.
 
-    ``band`` overrides ``p.singular_band``.  Inside the band the closed-form
-    steady-state exponent 1/(alpha+beta+alpha*eta-1) overflows, so dependent
-    operations raise instead of evaluating.
+    Inside ``p.singular_band`` the closed-form steady-state exponent
+    1/(alpha+beta+alpha*eta-1) overflows, so dependent operations raise
+    instead of evaluating.
     """
-    b = p.singular_band if band is None else band
     kx = p.k_exponent
     sign = 0 if kx == 0.0 else (1 if kx > 0.0 else -1)
-    return Regime(k_exponent_sign=sign, singular=abs(kx) < b)
+    return Regime(k_exponent_sign=sign, singular=abs(kx) < p.singular_band)
 
 
 def validate_params(raw: dict) -> ModelParams:
     """Build a ModelParams from a parameter record.
 
-    Missing fields take the baseline defaults.  Unknown fields and every
-    violated bound are reported together in a single ParameterError.
+    Missing fields take the baseline defaults.  Unknown fields are refused;
+    otherwise every violated bound is reported together in a single
+    ParameterError.
     """
-    unknown = sorted(set(raw) - set(_FIELDS))
+    unknown = sorted(set(raw) - {f.name for f in fields(ModelParams)})
     if unknown:
         raise ParameterError([f"unknown parameter {name!r}" for name in unknown])
-    values = dict(BASELINE, singular_band=DEFAULT_SINGULAR_BAND)
-    values.update(raw)
-    bad = _violations(**values)
-    if bad:
-        raise ParameterError(bad)
-    return ModelParams(**values)
+    return ModelParams(**raw)
 
 
 def baseline_params(**overrides) -> ModelParams:

@@ -26,8 +26,6 @@ _VIRIDIS = (
     (0.135, 0.659, 0.518), (0.267, 0.749, 0.441), (0.478, 0.821, 0.318),
     (0.741, 0.873, 0.150), (0.993, 0.906, 0.144),
 )
-_GRAYS = tuple((g, g, g) for g in np.linspace(0.15, 0.95, 11))
-_COLORMAPS = {"viridis": _VIRIDIS, "gray": _GRAYS}
 
 
 @dataclass(frozen=True)
@@ -39,7 +37,6 @@ class RenderSpec:
     height: int = 540
     x_range: tuple[float, float] | None = None
     y_range: tuple[float, float] | None = None
-    colormap: str = "viridis"
 
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
@@ -47,8 +44,6 @@ class RenderSpec:
         for rng in (self.x_range, self.y_range):
             if rng is not None:
                 _check_range(rng)
-        if self.colormap not in _COLORMAPS:
-            raise DomainError(f"unknown colormap {self.colormap!r}")
 
 
 def _check_range(rng) -> None:
@@ -66,10 +61,10 @@ def _fmt(v: float) -> str:
 _HEX = tuple("%02x" % n for n in range(256))
 
 
-def _ramp(cmap: str, t) -> list[str]:
-    """Hex colours of the values ``t`` (clipped to [0, 1]) on a colormap;
-    channels round half to even, like Python's ``round``."""
-    stops = np.asarray(_COLORMAPS[cmap])
+def _ramp(t) -> list[str]:
+    """Hex colours of the values ``t`` (clipped to [0, 1]) on the viridis
+    ramp; channels round half to even, like Python's ``round``."""
+    stops = np.asarray(_VIRIDIS)
     x = np.clip(t, 0.0, 1.0) * (len(stops) - 1)
     i = np.minimum(x.astype(int), len(stops) - 2)
     f = (x - i)[:, None]
@@ -77,8 +72,8 @@ def _ramp(cmap: str, t) -> list[str]:
     return ["#" + _HEX[r] + _HEX[g] + _HEX[b] for r, g, b in rgb.tolist()]
 
 
-def _color(cmap: str, t: float) -> str:
-    return _ramp(cmap, np.array([t]))[0]
+def _color(t: float) -> str:
+    return _ramp(np.array([t]))[0]
 
 
 class _Canvas:
@@ -204,7 +199,7 @@ def render_heatmap(grid: SweepGrid, variable: str, spec: RenderSpec) -> str:
         # on some CPUs, and an ulp of t can flip a rounded colour channel
         norm = [math.log10(v) for v in row[ok].tolist()] if log_scale else row[ok]
         fills = np.full(len(row), "#bbbbbb", dtype=object)
-        fills[ok] = _ramp(spec.colormap, (np.asarray(norm) - lo) / span)
+        fills[ok] = _ramp((np.asarray(norm) - lo) / span)
         cv.parts.append("".join(
             f'<rect x="{x_s}" y="{y_s}" width="{w_s}" height="{h_s}" fill="{fill}"/>\n'
             for (y_s, h_s), fill in zip(rows, fills.tolist())))
@@ -214,23 +209,18 @@ def render_heatmap(grid: SweepGrid, variable: str, spec: RenderSpec) -> str:
     return cv.finish()
 
 
-def render_contour(contours, spec: RenderSpec,
-                   x_range=None, y_range=None) -> str:
-    """Iso-level polylines in the (theta, eta) plane."""
-    items = list(contours) if isinstance(contours, (list, tuple)) else [contours]
-    xr = spec.x_range or x_range or (0.0, 1.0)
-    yr = spec.y_range or y_range or (0.0, 1.0)
-    label = items[0].variable if items else "value"
-    cv = _Canvas(spec, xr, yr, f"iso-{label} contours", "theta", "eta")
-    for n, contour in enumerate(items):
-        color = _color(spec.colormap, 0.15 + 0.7 * (n / max(len(items) - 1, 1)))
-        for comp in contour.components:
-            cv.polyline(comp[:, 0], comp[:, 1], color, width=1.8)
-        if len(contour.points):
-            mid = contour.points[len(contour.points) // 2]
-            cv.parts.append(f'<text x="{_fmt(cv.px(mid[0]) + 4)}" y="{_fmt(cv.py(mid[1]) - 4)}" '
-                            f'font-family="monospace" font-size="10" fill="{color}">'
-                            f'{contour.level:.4g}</text>\n')
+def render_contour(contour: IsoContour, spec: RenderSpec) -> str:
+    """One iso-level contour, every component, in the (theta, eta) plane."""
+    cv = _Canvas(spec, spec.x_range or (0.0, 1.0), spec.y_range or (0.0, 1.0),
+                 f"iso-{contour.variable} contours", "theta", "eta")
+    color = _color(0.15)
+    for comp in contour.components:
+        cv.polyline(comp[:, 0], comp[:, 1], color, width=1.8)
+    if len(contour.points):
+        mid = contour.points[len(contour.points) // 2]
+        cv.parts.append(f'<text x="{_fmt(cv.px(mid[0]) + 4)}" y="{_fmt(cv.py(mid[1]) - 4)}" '
+                        f'font-family="monospace" font-size="10" fill="{color}">'
+                        f'{contour.level:.4g}</text>\n')
     return cv.finish()
 
 
@@ -331,11 +321,8 @@ def render_svg(artifact, spec: RenderSpec, variable: str = "c_star") -> str:
             raise DomainError("surface-heatmap requires a SweepGrid")
         return render_heatmap(artifact, variable, spec)
     if kind == "contour":
-        ok = isinstance(artifact, IsoContour) or (
-            isinstance(artifact, (list, tuple))
-            and all(isinstance(a, IsoContour) for a in artifact))
-        if not ok:
-            raise DomainError("contour rendering requires IsoContour artifacts")
+        if not isinstance(artifact, IsoContour):
+            raise DomainError("contour rendering requires an IsoContour")
         return render_contour(artifact, spec)
     if kind == "phase":
         if isinstance(artifact, ShockResult):

@@ -19,6 +19,7 @@ from .errors import DegenerateError, DomainError, RegimeError, SearchError
 from .params import ModelParams
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # inverse golden ratio
+_COARSE_POINTS = 65  # eta points of the threshold search's bracketing scan
 _QUANTITIES = tuple(f.name for f in fields(SteadyState) if f.name != "feasible")
 
 
@@ -51,8 +52,7 @@ class SweepGrid:
     @cached_property
     def cells(self) -> tuple[tuple[SteadyState | None, ...], ...]:
         """``cells[i][j]`` is the SteadyState of cell (i, j), None when masked."""
-        rows = zip(self.mask.tolist(), self.k_star.tolist(), self.c_star.tolist(),
-                   self.l_star.tolist(), self.y_star.tolist(), self.r_star.tolist())
+        rows = zip(self.mask.tolist(), *(getattr(self, q).tolist() for q in _QUANTITIES))
         return tuple(tuple(SteadyState(*values, True) if mask == "ok" else None
                            for mask, *values in zip(*row))
                      for row in rows)
@@ -177,8 +177,7 @@ def band_free_intervals(p: ModelParams, eta_range: tuple[float, float]) -> list[
 
 def consumption_threshold(p_base: ModelParams, theta: float,
                           eta_range: tuple[float, float],
-                          tol: float = 1e-4,
-                          coarse: int = 65) -> list[ThresholdResult]:
+                          tol: float = 1e-4) -> list[ThresholdResult]:
     """Locate the argmax of c*(eta; theta), one result per band-free
     sub-interval of ``eta_range``.
 
@@ -198,7 +197,7 @@ def consumption_threshold(p_base: ModelParams, theta: float,
 
     results = []
     for lo, hi in band_free_intervals(p_base, eta_range):
-        xs = np.linspace(lo, hi, coarse)
+        xs = np.linspace(lo, hi, _COARSE_POINTS)
         mask, values = steady_states(p_theta, eta=xs)
         vals = np.where(mask == "ok", values["c_star"], -np.inf)
         if not np.any(np.isfinite(vals)):

@@ -287,7 +287,7 @@ def test_sweep_csv_matches_rowwise_writer(tmp_path):
         "formats": ["csv"], "out_dir": str(tmp_path / "o")}))
     cfg = parse_config(str(cfg_file))
     run_command(cfg, "sweep")
-    grid = grid_sweep(cfg.params, *cli._sweep_axes(cfg.sweep))
+    grid = grid_sweep(cfg.params, np.linspace(0.0, 0.99, 23), np.linspace(0.0, 0.99, 17))
     assert {"ok", "singular", "degenerate"} <= set(grid.mask.ravel().tolist())
     write_rowwise_csv(tmp_path / "ref.csv", cli._SWEEP_HEADER, rowwise_sweep_rows(grid))
     assert first_difference((tmp_path / "o" / "sweep.csv").read_bytes().decode(),
@@ -526,8 +526,6 @@ def test_render_spec_validation():
         RenderSpec(kind="phase", width=0)
     with pytest.raises(DomainError):
         RenderSpec(kind="phase", x_range=(1.0, 1.0))
-    with pytest.raises(DomainError):
-        RenderSpec(kind="phase", colormap="jet")
 
 
 # ---------------------------------------------------------------------------
@@ -539,10 +537,18 @@ def test_format_float_round_trip():
 
 
 def test_dumps_json_sorted_and_parseable():
-    doc = dumps_json({"b": 1.5, "a": [1, 2.25], "c": {"y": True, "x": None}})
+    doc = dumps_json({"b": 1.5, "a": [1, 2.25], "c": {"y": True, "x": None},
+                      "d": np.float64(0.1), "e": np.int64(-3), "f": np.float32(0.1),
+                      "g": np.array([[1.0, np.nan], [2.0, 3.5]]), "h": complex(1.0, -2.0),
+                      "i": np.array([0.5 + 1j]), "j": np.arange(3)})
     parsed = json.loads(doc)
-    assert parsed == {"a": [1, 2.25], "b": 1.5, "c": {"x": None, "y": True}}
-    assert doc.index('"a"') < doc.index('"b"') < doc.index('"c"')
+    assert parsed == {"a": [1, 2.25], "b": 1.5, "c": {"x": None, "y": True},
+                      "d": 0.1, "e": -3, "f": float(np.float32(0.1)),
+                      "g": [[1.0, None], [2.0, 3.5]], "h": [1.0, -2.0],
+                      "i": [[0.5, 1.0]], "j": [0, 1, 2]}
+    assert doc.index('"a"') < doc.index('"b"') < doc.index('"c"') < doc.index('"j"')
+    assert '"d": 0.10000000000000001,' in doc
+    assert '"f": 0.10000000149011612,' in doc
 
 
 def test_run_command_unknown_rejected(tmp_path):

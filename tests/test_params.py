@@ -1,10 +1,12 @@
 import math
+from dataclasses import fields
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dataecon import (BASELINE, ModelParams, ParameterError, baseline_params,
                       regime, validate_params)
-from dataecon.params import _FIELDS
 
 
 def test_baseline_values():
@@ -32,7 +34,7 @@ def test_out_of_range_rejected_naming_field(field, value):
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400])
-@pytest.mark.parametrize("field", _FIELDS)
+@pytest.mark.parametrize("field", [f.name for f in fields(ModelParams)])
 def test_non_finite_value_rejected(field, value):
     with pytest.raises(ParameterError) as exc:
         ModelParams(**{field: value})
@@ -70,7 +72,6 @@ def test_singular_at_band_center():
 def test_band_is_configurable():
     p = ModelParams(alpha=0.6, beta=0.2, eta=0.31, theta=0.5)
     assert regime(p).singular          # default band 0.02; exponent -0.014
-    assert not regime(p, band=0.005).singular
     q = p.replace(singular_band=0.005)
     assert not regime(q).singular
 
@@ -91,3 +92,28 @@ def test_composite_positivity_invariants():
 def test_defaults_cover_all_baseline_keys():
     assert set(BASELINE) == {"alpha", "beta", "eta", "theta", "w", "delta",
                              "rho", "sigma", "a"}
+
+
+# every field is out of range below zero
+_BAD = st.one_of(st.floats(max_value=-1e-300),
+                 st.sampled_from([math.nan, math.inf, -math.inf, 10**400, "0.5", None]))
+
+
+@st.composite
+def invalid_records(draw):
+    """Records with one or more bad fields, the rest anywhere in [-2, 2]."""
+    names = st.sampled_from([f.name for f in fields(ModelParams)])
+    record = {name: draw(st.floats(-2.0, 2.0))
+              for name in draw(st.lists(names, unique=True))}
+    record.update({name: draw(_BAD)
+                   for name in draw(st.lists(names, min_size=1, unique=True))})
+    return record
+
+
+@given(invalid_records())
+def test_validate_params_reports_the_constructors_violations(raw):
+    with pytest.raises(ParameterError) as by_constructor:
+        ModelParams(**raw)
+    with pytest.raises(ParameterError) as by_validate:
+        validate_params(raw)
+    assert by_validate.value.violations == by_constructor.value.violations != []

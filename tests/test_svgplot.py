@@ -6,15 +6,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dataecon import RenderSpec, baseline_params, grid_sweep
-from dataecon.svgplot import (_COLORMAPS, _Canvas, _color, _fmt, _grid_ranges, _ramp,
+from dataecon.svgplot import (_VIRIDIS, _Canvas, _color, _fmt, _grid_ranges, _ramp,
                               render_heatmap)
 
 from .textdiff import first_difference
 
 
-def scalar_color(cmap, t):
+def scalar_color(t):
     """The per-value colour ramp the vectorized one replaced."""
-    stops = _COLORMAPS[cmap]
+    stops = _VIRIDIS
     t = min(max(t, 0.0), 1.0)
     x = t * (len(stops) - 1)
     i = min(int(x), len(stops) - 2)
@@ -23,10 +23,10 @@ def scalar_color(cmap, t):
     return "#%02x%02x%02x" % tuple(int(round(255 * v)) for v in rgb)
 
 
-def half_ties(cmap):
+def half_ties():
     """Values of t at which 255 times some channel of the ramp is exactly
     k + 0.5, where rounding half to even decides the byte."""
-    stops = _COLORMAPS[cmap]
+    stops = _VIRIDIS
     n = len(stops)
     ties = []
     for i in range(n - 1):
@@ -49,20 +49,18 @@ def half_ties(cmap):
 
 
 def test_ramp_matches_scalar_colour_at_edges_stops_and_ties():
-    for cmap in _COLORMAPS:
-        n = len(_COLORMAPS[cmap])
-        ties = half_ties(cmap)
-        assert len(ties) >= 10
-        ts = [0.0, 1.0, -0.25, 1.25, -1e-300, math.nextafter(1.0, 2.0), -math.inf,
-              math.inf, *(k / (n - 1) for k in range(n)), *ties]
-        assert _ramp(cmap, np.array(ts)) == [scalar_color(cmap, t) for t in ts]
-        assert [_color(cmap, t) for t in ts] == [scalar_color(cmap, t) for t in ts]
+    n = len(_VIRIDIS)
+    ties = half_ties()
+    assert len(ties) >= 10
+    ts = [0.0, 1.0, -0.25, 1.25, -1e-300, math.nextafter(1.0, 2.0), -math.inf,
+          math.inf, *(k / (n - 1) for k in range(n)), *ties]
+    assert _ramp(np.array(ts)) == [scalar_color(t) for t in ts]
+    assert [_color(t) for t in ts] == [scalar_color(t) for t in ts]
 
 
-@given(st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=50),
-       st.sampled_from(sorted(_COLORMAPS)))
-def test_ramp_matches_scalar_colour(ts, cmap):
-    assert _ramp(cmap, np.array(ts)) == [scalar_color(cmap, t) for t in ts]
+@given(st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=50))
+def test_ramp_matches_scalar_colour(ts):
+    assert _ramp(np.array(ts)) == [scalar_color(t) for t in ts]
 
 
 def cellwise_heatmap(grid, variable, spec):
@@ -88,7 +86,7 @@ def cellwise_heatmap(grid, variable, spec):
             v = vals[i, j]
             if np.isfinite(v):
                 t = ((math.log10(v) if log_scale else v) - lo) / span
-                fill = scalar_color(spec.colormap, t)
+                fill = scalar_color(t)
             else:
                 fill = "#bbbbbb"
             x_px, y_px = cv.px(x_lo), cv.py(y_hi)
@@ -107,10 +105,9 @@ def cellwise_heatmap(grid, variable, spec):
     ((0.0, 0.99, 23), (0.0, 0.99, 17)),    # degenerate theta = 0 row
     ((0.1, 0.9, 30), (0.0, 0.2, 40)),      # linear scale
 ])
-@pytest.mark.parametrize("colormap", sorted(_COLORMAPS))
-def test_heatmap_matches_cellwise_loop(axes, colormap):
+def test_heatmap_matches_cellwise_loop(axes):
     grid = grid_sweep(baseline_params(), *(np.linspace(*a) for a in axes))
-    spec = RenderSpec(kind="surface-heatmap", colormap=colormap)
+    spec = RenderSpec(kind="surface-heatmap")
     for variable in ("k_star", "c_star"):
         assert first_difference(render_heatmap(grid, variable, spec),
                                 cellwise_heatmap(grid, variable, spec)) is None
