@@ -9,6 +9,7 @@ writes one event-study figure for the first replication.
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -26,13 +27,15 @@ def main() -> int:
     args = ap.parse_args()
     os.makedirs(args.out, exist_ok=True)
 
+    dgp = DgpConfig(n_units=216, years=(2000, 2022), share_treated=0.5,
+                    unit_effect_scale=1.0, year_effect_scale=0.5,
+                    noise_scale=args.noise, effect=args.effect, seed=args.seed)
     ests, ses, covered = [], [], 0
     for rep in range(args.reps):
-        cfg = DgpConfig(n_units=216, years=(2000, 2022), share_treated=0.5,
-                        unit_effect_scale=1.0, year_effect_scale=0.5,
-                        noise_scale=args.noise, effect=args.effect,
-                        seed=args.seed + rep)
-        res = twfe_did(generate_panel(cfg))
+        panel = generate_panel(replace(dgp, seed=args.seed + rep))
+        if rep == 0:
+            first = panel  # the event-study figure shows replication 0
+        res = twfe_did(panel)
         ests.append(res.att)
         ses.append(res.se)
         covered += abs(res.att - args.effect) <= 1.96 * res.se
@@ -45,11 +48,7 @@ def main() -> int:
     print(f"mean SE      : {np.mean(ses):.5f}")
     print(f"95% coverage : {covered / args.reps:.3f}")
 
-    panel = generate_panel(DgpConfig(
-        n_units=216, years=(2000, 2022), share_treated=0.5,
-        unit_effect_scale=1.0, year_effect_scale=0.5,
-        noise_scale=args.noise, effect=args.effect, seed=args.seed))
-    es = event_study(panel, window=(-5, 5))
+    es = event_study(first, window=(-5, 5))
     path = os.path.join(args.out, "event_study.svg")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(render_event_study(es, RenderSpec(kind="event-study")))

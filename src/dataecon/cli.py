@@ -194,6 +194,7 @@ def _csv_column(col) -> list:
 
 _KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 _FLAG_KEYS = {"out": "out_dir", "format": "formats", "seed": "seed"}
+_SECTION_FLAGS = {"params": PARAM_FLAGS, "contour": ("level", "variable")}
 
 
 def _coerce(where: str, hint, value):
@@ -250,7 +251,9 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
 
     Precedence: command-line overrides > config file > built-in baseline.
     Unknown keys and values that do not match their field's annotation are
-    refused; None or empty overrides count as not given.
+    refused; None or empty overrides count as not given.  A top-level
+    ``version``, as ``effective_config.json`` records it, must equal this
+    tool's version.
     """
     file_data: dict = {}
     if path is not None:
@@ -268,9 +271,13 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
     if "format" in flags:
         flags["format"] = [f.strip() for f in flags["format"].split(",") if f.strip()]
     data = {**file_data, **{key: flags[flag] for flag, key in _FLAG_KEYS.items() if flag in flags}}
-    if isinstance(data.get("params", {}), dict):  # anything else _build refuses
-        data["params"] = {**data.get("params", {}),
-                          **{name: flags[name] for name in PARAM_FLAGS if name in flags}}
+    version = data.pop("version", __version__)
+    if version != __version__:
+        raise ConfigError(f"config version {version!r} does not match dataecon {__version__}")
+    for section, names in _SECTION_FLAGS.items():
+        if isinstance(data.get(section, {}), dict):  # anything else _build refuses
+            data[section] = {**data.get(section, {}),
+                             **{name: flags[name] for name in names if name in flags}}
     cfg = _build(RunConfig, data, "")
     bad = sorted(set(cfg.formats) - set(RunConfig.formats))
     if bad:
@@ -406,12 +413,10 @@ def _cmd_threshold(cfg: RunConfig, w: _Writer, args):
 
 def _cmd_contour(cfg: RunConfig, w: _Writer, args):
     opt = cfg.contour
-    level_flag = getattr(args, "level", None)
-    variable = getattr(args, "variable", None) or opt.variable
+    variable, level = opt.variable, opt.level
     grid, spec = _surface(cfg.params, opt, "contour")
     vals = grid.values(variable)
     finite = vals[np.isfinite(vals)]
-    level = level_flag if level_flag is not None else opt.level
     if level is None:
         level = float(np.median(finite)) if finite.size else 0.0
     contour = iso_equilibrium_contour(grid, variable, float(level))

@@ -8,9 +8,9 @@ State (c, k) evolves under
 with r(k) the endogenous interest rate and y(k, l*(k)) the reduced output at
 the firm's labor optimum.  The module provides the vector field, its analytic
 Jacobian, eigenvalue classification of the steady state, nullclines, an
-adaptive embedded Runge-Kutta integrator (Dormand-Prince 5(4)), stable-branch
-extraction by backward integration, and parameter-shock comparisons of phase
-portraits.
+adaptive embedded Runge-Kutta integrator (Dormand-Prince 5(4), every stage
+read from one tableau and computed on plain floats), stable-branch extraction
+by backward integration, and parameter-shock comparisons of phase portraits.
 
 Conventions: State and Trajectory store (c, k); portrait geometry (nullcline
 polylines, vector-field samples) is stored in plot order (k, c).
@@ -234,29 +234,36 @@ def nullclines(p: ModelParams, k_range: tuple[float, float],
     return c_null, k_null
 
 
-# Dormand-Prince 5(4) tableau.
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1 = 35 / 384 - 5179 / 57600
-_E3 = 500 / 1113 - 7571 / 16695
-_E4 = 125 / 192 - 393 / 640
-_E5 = -2187 / 6784 + 92097 / 339200
-_E6 = 11 / 84 - 187 / 2100
-_E7 = -1 / 40
+# Dormand-Prince 5(4) tableau (Dormand & Prince 1980; Hairer, Norsett & Wanner,
+# Solving ODEs I, II.5): stages 2-7 as (slope index, coefficient) pairs, zero
+# entries left out; the last row is the fifth-order solution (FSAL).
+_DP_ROWS = (
+    ((0, 1 / 5),),
+    ((0, 3 / 40), (1, 9 / 40)),
+    ((0, 44 / 45), (1, -56 / 15), (2, 32 / 9)),
+    ((0, 19372 / 6561), (1, -25360 / 2187), (2, 64448 / 6561), (3, -212 / 729)),
+    ((0, 9017 / 3168), (1, -355 / 33), (2, 46732 / 5247), (3, 49 / 176), (4, -5103 / 18656)),
+    ((0, 35 / 384), (2, 500 / 1113), (3, 125 / 192), (4, -2187 / 6784), (5, 11 / 84)),
+)
+_DP_ERR = ((0, 35 / 384 - 5179 / 57600), (2, 500 / 1113 - 7571 / 16695),
+           (3, 125 / 192 - 393 / 640), (4, -2187 / 6784 + 92097 / 339200),
+           (5, 11 / 84 - 187 / 2100), (6, -1 / 40))
 
 
-def _rk45(f, c0: float, k0: float, t_max: float, rtol: float, atol: float,
+def _rk45(f, c0: float, k0: float, t_max: float, rtol: float,
           conv_tol: float | None = None, stop=None, max_steps: int = 500_000):
     """Adaptive Dormand-Prince step loop on plain floats.
 
-    Returns (ts, cs, ks, status) with status in {'converged', 'max-time',
-    'left-domain', 'stopped'}.  Raises IntegrationError on step underflow
-    that is not caused by the domain boundary, attaching the partial arrays.
+    Each stage is one pass over its row of ``_DP_ROWS``, summed left to right
+    from 0.0; a stage outside the positive quadrant shrinks the step.
+    The error scale is ``rtol * max(|x|, |x_new|)`` per coordinate, with
+    ``rtol`` restricted to [1e-12, 1e-3].  Returns (ts, cs, ks, status) with
+    status in {'converged', 'max-time', 'left-domain', 'stopped'}.  Raises
+    IntegrationError on step underflow that is not caused by the domain
+    boundary, attaching the partial arrays.
     """
+    if not 1e-12 <= rtol <= 1e-3:
+        raise DomainError(f"tol must lie in [1e-12, 1e-3], got {rtol}")
     t, c, k = 0.0, c0, k0
     ts, cs, ks = [0.0], [c0], [k0]
     fc, fk = f(c, k)
@@ -289,53 +296,32 @@ def _rk45(f, c0: float, k0: float, t_max: float, rtol: float, atol: float,
                 trajectory=_as_trajectory(ts, cs, ks, "max-time"))
         h = min(h, t_max - t)
 
-        c2 = c + h * (_A21 * fc)
-        k2 = k + h * (_A21 * fk)
-        if c2 <= 0.0 or k2 <= 0.0:
+        dc, dk = [fc], [fk]  # stage slopes
+        for row in _DP_ROWS:
+            sc = sk = 0.0
+            for j, a in row:
+                sc += a * dc[j]
+                sk += a * dk[j]
+            cn = c + h * sc
+            kn = k + h * sk
+            if cn <= 0.0 or kn <= 0.0:
+                break
+            fcn, fkn = f(cn, kn)
+            dc.append(fcn)
+            dk.append(fkn)
+        if len(dc) <= len(_DP_ROWS):  # a stage left the positive quadrant
             h *= 0.3
             last_reject = "domain"
             continue
-        fc2, fk2 = f(c2, k2)
-        c3 = c + h * (_A31 * fc + _A32 * fc2)
-        k3 = k + h * (_A31 * fk + _A32 * fk2)
-        if c3 <= 0.0 or k3 <= 0.0:
-            h *= 0.3
-            last_reject = "domain"
-            continue
-        fc3, fk3 = f(c3, k3)
-        c4 = c + h * (_A41 * fc + _A42 * fc2 + _A43 * fc3)
-        k4 = k + h * (_A41 * fk + _A42 * fk2 + _A43 * fk3)
-        if c4 <= 0.0 or k4 <= 0.0:
-            h *= 0.3
-            last_reject = "domain"
-            continue
-        fc4, fk4 = f(c4, k4)
-        c5 = c + h * (_A51 * fc + _A52 * fc2 + _A53 * fc3 + _A54 * fc4)
-        k5 = k + h * (_A51 * fk + _A52 * fk2 + _A53 * fk3 + _A54 * fk4)
-        if c5 <= 0.0 or k5 <= 0.0:
-            h *= 0.3
-            last_reject = "domain"
-            continue
-        fc5, fk5 = f(c5, k5)
-        c6 = c + h * (_A61 * fc + _A62 * fc2 + _A63 * fc3 + _A64 * fc4 + _A65 * fc5)
-        k6 = k + h * (_A61 * fk + _A62 * fk2 + _A63 * fk3 + _A64 * fk4 + _A65 * fk5)
-        if c6 <= 0.0 or k6 <= 0.0:
-            h *= 0.3
-            last_reject = "domain"
-            continue
-        fc6, fk6 = f(c6, k6)
-        cn = c + h * (_B1 * fc + _B3 * fc3 + _B4 * fc4 + _B5 * fc5 + _B6 * fc6)
-        kn = k + h * (_B1 * fk + _B3 * fk3 + _B4 * fk4 + _B5 * fk5 + _B6 * fk6)
-        if cn <= 0.0 or kn <= 0.0:
-            h *= 0.3
-            last_reject = "domain"
-            continue
-        fcn, fkn = f(cn, kn)
 
-        ec = h * (_E1 * fc + _E3 * fc3 + _E4 * fc4 + _E5 * fc5 + _E6 * fc6 + _E7 * fcn)
-        ek = h * (_E1 * fk + _E3 * fk3 + _E4 * fk4 + _E5 * fk5 + _E6 * fk6 + _E7 * fkn)
-        sc_c = atol + rtol * max(abs(c), abs(cn))
-        sc_k = atol + rtol * max(abs(k), abs(kn))
+        ec = ek = 0.0
+        for j, e in _DP_ERR:
+            ec += e * dc[j]
+            ek += e * dk[j]
+        ec *= h
+        ek *= h
+        sc_c = rtol * max(abs(c), abs(cn))
+        sc_k = rtol * max(abs(k), abs(kn))
         if not (math.isfinite(ec) and math.isfinite(ek)
                 and math.isfinite(fcn) and math.isfinite(fkn)):
             h *= 0.3
@@ -375,13 +361,11 @@ def integrate(s0, p: ModelParams, t_max: float, tol: float = 1e-9) -> Trajectory
     (status ``left-domain``).  ``tol`` is the relative step-error tolerance,
     restricted to [1e-12, 1e-3].
     """
-    if not 1e-12 <= tol <= 1e-3:
-        raise DomainError(f"tol must lie in [1e-12, 1e-3], got {tol}")
     if t_max < 0.0:
         raise DomainError(f"t_max must be nonnegative, got {t_max}")
     c0, k0 = _unpack(s0)
     f = _field(p)
-    ts, cs, ks, status = _rk45(f, c0, k0, t_max, rtol=tol, atol=0.0, conv_tol=tol)
+    ts, cs, ks, status = _rk45(f, c0, k0, t_max, rtol=tol, conv_tol=tol)
     return _as_trajectory(ts, cs, ks, status)
 
 
@@ -410,9 +394,9 @@ def saddle_path(p: ModelParams, k_targets: tuple[float, float],
 
     lams, vecs = cls.eigenvalues, cls.eigenvectors
     i_stable = int(np.argmin(lams.real))
-    v = vecs[:, i_stable].astype(float)
-    if v[1] < 0.0:  # orient toward increasing capital
-        v = -v
+    vc, vk = (float(x) for x in vecs[:, i_stable])
+    if vk < 0.0:  # orient toward increasing capital
+        vc, vk = -vc, -vk
     eps = eps_scale * ss.k_star
     if max_time is None:
         span = max(ss.k_star - klo, khi - ss.k_star)
@@ -426,14 +410,14 @@ def saddle_path(p: ModelParams, k_targets: tuple[float, float],
 
     branches = []
     for sign, target in ((-1.0, klo), (+1.0, khi)):
-        c_seed = ss.c_star + sign * eps * v[0]
-        k_seed = ss.k_star + sign * eps * v[1]
+        c_seed = ss.c_star + sign * eps * vc
+        k_seed = ss.k_star + sign * eps * vk
         if sign < 0:
             stop = lambda t, c, k: k <= target
         else:
             stop = lambda t, c, k: k >= target
         ts, cs, ks, status = _rk45(f_back, c_seed, k_seed, max_time,
-                                   rtol=tol, atol=0.0, stop=stop)
+                                   rtol=tol, stop=stop)
         if status == "stopped":
             status = "converged"
         # flip to forward time: far end first, seed (near equilibrium) last
@@ -475,13 +459,11 @@ def phase_portrait(p: ModelParams, k_range: tuple[float, float] | None = None,
                    n: int = 241, field_shape: tuple[int, int] = (15, 12),
                    include_saddle: bool = True, tol: float = 1e-9) -> PhasePortrait:
     """Assemble nullclines, classification, stable branches, and a quiver grid."""
-    ss = steady_state(p)
-    if not ss.feasible:
-        raise DegenerateError("steady state is infeasible; no portrait")
+    cls = classify_equilibrium(p)
+    ss = cls.steady_state
     if k_range is None:
         k_range = (0.5 * ss.k_star, 1.5 * ss.k_star)
     c_null, k_null = nullclines(p, k_range, n)
-    cls = classify_equilibrium(p)
 
     paths: tuple[Trajectory, ...] = ()
     if include_saddle and cls.classification == "saddle":
@@ -522,16 +504,14 @@ class ShockResult:
 
 
 def shock_experiment(p_before: ModelParams, p_after: ModelParams,
-                     k_range: tuple[float, float] | None = None,
                      **portrait_kwargs) -> ShockResult:
     """Compare equilibria and portraits across a parameter change."""
     ss_b = steady_state(p_before)
     ss_a = steady_state(p_after)
     if not (ss_b.feasible and ss_a.feasible):
         raise DegenerateError("both parameter sets must yield feasible steady states")
-    if k_range is None:
-        k_range = (0.5 * min(ss_b.k_star, ss_a.k_star),
-                   1.5 * max(ss_b.k_star, ss_a.k_star))
+    k_range = (0.5 * min(ss_b.k_star, ss_a.k_star),
+               1.5 * max(ss_b.k_star, ss_a.k_star))
     before = phase_portrait(p_before, k_range, **portrait_kwargs)
     after = phase_portrait(p_after, k_range, **portrait_kwargs)
     return ShockResult(before, after,

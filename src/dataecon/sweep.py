@@ -136,15 +136,20 @@ def grid_sweep(p_base: ModelParams, theta_axis, eta_axis) -> SweepGrid:
 def golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     """Golden-section maximization of a unimodal f on [lo, hi].
 
-    Returns (argmax, max) with the argmax located to within tol.
+    Returns (argmax, max) with the argmax located to within tol.  A tol
+    below the bracket's rounding scale raises SearchError once an iteration
+    leaves the bracket no narrower.
     """
     if not hi > lo:
         raise DomainError(f"empty search interval [{lo}, {hi}]")
+    if not tol > 0.0:
+        raise DomainError(f"tol must be positive, got {tol}")
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
     while (b - a) > tol:
+        width = b - a
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -153,6 +158,9 @@ def golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, floa
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
             fd = f(d)
+        if not b - a < width:
+            raise SearchError(f"golden section stalled at bracket width {b - a:.3g} "
+                              f"above tol={tol}")
     x = 0.5 * (a + b)
     return x, f(x)
 

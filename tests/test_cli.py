@@ -40,14 +40,19 @@ ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
     filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
 
 
+# a hung command fails its test instead of stalling the suite
+TIMEOUT_S = 600
+
+
 def run_cli(*args, cwd=None):
     return subprocess.run([sys.executable, "-m", "dataecon.cli", *args],
-                          capture_output=True, text=True, cwd=cwd, env=ENV)
+                          capture_output=True, text=True, cwd=cwd, env=ENV,
+                          timeout=TIMEOUT_S)
 
 
 def run_script(name, *args):
     return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
-                          capture_output=True, text=True, env=ENV)
+                          capture_output=True, text=True, env=ENV, timeout=TIMEOUT_S)
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +106,37 @@ def test_every_field_written_at_its_default_parses_to_the_default(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(doc))
     assert parse_config(str(cfg_file), {}) == default
+
+
+@pytest.mark.parametrize("args", [
+    ("steady",),
+    ("sweep",),
+    ("contour", "--level", "0.02", "--variable", "k_star"),
+])
+def test_effective_config_reproduces_the_run(tmp_path, args):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run_cli(*args, "--out", str(first)).returncode == 0
+    proc = run_cli(args[0], "--config", str(first / "effective_config.json"),
+                   "--out", str(second))
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in first.iterdir()) == sorted(p.name for p in second.iterdir())
+    for path in first.iterdir():
+        if path.name == "effective_config.json":
+            a, b = (json.loads((d / path.name).read_text()) for d in (first, second))
+            assert a.pop("out_dir") == str(first) and b.pop("out_dir") == str(second)
+            assert a == b
+        else:
+            assert (second / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def test_config_version_must_match(tmp_path):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"version": cli.__version__}))
+    assert parse_config(str(cfg_file), {}) == parse_config(None, {})
+    for version in ("0.0.0", 1, None):
+        cfg_file.write_text(json.dumps({"version": version}))
+        with pytest.raises(ConfigError, match="config version"):
+            parse_config(str(cfg_file), {})
 
 
 def test_half_given_eta_range_refused():
@@ -390,6 +426,20 @@ def test_qsteady_matches_household_side(tmp_path):
     assert doc["result"]["q"] == 1
     assert doc["result"]["relative_gap"] <= 1e-8
     assert doc["result"]["investment_rate"] == pytest.approx(0.08, rel=1e-12)
+
+
+@pytest.mark.parametrize("command, section, message", [
+    ("threshold", {"threshold": {"tol": 0, "thetas": [0.5]}}, "tol must be positive"),
+    ("threshold", {"threshold": {"tol": 1e-20, "thetas": [0.5]}}, "golden section stalled"),
+    ("phase", {"phase": {"tol": 0}}, "tol must lie in [1e-12, 1e-3], got 0.0"),
+])
+def test_unusable_solver_tol_exits_1(tmp_path, command, section, message):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(section))
+    proc = run_cli(command, "--config", str(cfg_file), "--out", str(tmp_path / "o"))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {message}")
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
 
 def test_threshold_command(tmp_path):

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from dataecon import (ClassificationError, DomainError, ModelParams, State,
-                      Trajectory, baseline_params, classify_equilibrium,
-                      classify_matrix, integrate, jacobian, nullclines,
-                      phase_portrait, rhs, saddle_path, saddle_path_deviation,
-                      shock_experiment, steady_state, validate_params)
-from dataecon.dynamics import _field, _rk45
+from dataecon import (ClassificationError, DomainError, IntegrationError,
+                      ModelParams, State, Trajectory, baseline_params,
+                      classify_equilibrium, classify_matrix, integrate,
+                      jacobian, nullclines, phase_portrait, rhs, saddle_path,
+                      saddle_path_deviation, shock_experiment, steady_state,
+                      validate_params)
+from dataecon.dynamics import _TINY, _as_trajectory, _field, _rk45
 
 from .strategies import model_params, positive_state
 
@@ -239,11 +240,202 @@ def test_time_reversal_consistency():
     tol = 1e-9
     for c0, k0, T in ((0.9 * ss.c_star, 1.15 * ss.k_star, 5.0),
                       (0.7 * ss.c_star, 0.8 * ss.k_star, 10.0)):
-        ts, cs, ks, _ = _rk45(f, c0, k0, T, rtol=tol, atol=0.0)
+        ts, cs, ks, _ = _rk45(f, c0, k0, T, rtol=tol)
         back = lambda c, k: tuple(-v for v in f(c, k))
-        _, cs2, ks2, _ = _rk45(back, cs[-1], ks[-1], ts[-1], rtol=tol, atol=0.0)
+        _, cs2, ks2, _ = _rk45(back, cs[-1], ks[-1], ts[-1], rtol=tol)
         err = math.hypot(cs2[-1] - c0, ks2[-1] - k0)
         assert err <= 10.0 * tol * math.hypot(c0, k0)
+
+
+# ---------------------------------------------------------------------------
+# stage-loop oracle
+
+# Dormand-Prince 5(4) tableau, one constant per nonzero entry.
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1 = 35 / 384 - 5179 / 57600
+_E3 = 500 / 1113 - 7571 / 16695
+_E4 = 125 / 192 - 393 / 640
+_E5 = -2187 / 6784 + 92097 / 339200
+_E6 = 11 / 84 - 187 / 2100
+_E7 = -1 / 40
+
+
+def unrolled_rk45(f, c0: float, k0: float, t_max: float, rtol: float, atol: float,
+                  conv_tol: float | None = None, stop=None, max_steps: int = 500_000):
+    """Reference for ``_rk45``: the same Dormand-Prince loop with every
+    stage written out, as the package had it before the stages moved into
+    one tableau loop."""
+    t, c, k = 0.0, c0, k0
+    ts, cs, ks = [0.0], [c0], [k0]
+    fc, fk = f(c, k)
+
+    def _converged(cc, kk, gc, gk):
+        return (conv_tol is not None
+                and math.hypot(gc, gk) <= conv_tol * max(math.hypot(cc, kk), _TINY))
+
+    if _converged(c, k, fc, fk):
+        return ts, cs, ks, "converged"
+    if t_max <= 0.0:
+        return ts, cs, ks, "max-time"
+
+    hmin = 1e-13 * max(1.0, t_max)
+    h = min(t_max, max(hmin, 0.01 * max(math.hypot(c, k), 1e-6)
+                       / max(math.hypot(fc, fk), 1e-12)))
+    last_reject = "error"
+    steps = 0
+    while True:
+        steps += 1
+        if steps > max_steps:
+            raise IntegrationError(
+                f"step budget exhausted after {max_steps} steps at t={t:.6g}",
+                trajectory=_as_trajectory(ts, cs, ks, "max-time"))
+        if h < hmin:
+            if last_reject == "domain":
+                return ts, cs, ks, "left-domain"
+            raise IntegrationError(
+                f"step size underflow at t={t:.6g}",
+                trajectory=_as_trajectory(ts, cs, ks, "max-time"))
+        h = min(h, t_max - t)
+
+        c2 = c + h * (_A21 * fc)
+        k2 = k + h * (_A21 * fk)
+        if c2 <= 0.0 or k2 <= 0.0:
+            h *= 0.3
+            last_reject = "domain"
+            continue
+        fc2, fk2 = f(c2, k2)
+        c3 = c + h * (_A31 * fc + _A32 * fc2)
+        k3 = k + h * (_A31 * fk + _A32 * fk2)
+        if c3 <= 0.0 or k3 <= 0.0:
+            h *= 0.3
+            last_reject = "domain"
+            continue
+        fc3, fk3 = f(c3, k3)
+        c4 = c + h * (_A41 * fc + _A42 * fc2 + _A43 * fc3)
+        k4 = k + h * (_A41 * fk + _A42 * fk2 + _A43 * fk3)
+        if c4 <= 0.0 or k4 <= 0.0:
+            h *= 0.3
+            last_reject = "domain"
+            continue
+        fc4, fk4 = f(c4, k4)
+        c5 = c + h * (_A51 * fc + _A52 * fc2 + _A53 * fc3 + _A54 * fc4)
+        k5 = k + h * (_A51 * fk + _A52 * fk2 + _A53 * fk3 + _A54 * fk4)
+        if c5 <= 0.0 or k5 <= 0.0:
+            h *= 0.3
+            last_reject = "domain"
+            continue
+        fc5, fk5 = f(c5, k5)
+        c6 = c + h * (_A61 * fc + _A62 * fc2 + _A63 * fc3 + _A64 * fc4 + _A65 * fc5)
+        k6 = k + h * (_A61 * fk + _A62 * fk2 + _A63 * fk3 + _A64 * fk4 + _A65 * fk5)
+        if c6 <= 0.0 or k6 <= 0.0:
+            h *= 0.3
+            last_reject = "domain"
+            continue
+        fc6, fk6 = f(c6, k6)
+        cn = c + h * (_B1 * fc + _B3 * fc3 + _B4 * fc4 + _B5 * fc5 + _B6 * fc6)
+        kn = k + h * (_B1 * fk + _B3 * fk3 + _B4 * fk4 + _B5 * fk5 + _B6 * fk6)
+        if cn <= 0.0 or kn <= 0.0:
+            h *= 0.3
+            last_reject = "domain"
+            continue
+        fcn, fkn = f(cn, kn)
+
+        ec = h * (_E1 * fc + _E3 * fc3 + _E4 * fc4 + _E5 * fc5 + _E6 * fc6 + _E7 * fcn)
+        ek = h * (_E1 * fk + _E3 * fk3 + _E4 * fk4 + _E5 * fk5 + _E6 * fk6 + _E7 * fkn)
+        sc_c = atol + rtol * max(abs(c), abs(cn))
+        sc_k = atol + rtol * max(abs(k), abs(kn))
+        if not (math.isfinite(ec) and math.isfinite(ek)
+                and math.isfinite(fcn) and math.isfinite(fkn)):
+            h *= 0.3
+            last_reject = "error"
+            continue
+        err = math.sqrt(0.5 * ((ec / max(sc_c, _TINY)) ** 2
+                               + (ek / max(sc_k, _TINY)) ** 2))
+        if err > 1.0:
+            h *= min(1.0, max(0.2, 0.9 * err ** -0.2))
+            last_reject = "error"
+            continue
+
+        t += h
+        c, k, fc, fk = cn, kn, fcn, fkn  # FSAL: last stage seeds the next step
+        ts.append(t)
+        cs.append(c)
+        ks.append(k)
+        if _converged(c, k, fc, fk):
+            return ts, cs, ks, "converged"
+        if stop is not None and stop(t, c, k):
+            return ts, cs, ks, "stopped"
+        if t >= t_max * (1.0 - 1e-14):
+            return ts, cs, ks, "max-time"
+        h *= min(5.0, max(0.2, 0.9 * max(err, 1e-10) ** -0.2))
+
+
+def _outcome(rk45, *args, **kwargs):
+    """(ts, cs, ks, status), or the IntegrationError message and its partial
+    trajectory."""
+    try:
+        return rk45(*args, **kwargs)
+    except IntegrationError as exc:
+        part = exc.trajectory
+        return str(exc), part.t.tolist(), part.states.tolist(), part.status
+
+
+@st.composite
+def rk45_runs(draw):
+    p = draw(model_params(feasible=True))
+    ss = steady_state(p)
+    f = _field(p)
+    if draw(st.booleans()):  # backward in time, as saddle_path integrates
+        f = lambda c, k, f=f: tuple(-v for v in f(c, k))
+    near = draw(st.booleans())  # start close to the steady state
+    c0 = ss.c_star * draw(st.floats(0.99, 1.01) if near else st.floats(0.05, 20.0))
+    k0 = ss.k_star * draw(st.floats(0.99, 1.01) if near else st.floats(0.05, 5.0))
+    if draw(st.booleans()):
+        c0, k0 = np.float64(c0), np.float64(k0)
+    rtol = min(max(10.0 ** draw(st.floats(-12.0, -3.0)), 1e-12), 1e-3)
+    kwargs = {"max_steps": draw(st.integers(1, 400))}
+    if draw(st.booleans()):
+        kwargs["conv_tol"] = 10.0 ** draw(st.floats(-12.0, -2.0))
+    target = k0 * draw(st.floats(0.5, 2.0))
+    if draw(st.booleans()):
+        kwargs["stop"] = ((lambda t, c, k: k >= target) if target > k0
+                          else (lambda t, c, k: k <= target))
+    return f, c0, k0, draw(st.floats(0.0, 200.0)), rtol, kwargs
+
+
+_LEFT_DOMAIN = (_field(validate_params({"eta": 0.0})), 30.0, 5.0, 1e4, 1e-9,
+                {"conv_tol": 1e-9})
+_SOURCE = validate_params({"eta": 0.45})  # a source, so backward time converges
+_SOURCE_SS = steady_state(_SOURCE)
+
+
+@given(rk45_runs())
+@example(_LEFT_DOMAIN)
+@example((lambda c, k, f=_field(_SOURCE): tuple(-v for v in f(c, k)),
+          1.01 * _SOURCE_SS.c_star, 0.99 * _SOURCE_SS.k_star, 1e3, 1e-9, {"conv_tol": 1e-6}))
+@example((*_LEFT_DOMAIN[:4], 1e-12, {"max_steps": 50}))
+@example((_LEFT_DOMAIN[0], np.float64(30.0), np.float64(5.0), *_LEFT_DOMAIN[3:]))
+def test_stage_loop_matches_unrolled_reference(run):
+    """Forward and backward fields, float and np.float64 starts, convergence
+    and stop tests, domain rejects, left-domain ends, step underflow and
+    exhausted step budgets: the tableau loop reproduces every result, error
+    message and partial trajectory bit for bit."""
+    f, c0, k0, t_max, rtol, kwargs = run
+    got = _outcome(_rk45, f, c0, k0, t_max, rtol, **kwargs)
+    ref = _outcome(unrolled_rk45, f, c0, k0, t_max, rtol, 0.0, **kwargs)
+    assert got == ref
+    assert repr(got) == repr(ref)  # the same scalar types, float or np.float64
+
+
+def test_saddle_path_tol_validation():
+    for tol in (0.0, 1e-13, 1e-2, math.nan):
+        with pytest.raises(DomainError, match="tol must lie in"):
+            saddle_path(BASE, (0.6 * SS.k_star, 1.4 * SS.k_star), tol=tol)
 
 
 def test_trajectory_invariants():
@@ -350,7 +542,7 @@ def test_integration_error_carries_partial_trajectory():
     f = _field(BASE)
     s0 = (0.9 * SS.c_star, 1.1 * SS.k_star)
     with pytest.raises(IntegrationError) as exc:
-        _rk45(f, s0[0], s0[1], 1e6, rtol=1e-12, atol=0.0, max_steps=3)
+        _rk45(f, s0[0], s0[1], 1e6, rtol=1e-12, max_steps=3)
     partial = exc.value.trajectory
     assert partial is not None
     assert len(partial.t) >= 1

@@ -169,6 +169,18 @@ def test_golden_section_empty_interval():
         golden_section_max(lambda x: x, 1.0, 1.0, 1e-6)
 
 
+def test_golden_section_refuses_nonpositive_tol():
+    for tol in (0.0, -1.0, math.nan):
+        with pytest.raises(DomainError, match="tol must be positive"):
+            golden_section_max(lambda x: -(x - 0.3) ** 2, 0.0, 1.0, tol)
+
+
+def test_golden_section_below_rounding_scale_raises_instead_of_hanging():
+    # the bracket around 0.3 cannot shrink below a few ulps (about 5.6e-17)
+    with pytest.raises(SearchError, match=r"bracket width .* above tol=1e-20"):
+        golden_section_max(lambda x: -(x - 0.3) ** 2, 0.0, 1.0, 1e-20)
+
+
 def test_threshold_matches_brute_force():
     tol = 1e-4
     lo, hi = 0.4, 0.95
