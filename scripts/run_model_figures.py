@@ -26,19 +26,17 @@ def main() -> int:
         run_command(cfg, command)
         print(f"wrote {command} artifacts")
 
-    # conversion-rate shock at fixed dataization share (low-eta regime)
-    shock_eta = argparse.Namespace(eta_before=0.10, eta_after=0.20,
-                                   theta_before=None, theta_after=None)
-    run_command(parse_config(None, {"out": os.path.join(args.out, "shock_eta")}),
-                "shock", shock_eta)
-    print("wrote shock_eta artifacts")
-
-    # dataization shock at a mature conversion rate (high-eta regime)
-    shock_theta = argparse.Namespace(eta_before=0.8, eta_after=0.8,
-                                     theta_before=0.4, theta_after=0.7)
-    run_command(parse_config(None, {"out": os.path.join(args.out, "shock_theta")}),
-                "shock", shock_theta)
-    print("wrote shock_theta artifacts")
+    shocks = {
+        # conversion-rate shock at fixed dataization share (low-eta regime)
+        "shock_eta": {"eta_before": 0.10, "eta_after": 0.20},
+        # dataization shock at a mature conversion rate (high-eta regime)
+        "shock_theta": {"eta_before": 0.8, "eta_after": 0.8,
+                        "theta_before": 0.4, "theta_after": 0.7},
+    }
+    for name, shock in shocks.items():
+        run_command(parse_config(None, {"out": os.path.join(args.out, name), **shock}),
+                    "shock")
+        print(f"wrote {name} artifacts")
 
     # quick console summary
     p = baseline_params()

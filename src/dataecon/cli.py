@@ -5,9 +5,11 @@ two steady-state blocks, ``sweep``/``threshold``/``contour`` cover the
 (theta, eta) plane, ``phase``/``shock`` draw the dynamical system, and
 ``did-sim`` runs the synthetic staggered-DID harness.
 
-Config files follow ``RunConfig`` and its section dataclasses: sections, keys
-and value types come from their fields and annotations, and a malformed value
-raises ``ConfigError`` (exit code 2) when the file is parsed.
+``RunConfig`` is every command's only input.  Config files follow it and its
+section dataclasses: sections, keys and value types come from their fields
+and annotations, and a malformed value raises ``ConfigError`` (exit code 2)
+when the file is parsed.  Flags override single keys (``--seed`` is
+``dgp.seed``), so a run's ``effective_config.json`` reruns it.
 
 Outputs are deterministic: floats serialize with 17 significant digits in
 both CSV and JSON, keys are sorted, and SVG is assembled from fixed-format
@@ -25,7 +27,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
 
@@ -92,6 +94,23 @@ class ContourOptions:
 
 
 @dataclass(frozen=True)
+class ShockOptions:
+    """Values of eta and theta before and after a shock; None keeps ``params``'s."""
+
+    eta_before: float | None = None
+    eta_after: float | None = None
+    theta_before: float | None = None
+    theta_after: float | None = None
+
+    def params(self, p: ModelParams) -> tuple[ModelParams, ModelParams]:
+        """``p`` before and after the shock, each given value in place."""
+        def at(when):
+            given = {name: getattr(self, f"{name}_{when}") for name in ("eta", "theta")}
+            return p.replace(**{name: v for name, v in given.items() if v is not None})
+        return at("before"), at("after")
+
+
+@dataclass(frozen=True)
 class DidOptions:
     window_lead: int = -5
     window_lag: int = 5
@@ -105,11 +124,11 @@ class RunConfig:
     phase: PhaseOptions = PhaseOptions()
     threshold: ThresholdOptions = ThresholdOptions()
     contour: ContourOptions = ContourOptions()
+    shock: ShockOptions = ShockOptions()
     dgp: DgpConfig = DgpConfig()
     did: DidOptions = DidOptions()
     out_dir: str = "out"
     formats: tuple[str, ...] = ("csv", "json", "svg")
-    seed: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +212,9 @@ def _csv_column(col) -> list:
 # Strict config loading
 
 _KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
-_FLAG_KEYS = {"out": "out_dir", "format": "formats", "seed": "seed"}
-_SECTION_FLAGS = {"params": PARAM_FLAGS, "contour": ("level", "variable")}
+_FLAG_KEYS = {"out": "out_dir", "format": "formats"}
+_SECTION_FLAGS = {"params": PARAM_FLAGS, "contour": ("level", "variable"),
+                  "shock": tuple(f.name for f in fields(ShockOptions)), "dgp": ("seed",)}
 
 
 def _coerce(where: str, hint, value):
@@ -251,7 +271,8 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
 
     Precedence: command-line overrides > config file > built-in baseline.
     Unknown keys and values that do not match their field's annotation are
-    refused; None or empty overrides count as not given.  A top-level
+    refused, and so are shock values outside the ``ModelParams`` ranges;
+    None or empty overrides count as not given.  A top-level
     ``version``, as ``effective_config.json`` records it, must equal this
     tool's version.
     """
@@ -282,8 +303,10 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
     bad = sorted(set(cfg.formats) - set(RunConfig.formats))
     if bad:
         raise ConfigError(f"unknown format {bad[0]!r} (choose from {', '.join(RunConfig.formats)})")
-    if cfg.seed is not None:
-        cfg = replace(cfg, dgp=replace(cfg.dgp, seed=cfg.seed))
+    try:
+        cfg.shock.params(cfg.params)
+    except ParameterError as exc:
+        raise ConfigError(f"invalid shock: {exc}") from exc
     return cfg
 
 
@@ -295,16 +318,8 @@ def effective_config(cfg: RunConfig) -> dict:
 # Commands
 
 def _meta(cfg: RunConfig, command: str, extra: dict | None = None) -> dict:
-    meta = {
-        "tool": "dataecon",
-        "version": __version__,
-        "command": command,
-        "params": asdict(cfg.params),
-        "seed": cfg.seed,
-    }
-    if extra:
-        meta.update(extra)
-    return meta
+    return {"tool": "dataecon", "version": __version__, "command": command,
+            "params": asdict(cfg.params), **(extra or {})}
 
 
 class _Writer:
@@ -342,12 +357,12 @@ class _Writer:
         self.sidecar(name, extra_meta)
 
 
-def _cmd_steady(cfg: RunConfig, w: _Writer, args):
+def _cmd_steady(cfg: RunConfig, w: _Writer):
     ss = steady_state(cfg.params)
     w.json("steady.json", asdict(ss))
 
 
-def _cmd_qsteady(cfg: RunConfig, w: _Writer, args):
+def _cmd_qsteady(cfg: RunConfig, w: _Writer):
     p = cfg.params
     fs = firm_steady_state(p.rho, p)
     ss = steady_state(p)
@@ -384,7 +399,7 @@ def _sweep_blocks(grid):
 _SWEEP_HEADER = ["theta", "eta", "mask", *_QUANTITIES, "feasible"]
 
 
-def _cmd_sweep(cfg: RunConfig, w: _Writer, args):
+def _cmd_sweep(cfg: RunConfig, w: _Writer):
     grid, spec = _surface(cfg.params, cfg.sweep, "surface-heatmap")
     for var in ("k_star", "c_star"):
         w.svg(f"sweep_{var}.svg", lambda: render_heatmap(grid, var, spec),
@@ -392,7 +407,7 @@ def _cmd_sweep(cfg: RunConfig, w: _Writer, args):
     w.csv("sweep.csv", _SWEEP_HEADER, _sweep_blocks(grid))
 
 
-def _cmd_threshold(cfg: RunConfig, w: _Writer, args):
+def _cmd_threshold(cfg: RunConfig, w: _Writer):
     opt = cfg.threshold
     rng = None if opt.eta_lo is None else (opt.eta_lo, opt.eta_hi)
     curve = threshold_curve(cfg.params, opt.thetas, rng, opt.tol)
@@ -411,28 +426,23 @@ def _cmd_threshold(cfg: RunConfig, w: _Writer, args):
     })
 
 
-def _cmd_contour(cfg: RunConfig, w: _Writer, args):
+def _cmd_contour(cfg: RunConfig, w: _Writer):
     opt = cfg.contour
-    variable, level = opt.variable, opt.level
     grid, spec = _surface(cfg.params, opt, "contour")
-    vals = grid.values(variable)
+    vals = grid.values(opt.variable)
     finite = vals[np.isfinite(vals)]
+    level = opt.level
     if level is None:
         level = float(np.median(finite)) if finite.size else 0.0
-    contour = iso_equilibrium_contour(grid, variable, float(level))
+    key = {"variable": opt.variable, "level": level}
+    contour = iso_equilibrium_contour(grid, opt.variable, level)
     comps = contour.components
     points = np.concatenate(comps) if comps else np.empty((0, 2))
     ids = np.repeat(np.arange(len(comps)), [len(c) for c in comps])
     w.csv("contour.csv", ["component", "theta", "eta"],
-          [(ids, points[:, 0], points[:, 1])],
-          {"variable": variable, "level": float(level)})
-    w.svg("contour.svg", lambda: render_contour(contour, spec),
-          {"variable": variable, "level": float(level)})
-    w.json("contour.json", {
-        "variable": variable, "level": float(level),
-        "n_components": len(contour.components),
-        "n_points": int(sum(len(c) for c in contour.components)),
-    })
+          [(ids, points[:, 0], points[:, 1])], key)
+    w.svg("contour.svg", lambda: render_contour(contour, spec), key)
+    w.json("contour.json", {**key, "n_components": len(comps), "n_points": len(points)})
 
 
 def _phase_files(w: _Writer, portrait, prefix: str):
@@ -447,7 +457,7 @@ def _phase_files(w: _Writer, portrait, prefix: str):
           [portrait.vector_field.T])
 
 
-def _cmd_phase(cfg: RunConfig, w: _Writer, args):
+def _cmd_phase(cfg: RunConfig, w: _Writer):
     opt = cfg.phase
     ss = steady_state(cfg.params)
     k_range = (opt.k_lo_frac * ss.k_star, opt.k_hi_frac * ss.k_star)
@@ -466,16 +476,8 @@ def _cmd_phase(cfg: RunConfig, w: _Writer, args):
     w.svg("phase.svg", lambda: render_phase(portrait, RenderSpec(kind="phase")))
 
 
-def _cmd_shock(cfg: RunConfig, w: _Writer, args):
-    p_before = cfg.params
-    p_after = cfg.params
-    for name in ("eta", "theta"):
-        b = getattr(args, f"{name}_before", None)
-        a = getattr(args, f"{name}_after", None)
-        if b is not None:
-            p_before = p_before.replace(**{name: b})
-        if a is not None:
-            p_after = p_after.replace(**{name: a})
+def _cmd_shock(cfg: RunConfig, w: _Writer):
+    p_before, p_after = cfg.shock.params(cfg.params)
     shock = shock_experiment(p_before, p_after,
                              include_saddle=cfg.phase.include_saddle,
                              tol=cfg.phase.tol)
@@ -492,11 +494,12 @@ def _cmd_shock(cfg: RunConfig, w: _Writer, args):
     w.svg("shock.svg", lambda: render_shock(shock, RenderSpec(kind="phase")))
 
 
-def _cmd_did_sim(cfg: RunConfig, w: _Writer, args):
+def _cmd_did_sim(cfg: RunConfig, w: _Writer):
     panel = generate_panel(cfg.dgp)
+    dgp = {"dgp": asdict(cfg.dgp)}
     if "csv" in cfg.formats:
         write_panel_csv(panel, w.path("panel.csv"))
-        w.sidecar("panel.csv", {"dgp": asdict(cfg.dgp)})
+        w.sidecar("panel.csv", dgp)
     window = (cfg.did.window_lead, cfg.did.window_lag)
     did = twfe_did(panel, drop_adoption_period=cfg.did.drop_adoption_period)
     es = event_study(panel, window=window,
@@ -506,13 +509,13 @@ def _cmd_did_sim(cfg: RunConfig, w: _Writer, args):
         "n_units_absorbed": did.n_units_absorbed,
         "n_years_absorbed": did.n_years_absorbed,
         "true_effect": cfg.dgp.effect,
-    }, {"dgp": asdict(cfg.dgp)})
+    }, dgp)
     w.csv("event_study.csv", ["period", "coefficient", "std_error"],
           [(es.periods, es.coefficients, es.std_errors)],
-          {"window": list(window)})
+          {"window": list(window), **dgp})
     w.svg("event_study.svg",
           lambda: render_event_study(es, RenderSpec(kind="event-study")),
-          {"window": list(window)})
+          {"window": list(window), **dgp})
 
 
 _COMMANDS = {
@@ -527,7 +530,7 @@ _COMMANDS = {
 }
 
 
-def run_command(cfg: RunConfig, command: str, args=None) -> int:
+def run_command(cfg: RunConfig, command: str) -> int:
     """Execute one command, writing artifacts into cfg.out_dir.
 
     Returns 0 on success; numerical/regime failures raise ModelError (exit
@@ -538,7 +541,7 @@ def run_command(cfg: RunConfig, command: str, args=None) -> int:
     w = _Writer(cfg, command)
     with open(w.path("effective_config.json"), "w", encoding="utf-8") as fh:
         fh.write(dumps_json(effective_config(cfg)))
-    _COMMANDS[command](cfg, w, args or argparse.Namespace())
+    _COMMANDS[command](cfg, w)
     return 0
 
 
@@ -548,7 +551,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="DIR", help="output directory")
     common.add_argument("--format", metavar="LIST",
                         help="comma list of csv,json,svg")
-    common.add_argument("--seed", type=int, metavar="N", help="DGP seed")
+    common.add_argument("--seed", type=int, metavar="N", help="DGP seed (dgp.seed)")
     for name in PARAM_FLAGS:
         common.add_argument(f"--{name}", type=float, metavar="X")
 
@@ -557,16 +560,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Steady states, phase diagrams, (theta, eta) sweeps, and "
                     "synthetic staggered-DID simulations for the data-economy model.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("steady", "sweep", "threshold", "phase", "qsteady", "did-sim"):
-        sub.add_parser(name, parents=[common])
-    p_contour = sub.add_parser("contour", parents=[common])
-    p_contour.add_argument("--level", type=float)
-    p_contour.add_argument("--variable", choices=["k_star", "c_star"])
-    p_shock = sub.add_parser("shock", parents=[common])
-    p_shock.add_argument("--eta-before", type=float, dest="eta_before")
-    p_shock.add_argument("--eta-after", type=float, dest="eta_after")
-    p_shock.add_argument("--theta-before", type=float, dest="theta_before")
-    p_shock.add_argument("--theta-after", type=float, dest="theta_after")
+    commands = {name: sub.add_parser(name, parents=[common]) for name in _COMMANDS}
+    commands["contour"].add_argument("--level", type=float)
+    commands["contour"].add_argument("--variable", choices=_QUANTITIES)
+    for name in _SECTION_FLAGS["shock"]:
+        commands["shock"].add_argument(f"--{name.replace('_', '-')}", type=float, dest=name)
     return parser
 
 
@@ -575,13 +573,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(args.config, vars(args))
-        return run_command(cfg, args.command, args)
-    except (ConfigError, ParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return run_command(cfg, args.command)
     except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (ConfigError, ParameterError)) else 1
 
 
 if __name__ == "__main__":

@@ -105,9 +105,8 @@ class PhasePortrait:
 
 
 def _unpack(s) -> tuple[float, float]:
-    if isinstance(s, State):
-        return s.c, s.k
-    c, k = s
+    """(c, k) of a State or a pair, as plain floats."""
+    c, k = (s.c, s.k) if isinstance(s, State) else s
     if not (c > 0.0 and k > 0.0):
         raise DomainError(f"state must be positive, got c={c}, k={k}")
     return float(c), float(k)
@@ -250,6 +249,12 @@ _DP_ERR = ((0, 35 / 384 - 5179 / 57600), (2, 500 / 1113 - 7571 / 16695),
            (5, 11 / 84 - 187 / 2100), (6, -1 / 40))
 
 
+def _check_tol(tol: float) -> None:
+    """The one statement of the relative step-error tolerance range."""
+    if not 1e-12 <= tol <= 1e-3:
+        raise DomainError(f"tol must lie in [1e-12, 1e-3], got {tol}")
+
+
 def _rk45(f, c0: float, k0: float, t_max: float, rtol: float,
           conv_tol: float | None = None, stop=None, max_steps: int = 500_000):
     """Adaptive Dormand-Prince step loop on plain floats.
@@ -262,8 +267,7 @@ def _rk45(f, c0: float, k0: float, t_max: float, rtol: float,
     IntegrationError on step underflow that is not caused by the domain
     boundary, attaching the partial arrays.
     """
-    if not 1e-12 <= rtol <= 1e-3:
-        raise DomainError(f"tol must lie in [1e-12, 1e-3], got {rtol}")
+    _check_tol(rtol)
     t, c, k = 0.0, c0, k0
     ts, cs, ks = [0.0], [c0], [k0]
     fc, fk = f(c, k)
@@ -458,7 +462,10 @@ def saddle_path_deviation(p: ModelParams, k_targets: tuple[float, float],
 def phase_portrait(p: ModelParams, k_range: tuple[float, float] | None = None,
                    n: int = 241, field_shape: tuple[int, int] = (15, 12),
                    include_saddle: bool = True, tol: float = 1e-9) -> PhasePortrait:
-    """Assemble nullclines, classification, stable branches, and a quiver grid."""
+    """Assemble nullclines, classification, stable branches, and a quiver grid.
+
+    ``tol`` is checked even when no saddle path is integrated."""
+    _check_tol(tol)
     cls = classify_equilibrium(p)
     ss = cls.steady_state
     if k_range is None:

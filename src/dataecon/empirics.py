@@ -294,15 +294,11 @@ def _qr_solve(xy: np.ndarray, names: list[str]) -> np.ndarray:
     return beta
 
 
-def _prepare(panel: Panel, outcome, controls, drop_adoption_period: bool):
+def _prepare(panel: Panel, controls, drop_adoption_period: bool):
     rel = panel.relative_period()
     keep = np.ones(len(panel.unit), dtype=bool)
     if drop_adoption_period:
         keep &= ~(rel == 0)
-
-    y = panel.outcome if outcome is None else np.asarray(outcome, dtype=float)
-    if len(y) != len(panel.unit):
-        raise DomainError("outcome override must match the panel length")
 
     if controls is None or controls == "all":
         ctrl = panel.controls
@@ -322,7 +318,7 @@ def _prepare(panel: Panel, outcome, controls, drop_adoption_period: bool):
     year_idx = np.searchsorted(year_codes, panel.year[keep])
     if not _treated_mask(rel[keep]).any():
         raise DesignError("no treated observations in the estimation sample")
-    return (y[keep], ctrl[keep], names, rel[keep],
+    return (panel.outcome[keep], ctrl[keep], names, rel[keep],
             unit_idx, year_idx, len(unit_codes), len(year_codes))
 
 
@@ -341,7 +337,7 @@ def _fit(y, x, names, unit_idx, year_idx, n_u, n_y, method):
     return beta, _clustered_se(x_t, resid, unit_idx, n_u + n_y - 1)
 
 
-def twfe_did(panel: Panel, outcome=None, controls="all",
+def twfe_did(panel: Panel, controls="all",
              drop_adoption_period: bool = True, method: str = "within") -> DidResult:
     """Two-way fixed-effects DID on the treated-and-post indicator.
 
@@ -349,8 +345,7 @@ def twfe_did(panel: Panel, outcome=None, controls="all",
     projected design, and clusters standard errors by unit.
     """
     (y, ctrl, names, rel,
-     unit_idx, year_idx, n_u, n_y) = _prepare(panel, outcome, controls,
-                                              drop_adoption_period)
+     unit_idx, year_idx, n_u, n_y) = _prepare(panel, controls, drop_adoption_period)
     treated = _treated_mask(rel)
     if treated.all():
         raise DesignError("no untreated observations in the estimation sample")
@@ -361,7 +356,7 @@ def twfe_did(panel: Panel, outcome=None, controls="all",
                      n_units_absorbed=n_u, n_years_absorbed=n_y)
 
 
-def event_study(panel: Panel, window: tuple[int, int] = (-5, 5), outcome=None,
+def event_study(panel: Panel, window: tuple[int, int] = (-5, 5),
                 controls="all", drop_adoption_period: bool = True,
                 method: str = "within") -> EventStudyResult:
     """Dynamic DID with relative-period indicators, reference period -1.
@@ -373,8 +368,7 @@ def event_study(panel: Panel, window: tuple[int, int] = (-5, 5), outcome=None,
     if w_lo > -2 or w_hi < 2:
         raise DomainError(f"window must cover periods -2..+2, got {window}")
     (y, ctrl, names, rel,
-     unit_idx, year_idx, n_u, n_y) = _prepare(panel, outcome, controls,
-                                              drop_adoption_period)
+     unit_idx, year_idx, n_u, n_y) = _prepare(panel, controls, drop_adoption_period)
 
     rel_binned = np.clip(rel, w_lo, w_hi)
     periods = [t for t in range(w_lo, w_hi + 1)

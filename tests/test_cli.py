@@ -92,7 +92,7 @@ def test_unknown_section_key_rejected(tmp_path):
 
 def test_bad_type_rejected(tmp_path):
     cfg_file = tmp_path / "cfg.json"
-    for doc in ({"sweep": {"theta_n": "fifty"}}, {"seed": "x"}):
+    for doc in ({"sweep": {"theta_n": "fifty"}}, {"dgp": {"seed": "x"}}):
         cfg_file.write_text(json.dumps(doc))
         with pytest.raises(ConfigError):
             parse_config(str(cfg_file), {})
@@ -108,17 +108,9 @@ def test_every_field_written_at_its_default_parses_to_the_default(tmp_path):
     assert parse_config(str(cfg_file), {}) == default
 
 
-@pytest.mark.parametrize("args", [
-    ("steady",),
-    ("sweep",),
-    ("contour", "--level", "0.02", "--variable", "k_star"),
-])
-def test_effective_config_reproduces_the_run(tmp_path, args):
-    first, second = tmp_path / "first", tmp_path / "second"
-    assert run_cli(*args, "--out", str(first)).returncode == 0
-    proc = run_cli(args[0], "--config", str(first / "effective_config.json"),
-                   "--out", str(second))
-    assert proc.returncode == 0, proc.stderr
+def assert_same_files(first, second):
+    """Both run directories hold the same files, byte for byte apart from
+    ``out_dir`` in ``effective_config.json``."""
     assert sorted(p.name for p in first.iterdir()) == sorted(p.name for p in second.iterdir())
     for path in first.iterdir():
         if path.name == "effective_config.json":
@@ -127,6 +119,33 @@ def test_effective_config_reproduces_the_run(tmp_path, args):
             assert a == b
         else:
             assert (second / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+@pytest.mark.parametrize("args", [
+    ("steady",),
+    ("sweep",),
+    ("contour", "--level", "0.02", "--variable", "k_star"),
+    ("shock", "--eta-before", "0.1", "--eta-after", "0.2"),
+    ("did-sim", "--seed", "7"),
+])
+def test_effective_config_reproduces_the_run(tmp_path, args):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run_cli(*args, "--out", str(first)).returncode == 0
+    proc = run_cli(args[0], "--config", str(first / "effective_config.json"),
+                   "--out", str(second))
+    assert proc.returncode == 0, proc.stderr
+    assert_same_files(first, second)
+
+
+def test_contour_variable_flag_matches_the_file(tmp_path):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"contour": {"variable": "y_star"}}))
+    flag, file = tmp_path / "flag", tmp_path / "file"
+    assert run_cli("contour", "--variable", "y_star", "--out", str(flag)).returncode == 0
+    proc = run_cli("contour", "--config", str(cfg_file), "--out", str(file))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((flag / "contour.json").read_text())["result"]["variable"] == "y_star"
+    assert_same_files(flag, file)
 
 
 def test_config_version_must_match(tmp_path):
@@ -179,7 +198,7 @@ MALFORMED_VALUES = [
     ("sweep", '{"sweep": {"theta_n": NaN}}', "sweep.theta_n must be an integer"),
     ("sweep", '{"sweep": {"theta_min": 1%s}}' % ("0" * 400), "sweep.theta_min must be a number"),
     ("steady", '{"did": {"window_lag": 1e400}}', "did.window_lag must be an integer"),
-    ("did-sim", '{"seed": "x"}', "seed must be an integer"),
+    ("did-sim", '{"dgp": {"seed": "x"}}', "dgp.seed must be an integer"),
     ("steady", '{"params": [["eta", 0.3]]}', "'params' must be a JSON object"),
     ("steady", '{"params": {"w": true}}', "params.w must be a number"),
     ("steady", '{"params": {"w": 1e400}}', "w must be a finite number, got inf"),
@@ -208,23 +227,42 @@ def test_unknown_format_rejected():
         parse_config(None, {"format": "csv,pdf"})
 
 
-def test_seed_flag_reaches_dgp():
-    cfg = parse_config(None, {"seed": 99})
-    assert cfg.dgp.seed == 99
-    assert cfg.seed == 99
+def test_seed_flag_reaches_dgp(tmp_path):
+    default = parse_config(None, {})
+    assert parse_config(None, {"seed": 99}) == replace(default, dgp=replace(default.dgp, seed=99))
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"dgp": {"seed": 11}}))
+    assert parse_config(str(cfg_file), {}).dgp.seed == 11
+    assert parse_config(str(cfg_file), {"seed": 99}).dgp.seed == 99
+    cfg_file.write_text(json.dumps({"seed": 11}))  # the top-level key of older configs
+    with pytest.raises(ConfigError, match="unknown key 'seed'"):
+        parse_config(str(cfg_file), {})
 
 
 def test_config_file_seed_reaches_dgp_through_main(tmp_path):
     cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({"seed": 11, "dgp": {"n_units": 40}}))
+    cfg_file.write_text(json.dumps({"dgp": {"seed": 11, "n_units": 40}}))
     for flags, seed in (((), 11), (("--seed", "5"), 5)):
         out = tmp_path / str(seed)
         assert main(["did-sim", "--config", str(cfg_file), "--out", str(out),
                      "--format", "json", *flags]) == 0
         did = json.loads((out / "did.json").read_text())
-        assert did["meta"]["dgp"]["seed"] == did["meta"]["seed"] == seed
+        assert did["meta"]["dgp"]["seed"] == seed and "seed" not in did["meta"]
         effective = json.loads((out / "effective_config.json").read_text())
-        assert effective["dgp"]["seed"] == effective["seed"] == seed
+        assert effective["dgp"]["seed"] == seed and "seed" not in effective
+
+
+def test_did_sim_meta_records_the_file_seed(tmp_path):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"dgp": {"seed": 7, "n_units": 40}}))
+    out = tmp_path / "o"
+    proc = run_cli("did-sim", "--config", str(cfg_file), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    metas = [json.loads((out / "did.json").read_text())["meta"]]
+    metas += [json.loads(p.read_text()) for p in sorted(out.glob("*.meta.json"))]
+    assert len(metas) == 4  # did.json, panel.csv, event_study.csv, event_study.svg
+    for meta in metas:
+        assert meta["dgp"]["seed"] == 7 and "seed" not in meta
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +457,14 @@ def test_shock_displacement_json_and_svg(tmp_path):
     assert svg.startswith("<?xml") and "</svg>" in svg
 
 
+def test_shock_value_out_of_range_exits_2_before_any_output(tmp_path):
+    out = tmp_path / "o"
+    proc = run_cli("shock", "--eta-before", "2", "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: invalid shock: eta must lie in [0, 1), got 2.0")
+    assert not out.exists()
+
+
 def test_qsteady_matches_household_side(tmp_path):
     proc = run_cli("qsteady", "--out", str(tmp_path))
     assert proc.returncode == 0
@@ -432,6 +478,10 @@ def test_qsteady_matches_household_side(tmp_path):
     ("threshold", {"threshold": {"tol": 0, "thetas": [0.5]}}, "tol must be positive"),
     ("threshold", {"threshold": {"tol": 1e-20, "thetas": [0.5]}}, "golden section stalled"),
     ("phase", {"phase": {"tol": 0}}, "tol must lie in [1e-12, 1e-3], got 0.0"),
+    ("phase", {"phase": {"tol": 0, "include_saddle": False}},
+     "tol must lie in [1e-12, 1e-3], got 0.0"),
+    ("shock", {"phase": {"tol": 0, "include_saddle": False}},
+     "tol must lie in [1e-12, 1e-3], got 0.0"),
 ])
 def test_unusable_solver_tol_exits_1(tmp_path, command, section, message):
     cfg_file = tmp_path / "cfg.json"

@@ -11,7 +11,7 @@ from dataecon import (ClassificationError, DomainError, IntegrationError,
                       jacobian, nullclines, phase_portrait, rhs, saddle_path,
                       saddle_path_deviation, shock_experiment, steady_state,
                       validate_params)
-from dataecon.dynamics import _TINY, _as_trajectory, _field, _rk45
+from dataecon.dynamics import _TINY, _as_trajectory, _field, _rk45, _unpack
 
 from .strategies import model_params, positive_state
 
@@ -199,6 +199,17 @@ def test_integrate_tol_validation():
         integrate(s0, BASE, 1.0, tol=1e-13)
     with pytest.raises(DomainError):
         integrate(s0, BASE, -1.0)
+
+
+def test_numpy_scalar_state_integrates_on_plain_floats():
+    c0, k0 = 0.9 * SS.c_star, 1.1 * SS.k_star
+    wide = State(np.float64(c0), np.float64(k0))
+    assert [type(v) for v in _unpack(wide)] == [float, float]
+    a = integrate(State(c0, k0), BASE, 50.0)
+    b = integrate(wide, BASE, 50.0)
+    assert a.status == b.status
+    assert a.t.tobytes() == b.t.tobytes()
+    assert a.states.tobytes() == b.states.tobytes()
 
 
 def test_integrate_left_domain():
@@ -436,6 +447,13 @@ def test_saddle_path_tol_validation():
     for tol in (0.0, 1e-13, 1e-2, math.nan):
         with pytest.raises(DomainError, match="tol must lie in"):
             saddle_path(BASE, (0.6 * SS.k_star, 1.4 * SS.k_star), tol=tol)
+
+
+def test_phase_portrait_checks_tol_without_a_saddle_path():
+    for tol in (0.0, 1e-2):
+        with pytest.raises(DomainError, match="tol must lie in"):
+            phase_portrait(BASE, include_saddle=False, tol=tol)
+    assert phase_portrait(BASE, include_saddle=False, tol=1e-6).stable_paths == ()
 
 
 def test_trajectory_invariants():
