@@ -92,6 +92,11 @@ class ContourOptions:
     eta_max: float = 0.95
     eta_n: int = 36
 
+    def __post_init__(self):
+        if self.variable not in _QUANTITIES:
+            raise ConfigError(f"unknown variable {self.variable!r}; choose from "
+                              f"{', '.join(_QUANTITIES)}")
+
 
 @dataclass(frozen=True)
 class ShockOptions:

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular
 
 from .errors import DesignError, DomainError, RankDeficiencyError
 
@@ -202,7 +201,8 @@ def _two_way_demean(mat: np.ndarray, unit_idx: np.ndarray, year_idx: np.ndarray)
     A is a dense m x m matrix, m the shorter factor's length, and its SVD
     solve costs O(m^3): nothing at 23 years, about 1 s on a sparse
     6,000-row panel of some 1,500 units and 1,500 years.
-    Raises DesignError when C would exceed the dummies oracle's cell bound.
+    Raises DesignError, before anything is allocated, when C or the m x m
+    arrays of the solve would exceed the dummies oracle's cell bound.
     """
     n_u = int(unit_idx.max()) + 1
     n_y = int(year_idx.max()) + 1
@@ -211,10 +211,17 @@ def _two_way_demean(mat: np.ndarray, unit_idx: np.ndarray, year_idx: np.ndarray)
     if n_u * n_y > _DUMMY_MAX_CELLS:
         raise DesignError(f"two-way count table would hold {n_u * n_y} cells "
                           f"(limit {_DUMMY_MAX_CELLS:.0f})")
+    # At most three m x m arrays at once: A is built from two (the diagonal
+    # and the product), and lstsq holds A, its own copy of A and an SVD
+    # workspace of about 140 m doubles, under m^2 for m above 140.
+    if 3 * n_y * n_y > _DUMMY_MAX_CELLS:
+        raise DesignError(f"two-way {n_y} x {n_y} system and its solve would hold "
+                          f"{3 * n_y * n_y} cells (limit {_DUMMY_MAX_CELLS:.0f})")
     counts = np.bincount(unit_idx * n_y + year_idx,
                          minlength=n_u * n_y).reshape(n_u, n_y).astype(float)
     u_counts = counts.sum(axis=1)
-    system = np.diag(counts.sum(axis=0)) - counts.T @ (counts / u_counts[:, None])
+    system = np.diag(counts.sum(axis=0))
+    system -= counts.T @ (counts / u_counts[:, None])
     out = np.array(mat, dtype=float, order="F")  # contiguous columns
     year_sums = np.empty((n_y, out.shape[1]))
     for j in range(out.shape[1]):
@@ -262,23 +269,50 @@ def _clustered_se(x_t: np.ndarray, resid: np.ndarray, clusters: np.ndarray,
     return np.sqrt(np.clip(np.diag(cov), 0.0, None))
 
 
+def _pivoted_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Householder QR with column pivoting (Businger & Golub 1965) of the
+    first k columns of the k x (k+1) ``a``, the reflectors applied to the
+    last column too: the pivoted triangle R, Q' times the last column, and
+    the pivot order.  Each step takes the column of largest norm below the
+    reduced rows (the lowest index on a tie), recomputing the norms where
+    LAPACK's dgeqp3 downdates them: one small product, and no cancellation
+    to guard against.  A pivoted column stays in place, zero below its
+    step, so later reflectors leave it as it is.
+    """
+    a = a.copy()
+    k = a.shape[0]
+    rest, piv = list(range(k)), []
+    for i in range(k):
+        sq = np.einsum("ij,ij->j", a[i:, :k], a[i:, :k]).tolist()
+        p = max(rest, key=sq.__getitem__)
+        rest.remove(p)
+        piv.append(p)
+        u = a[i:, p]
+        alpha = beta = a.item(i, p)
+        if sq[p] != alpha * alpha:  # else the column is already reduced
+            beta = -math.copysign(math.sqrt(sq[p]), alpha)
+            u[0] = alpha - beta  # u is now the reflector's vector
+            # H = I - 2 u u' / u'u, and u'u = 2 beta (beta - alpha)
+            a[i:] -= u[:, None] * (u.dot(a[i:]) * (1.0 / (beta * (beta - alpha))))
+        u[1:] = 0.0
+        a[i, p] = beta
+    return a[:, piv], a[:, k], piv
+
+
 def _qr_solve(xy: np.ndarray, names: list[str]) -> np.ndarray:
     """Least squares of the last column y of ``xy = [x y]`` on the others x
     by a column-pivoted QR of x; RankDeficiencyError names the columns
     whose pivots fall below 1e-10 of the largest.
 
     numpy's unpivoted QR of ``[x y]`` does the tall O(n k^2) work and
-    yields ``Q'y``; scipy pivots only its small triangle, which has x's
-    Gram matrix and so x's pivots.  Every large product of the fit then
-    runs on numpy's BLAS threads: scipy bundles its own OpenBLAS, and its
-    thread pool fought numpy's, still spinning from the previous product,
-    for the cores, which at random made the QR take several times as long.
-    Column-major ``xy`` is factored fastest.
+    yields the (k+1) x (k+1) triangle ``[R Q'y]``; R has x's Gram matrix
+    and so x's pivots, and ``_pivoted_qr`` pivots only R, a loop of k
+    small steps.  Column-major ``xy`` is factored fastest.
     """
     n, k = xy.shape[0], xy.shape[1] - 1
     r_aug = np.zeros((k + 1, k + 1))  # zero rows pad a design of fewer rows
     r_aug[:min(n, k + 1)] = np.linalg.qr(xy, mode="r")
-    q_mat, r, piv = qr(r_aug[:k, :k], pivoting=True)
+    r, qty, piv = _pivoted_qr(r_aug[:k])
     diag = np.abs(np.diag(r))
     ref = diag[0] if diag.size else 0.0
     bad = [names[piv[i]] for i in range(len(diag))
@@ -290,7 +324,7 @@ def _qr_solve(xy: np.ndarray, names: list[str]) -> np.ndarray:
             f"design is rank deficient after absorbing fixed effects; "
             f"offending columns: {', '.join(sorted(set(bad)))}", columns=bad)
     beta = np.empty(k)
-    beta[piv] = solve_triangular(r, q_mat.T @ r_aug[:k, k])
+    beta[piv] = np.linalg.solve(r, qty)  # r is its own LU: back substitution
     return beta
 
 

@@ -439,10 +439,10 @@ def test_contour_unknown_variable_exits_with_error(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"contour": {"variable": "base"}}))
     proc = run_cli("contour", "--config", str(cfg_file), "--out", str(tmp_path / "o"))
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error: unknown variable 'base'")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: invalid contour: unknown variable 'base'")
     assert "Traceback" not in proc.stderr
-    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["effective_config.json"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_shock_displacement_json_and_svg(tmp_path):
@@ -574,6 +574,49 @@ def test_byte_identical_reruns(tmp_path, args):
     assert sorted(first) == sorted(second)
     for name, blob in first.items():
         assert second[name] == blob, name
+
+
+# ---------------------------------------------------------------------------
+# numpy-only runtime
+
+README_COMMANDS = [["steady", "--eta", "0"], ["qsteady"], ["sweep"], ["threshold"],
+                   ["contour", "--level", "0.02"], ["phase"],
+                   ["shock", "--eta-before", "0.1", "--eta-after", "0.2"],
+                   ["did-sim", "--seed", "7"]]
+
+# argv: JSON list of commands, output root, "block" to make every import of
+# scipy or of a scipy submodule fail
+RUN_COMMANDS = """
+import json, sys
+if sys.argv[3] == "block":
+    sys.modules["scipy"] = None
+from dataecon.cli import main
+for i, args in enumerate(json.loads(sys.argv[1])):
+    if main([*args, "--out", f"{sys.argv[2]}/{i}"]) != 0:
+        sys.exit(f"{args[0]} failed")
+"""
+
+
+def test_readme_commands_run_and_match_without_scipy(tmp_path):
+    procs = {mode: subprocess.Popen(
+        [sys.executable, "-c", RUN_COMMANDS, json.dumps(README_COMMANDS),
+         str(tmp_path / mode), mode],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=ENV)
+        for mode in ("block", "allow")}  # the two runs share the cores
+    for proc in procs.values():
+        _, stderr = proc.communicate(timeout=TIMEOUT_S)
+        assert proc.returncode == 0, stderr
+    for i in range(len(README_COMMANDS)):
+        assert_same_files(tmp_path / "allow" / str(i), tmp_path / "block" / str(i))
+
+
+def test_importing_the_cli_loads_no_scipy():
+    code = ("import sys, dataecon.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=ENV, timeout=TIMEOUT_S)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dataecon import (DesignError, DgpConfig, DomainError, Panel,
@@ -136,6 +136,18 @@ def test_count_table_bound_refuses_before_allocating(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(empirics, "_DUMMY_MAX_CELLS", 60 * 12)
     assert twfe_did(panel).n_obs == len(panel.unit) - 30  # adoption years dropped
+
+
+def test_year_system_bound_refuses_before_allocating(monkeypatch):
+    """A 4,100 x 4,100 table passes the table bound, but the year system,
+    lstsq's copy of it and its workspace (three systems) would not."""
+    m = 4100
+    assert m * m <= empirics._DUMMY_MAX_CELLS < 3 * m * m
+    codes = np.arange(m)
+    monkeypatch.setattr(empirics.np, "bincount", None)  # nothing may be counted first
+    with pytest.raises(DesignError, match=r"^two-way 4100 x 4100 system and its solve "
+                                          r"would hold 50430000 cells \(limit 50000000\)$"):
+        empirics._two_way_demean(np.zeros((m, 1)), codes, codes)
 
 
 def sweep_demean(mat, unit_idx, year_idx, tol=1e-13, max_sweeps=400):
@@ -356,6 +368,52 @@ def test_qr_solve_with_fewer_rows_than_columns_raises():
     with pytest.raises(RankDeficiencyError) as exc:
         empirics._qr_solve(np.column_stack([x, np.ones(3)]), list("abcde"))
     assert len(exc.value.columns) == 2
+
+
+@given(st.integers(1, 40), st.integers(1, 12),
+       st.sampled_from(["plain", "zero", "duplicate", "near_duplicate"]),
+       st.integers(0, 2**32 - 1))
+@example(30, 1, "plain", 0)
+@example(3, 8, "plain", 1)  # fewer rows than columns
+@example(30, 6, "zero", 2)
+@example(30, 6, "duplicate", 3)
+@example(30, 6, "near_duplicate", 4)
+def test_pivoted_triangle_decides_as_scipy_does(n, k, case, seed):
+    """The numpy pivoting of the triangle makes scipy's rank decision and
+    names its columns, and otherwise solves as lstsq does.  Of two columns
+    that agree to 1e-10 of their norm, which one either names turns on the
+    last bits of their norms, so the names are compared up to such a copy."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, k)) * rng.uniform(0.1, 10.0, k)
+    i, j = sorted(rng.choice(k, 2, replace=False)) if k > 1 else (0, 0)
+    if case == "zero":
+        x[:, j] = 0.0
+    elif case == "duplicate":
+        x[:, j] = x[:, i]
+    elif case == "near_duplicate":
+        x[:, j] = x[:, i] + 1e-13 * rng.normal(size=n)
+    xy = np.column_stack([x, rng.normal(size=n)])
+    names = [f"x{c}" for c in range(k)]
+
+    r_aug = np.zeros((k + 1, k + 1))
+    r_aug[:min(n, k + 1)] = np.linalg.qr(xy, mode="r")
+    _, r, piv = scipy.linalg.qr(r_aug[:k, :k], pivoting=True)
+    diag = np.abs(np.diag(r))
+    expected = ([names[piv[c]] for c in range(k) if diag[c] <= 1e-10 * max(diag[0], 1.0)]
+                if diag[0] else names)
+    norms = np.linalg.norm(x, axis=0)
+    first_copy = {f"x{c}": min(d for d in range(k)
+                               if np.linalg.norm(x[:, d] - x[:, c]) <= 1e-10 * norms[c])
+                  for c in range(k)}
+    if expected:
+        with pytest.raises(RankDeficiencyError) as exc:
+            empirics._qr_solve(xy, names)
+        assert sorted(map(first_copy.get, exc.value.columns)) == \
+            sorted(map(first_copy.get, expected))
+    else:
+        beta = empirics._qr_solve(xy, names)
+        ref, *_ = np.linalg.lstsq(x, xy[:, -1], rcond=None)
+        assert np.linalg.norm(beta - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def masked_loop_se(x_t, resid, clusters, n_absorbed):
