@@ -57,6 +57,12 @@ class SweepOptions:
     eta_max: float = 0.95
     eta_n: int = 50
 
+    def __post_init__(self):
+        """Refuse an axis of no points; one point fails later, as an empty axis range."""
+        for name in ("theta_n", "eta_n"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class PhaseOptions:
@@ -79,20 +85,22 @@ class ThresholdOptions:
     def __post_init__(self):
         if (self.eta_lo is None) != (self.eta_hi is None):
             raise ConfigError("give both eta_lo and eta_hi, or neither")
+        if not self.thetas:
+            raise ConfigError("thetas must be a nonempty list")
 
 
 @dataclass(frozen=True)
-class ContourOptions:
-    variable: str = "c_star"
-    level: float | None = None
-    theta_min: float = 0.05
-    theta_max: float = 0.95
+class ContourOptions(SweepOptions):
+    """The grid of a sweep section with its own defaults, and what to contour on it."""
+
     theta_n: int = 46
     eta_min: float = 0.60
-    eta_max: float = 0.95
     eta_n: int = 36
+    variable: str = "c_star"
+    level: float | None = None
 
     def __post_init__(self):
+        super().__post_init__()
         if self.variable not in _QUANTITIES:
             raise ConfigError(f"unknown variable {self.variable!r}; choose from "
                               f"{', '.join(_QUANTITIES)}")
@@ -380,7 +388,7 @@ def _cmd_qsteady(cfg: RunConfig, w: _Writer):
     })
 
 
-def _surface(p: ModelParams, opt: SweepOptions | ContourOptions, kind: str):
+def _surface(p: ModelParams, opt: SweepOptions, kind: str):
     """The grid of a sweep or contour section and the figure spec over its
     axes; the spec refuses a one-point axis before any file is written,
     whatever the formats."""

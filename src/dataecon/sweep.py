@@ -2,8 +2,9 @@
 
 Builds equilibrium surfaces on rectangular grids with singular / infeasible
 cells masked, locates the consumption-maximizing conversion rate eta*(theta)
-by golden-section search, extracts iso-equilibrium contours by marching
-squares, and reports local finite-difference sensitivity signs.
+for every theta at once by a lockstep golden-section search on the array
+evaluator, extracts iso-equilibrium contours by marching squares, and
+reports local finite-difference sensitivity signs.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import SteadyState, steady_state, steady_states
-from .errors import DegenerateError, DomainError, RegimeError, SearchError
+from .core import SteadyState, steady_states
+from .errors import DomainError, SearchError
 from .params import ModelParams
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # inverse golden ratio
@@ -133,34 +134,33 @@ def grid_sweep(p_base: ModelParams, theta_axis, eta_axis) -> SweepGrid:
                      **{name: np.where(ok, v, np.nan) for name, v in values.items()})
 
 
-def golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal f on [lo, hi].
+def golden_section_max(f, lo, hi, tol: float):
+    """Golden-section maximization of a unimodal f on each bracket [lo, hi].
 
-    Returns (argmax, max) with the argmax located to within tol.  A tol
-    below the bracket's rounding scale raises SearchError once an iteration
-    leaves the bracket no narrower.
+    ``lo`` and ``hi`` broadcast; ``f`` maps an array of points, one per
+    bracket, to their values.  All brackets step in lockstep, one f call per
+    step, each frozen once its width is at most tol.  Returns (argmax, max)
+    arrays, 0-d for a scalar bracket.  A tol below a bracket's rounding scale
+    raises SearchError once a step leaves that bracket no narrower.
     """
-    if not hi > lo:
-        raise DomainError(f"empty search interval [{lo}, {hi}]")
+    a, b = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    if np.any(empty := ~(b > a)):
+        raise DomainError(f"empty search interval [{a[empty][0]}, {b[empty][0]}]")
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        width = b - a
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-        if not b - a < width:
-            raise SearchError(f"golden section stalled at bracket width {b - a:.3g} "
-                              f"above tol={tol}")
+    while np.any(live := b - a > tol):
+        up = fc >= fd  # the maximum lies in [a, d], else in [c, b]
+        na, nb = np.where(up, a, c), np.where(up, d, b)
+        x = np.where(up, nb - _GOLDEN * (nb - na), na + _GOLDEN * (nb - na))
+        fx = f(x)
+        if np.any(stalled := live & ~(nb - na < b - a)):
+            raise SearchError(f"golden section stalled at bracket width "
+                              f"{(nb - na)[stalled][0]:.3g} above tol={tol}")
+        a, b, c, d, fc, fd = (np.where(live, new, old) for new, old in (
+            (na, a), (nb, b), (np.where(up, x, d), c), (np.where(up, c, x), d),
+            (np.where(up, fx, fd), fc), (np.where(up, fc, fx), fd)))
     x = 0.5 * (a + b)
     return x, f(x)
 
@@ -172,55 +172,20 @@ def band_free_intervals(p: ModelParams, eta_range: tuple[float, float]) -> list[
         raise DomainError(f"eta_range must satisfy 0 <= lo < hi < 1, got {eta_range}")
     center = (1.0 - p.alpha - p.beta) / p.alpha
     half = p.singular_band / p.alpha
-    e_lo, e_hi = center - half, center + half
-    if e_hi <= lo or e_lo >= hi:
-        return [(lo, hi)]
-    out = []
-    if e_lo > lo:
-        out.append((lo, e_lo))
-    if e_hi < hi:
-        out.append((e_hi, hi))
-    return out
+    parts = [(lo, min(hi, center - half)), (max(lo, center + half), hi)]
+    return [(a, b) for a, b in parts if a < b]
 
 
 def consumption_threshold(p_base: ModelParams, theta: float,
                           eta_range: tuple[float, float],
                           tol: float = 1e-4) -> list[ThresholdResult]:
-    """Locate the argmax of c*(eta; theta), one result per band-free
-    sub-interval of ``eta_range``.
-
-    A coarse scan (one evaluator call) brackets the maximum, golden-section
-    search on the scalar solver refines it to within tol, and the shape tag
-    records whether the maximum is interior or pinned at a range boundary.
-    """
-    p_theta = p_base.replace(theta=float(theta))
-
-    def c_at(eta: float) -> float:
-        """c*(eta) by the scalar solver, -inf where it refuses or is infeasible."""
-        try:
-            ss = steady_state(p_theta.replace(eta=eta))
-        except (RegimeError, DegenerateError, DomainError):
-            return -math.inf
-        return ss.c_star if ss.feasible else -math.inf
-
-    results = []
-    for lo, hi in band_free_intervals(p_base, eta_range):
-        xs = np.linspace(lo, hi, _COARSE_POINTS)
-        mask, values = steady_states(p_theta, eta=xs)
-        vals = np.where(mask == "ok", values["c_star"], -np.inf)
-        if not np.any(np.isfinite(vals)):
-            raise SearchError(
-                f"no feasible steady state for theta={theta} on eta in [{lo}, {hi}]")
-        i = int(np.argmax(vals))
-        b_lo = xs[max(i - 1, 0)]
-        b_hi = xs[min(i + 1, len(xs) - 1)]
-        eta_star, c_max = golden_section_max(c_at, float(b_lo), float(b_hi), tol)
-        edge = max(2.0 * tol, 1e-6 * (hi - lo))
-        shape = ("monotone-on-range"
-                 if (eta_star - lo) <= edge or (hi - eta_star) <= edge
-                 else "interior-peak")
-        results.append(ThresholdResult(float(theta), eta_star, c_max, shape, (lo, hi)))
-    return results
+    """Locate the argmax of c*(eta; theta) by ``threshold_curve`` at this one
+    theta, one result per band-free sub-interval of ``eta_range``."""
+    p_base.replace(theta=float(theta))  # ParameterError before any range check
+    curves = [threshold_curve(p_base, [theta], part, tol)
+              for part in band_free_intervals(p_base, eta_range)]
+    return [ThresholdResult(float(theta), float(c.eta_star[0]), float(c.c_star_max[0]),
+                            c.shapes[0], c.eta_range) for c in curves]
 
 
 def default_eta_range(p: ModelParams, lo: float = 0.05, hi: float = 0.95) -> tuple[float, float]:
@@ -232,21 +197,42 @@ def default_eta_range(p: ModelParams, lo: float = 0.05, hi: float = 0.95) -> tup
 def threshold_curve(p_base: ModelParams, thetas,
                     eta_range: tuple[float, float] | None = None,
                     tol: float = 1e-4) -> ThresholdCurve:
-    """eta*(theta) over a theta grid on a single band-free eta range."""
+    """eta*(theta) over a theta grid on a single band-free eta range.
+
+    One ``steady_states`` scan of the range brackets the maximum at every
+    theta, and one lockstep golden-section search on ``steady_states``
+    refines all brackets (cells its mask refuses count as -inf), so the
+    number of evaluator calls does not grow with the number of thetas.
+    """
     if eta_range is None:
         eta_range = default_eta_range(p_base)
-    if len(band_free_intervals(p_base, eta_range)) != 1:
+    parts = band_free_intervals(p_base, eta_range)
+    if len(parts) != 1:
         raise DomainError(
             f"eta_range {eta_range} straddles the singular band; search one side at a time")
+    (lo, hi), = parts
     thetas = np.asarray(list(thetas), dtype=float)
-    stars, cmaxs, shapes = [], [], []
-    for theta in thetas:
-        res = consumption_threshold(p_base, float(theta), eta_range, tol)[0]
-        stars.append(res.eta_star)
-        cmaxs.append(res.c_star_max)
-        shapes.append(res.shape)
-    return ThresholdCurve(thetas, np.array(stars), np.array(cmaxs),
-                          tuple(shapes), tuple(eta_range))
+    if len(thetas) == 0:
+        raise DomainError("thetas must be a nonempty list")
+    for theta in thetas.tolist():
+        p_base.replace(theta=theta)  # a theta outside the model raises ParameterError
+
+    def c_at(theta, eta):
+        mask, values = steady_states(p_base, theta, eta)
+        return np.where(mask == "ok", values["c_star"], -np.inf)
+
+    xs = np.linspace(lo, hi, _COARSE_POINTS)
+    scan = c_at(thetas[:, None], xs)
+    if np.any(empty := ~np.isfinite(scan).any(axis=1)):
+        raise SearchError(f"no feasible steady state for theta={float(thetas[empty][0])} "
+                          f"on eta in [{lo}, {hi}]")
+    i = np.argmax(scan, axis=1)  # the bracket is the best scanned eta's two neighbours
+    b_lo, b_hi = xs[np.clip([i - 1, i + 1], 0, len(xs) - 1)]
+    eta_star, c_max = golden_section_max(lambda eta: c_at(thetas, eta), b_lo, b_hi, tol)
+    edge = max(2.0 * tol, 1e-6 * (hi - lo))
+    shapes = np.where((eta_star - lo <= edge) | (hi - eta_star <= edge),
+                      "monotone-on-range", "interior-peak")
+    return ThresholdCurve(thetas, eta_star, c_max, tuple(shapes.tolist()), tuple(eta_range))
 
 
 # Marching squares: segment endpoints are keyed by grid edge so that

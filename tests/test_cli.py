@@ -206,6 +206,11 @@ MALFORMED_VALUES = [
      "dgp.adoption_years[0] must be an integer"),
     ("did-sim", '{"dgp": {"dynamic_profile": 0.5}}', "dgp.dynamic_profile must be a list"),
     ("did-sim", '{"dgp": {"years": [2000]}}', "dgp.years must be a list of 2 items"),
+    ("threshold", '{"threshold": {"thetas": []}}', "invalid threshold: thetas must be a nonempty"),
+    ("sweep", '{"sweep": {"theta_n": 0}}', "invalid sweep: theta_n must be at least 1, got 0"),
+    ("sweep", '{"sweep": {"eta_n": -2}}', "invalid sweep: eta_n must be at least 1, got -2"),
+    ("contour", '{"contour": {"theta_n": -1}}', "invalid contour: theta_n must be at least 1"),
+    ("contour", '{"contour": {"eta_n": 0}}', "invalid contour: eta_n must be at least 1, got 0"),
 ]
 
 
@@ -381,6 +386,25 @@ def test_write_csv_matches_rowwise_writer(tmp_path):
     write_rowwise_csv(tmp_path / "rows.csv", header,
                       [row for block in blocks for row in zip(*block)])
     assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_empty_thetas_and_axis_counts_below_one_refused_by_the_options():
+    with pytest.raises(ConfigError, match="thetas must be a nonempty list"):
+        ThresholdOptions(thetas=())
+    for section in (cli.SweepOptions, cli.ContourOptions):
+        for axis in ("theta_n", "eta_n"):
+            with pytest.raises(ConfigError, match=f"{axis} must be at least 1, got 0"):
+                section(**{axis: 0})
+    assert cli.ContourOptions() == cli.ContourOptions(
+        theta_min=0.05, theta_max=0.95, theta_n=46, eta_min=0.60, eta_max=0.95, eta_n=36)
+
+
+def test_threshold_theta_outside_model_exits_2(tmp_path):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"threshold": {"thetas": [0.5, 1.5]}}))
+    proc = run_cli("threshold", "--config", str(cfg_file), "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2
+    assert proc.stderr == "error: theta must lie in [0, 1], got 1.5\n"
 
 
 @pytest.mark.parametrize("axis", ["theta_n", "eta_n"])

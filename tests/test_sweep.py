@@ -2,17 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from dataecon import (DegenerateError, DomainError, ModelParams, RegimeError,
-                      SearchError, SweepGrid, band_free_intervals,
+from dataecon import (DegenerateError, DomainError, ModelError, ModelParams,
+                      ParameterError, RegimeError, SearchError, SweepGrid,
+                      ThresholdResult, band_free_intervals,
                       baseline_params, consumption_threshold,
                       default_eta_range, golden_section_max, grid_sweep,
                       interest_rate, iso_equilibrium_contour, regime, rhs,
                       sensitivity_signs, steady_state, threshold_curve,
                       validate_params)
+from dataecon import sweep
 from dataecon.sweep import _cell_segments, _chain_segments, _crossing_segments
 
 BASE = baseline_params()
@@ -237,6 +239,184 @@ def test_threshold_curve_default_range_is_band_free():
 def test_threshold_curve_rejects_straddling_range():
     with pytest.raises(DomainError):
         threshold_curve(BASE, [0.5], (0.05, 0.95))
+
+
+def test_threshold_curve_refuses_empty_thetas():
+    with pytest.raises(DomainError, match="thetas must be a nonempty list"):
+        threshold_curve(BASE, [], (0.4, 0.95))
+
+
+def test_threshold_refuses_theta_outside_model():
+    with pytest.raises(ParameterError, match=r"theta must lie in \[0, 1\], got 1.5"):
+        threshold_curve(BASE, [0.5, 1.5], (0.4, 0.95))
+    for eta_range in ((0.4, 0.95), (0.9, 0.2)):  # before the range is checked
+        with pytest.raises(ParameterError, match="got 1.5"):
+            consumption_threshold(BASE, 1.5, eta_range)
+
+
+# The per-theta search the lockstep one replaced: a scalar golden section on
+# the scalar solver, refusals and infeasible points valued at -inf.
+
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def scalar_golden(f, lo, hi, tol):
+    if not hi > lo:
+        raise DomainError(f"empty search interval [{lo}, {hi}]")
+    if not tol > 0.0:
+        raise DomainError(f"tol must be positive, got {tol}")
+    a, b = lo, hi
+    c = b - GOLDEN * (b - a)
+    d = a + GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > tol:
+        width = b - a
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + GOLDEN * (b - a)
+            fd = f(d)
+        if not b - a < width:
+            raise SearchError(f"golden section stalled at bracket width {b - a:.3g} "
+                              f"above tol={tol}")
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
+def reference_threshold(p_base, theta, lo, hi, tol):
+    """(eta*, c* max, shape) at one theta on one band-free range [lo, hi]."""
+    p_theta = p_base.replace(theta=float(theta))
+
+    def c_at(eta):
+        try:
+            ss = steady_state(p_theta.replace(eta=float(eta)))
+        except (RegimeError, DegenerateError, DomainError):
+            return -math.inf
+        return ss.c_star if ss.feasible else -math.inf
+
+    xs = np.linspace(lo, hi, 65)
+    vals = [c_at(x) for x in xs]
+    if not any(map(math.isfinite, vals)):
+        raise SearchError(f"no feasible steady state for theta={theta} on eta in [{lo}, {hi}]")
+    i = int(np.argmax(vals))
+    eta_star, c_max = scalar_golden(c_at, float(xs[max(i - 1, 0)]),
+                                    float(xs[min(i + 1, 64)]), tol)
+    edge = max(2.0 * tol, 1e-6 * (hi - lo))
+    pinned = (eta_star - lo) <= edge or (hi - eta_star) <= edge
+    return eta_star, c_max, "monotone-on-range" if pinned else "interior-peak"
+
+
+def outcome(fn, *args):
+    """fn's value, or the type and message of the ModelError it raises."""
+    try:
+        return fn(*args)
+    except ModelError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def threshold_case(draw):
+    """A base (infeasible on part of the plane at times), thetas (now and
+    then with theta = 0, which has no data above eta = 0), a range on one
+    side of the band (often ending at an edge of the side) and a tol."""
+    alpha = draw(st.floats(0.2, 0.9))
+    beta = draw(st.floats(0.02, 1.0 - alpha))
+    assume(alpha + beta <= 1.0)
+    base = ModelParams(alpha=alpha, beta=beta, delta=draw(st.floats(0.01, 0.5)),
+                       rho=draw(st.floats(0.005, 0.2)))
+    side_lo, side_hi = draw(st.sampled_from(band_free_intervals(base, (0.0, 0.99))))
+    ends = st.one_of(st.sampled_from([side_lo, side_hi]), st.floats(side_lo, side_hi))
+    lo, hi = sorted((draw(ends), draw(ends)))
+    assume(lo < hi)
+    thetas = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
+    if draw(st.integers(0, 9)) == 0:
+        thetas.insert(draw(st.integers(0, len(thetas))), 0.0)
+    return base, thetas, (lo, hi), draw(st.floats(1e-6, 1e-2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(threshold_case())
+@example((BASE, [0.5], (0.1, math.nextafter(0.1, 1.0)), 1e-3))  # a one-ulp range: empty bracket
+def test_threshold_curve_matches_per_theta_scalar_search(case):
+    base, thetas, (lo, hi), tol = case
+    assert band_free_intervals(base, (lo, hi)) == [(lo, hi)]
+    rows = [outcome(reference_threshold, base, t, lo, hi, tol) for t in thetas]
+    for theta, row in zip(thetas, rows):  # one theta: every value and refusal exact
+        res = outcome(consumption_threshold, base, theta, (lo, hi), tol)
+        assert res == (row if len(row) == 2 else
+                       [ThresholdResult(theta, *row, (lo, hi))])
+    got = outcome(threshold_curve, base, thetas, (lo, hi), tol)
+    refusals = [row for row in rows if len(row) == 2]
+    if refusals:
+        # The per-theta search raised the first refused theta's error.  The
+        # lockstep one raises refusals of its scan before those of its
+        # search, so with several refused thetas it may name another one.
+        assert got == refusals[0] if len(refusals) == 1 else got in refusals
+        return
+    eta_star, c_max, shapes = zip(*rows)
+    assert np.array_equal(got.eta_star, eta_star)
+    assert np.array_equal(got.c_star_max, c_max)
+    assert got.shapes == shapes
+    assert got.eta_range == (lo, hi)
+
+
+def test_threshold_evaluator_calls_do_not_grow_with_thetas(monkeypatch):
+    calls, inner = [], sweep.steady_states
+    monkeypatch.setattr(sweep, "steady_states", lambda *a: calls.append(1) or inner(*a))
+    thetas = np.linspace(0.05, 0.95, 37)
+    rng = default_eta_range(BASE)
+    threshold_curve(BASE, thetas, rng, 1e-4)
+    n_all = len(calls)
+    for theta in thetas:
+        calls.clear()
+        threshold_curve(BASE, [theta], rng, 1e-4)
+        assert len(calls) == n_all, theta
+    assert n_all < 20
+
+
+def parabola(peak):
+    """-(x - peak)^2 as one product, the same float operations on arrays and scalars."""
+    return lambda x: -(x - peak) * (x - peak)
+
+
+def test_golden_section_vector_of_parabolas_in_lockstep():
+    peaks = np.array([0.21, 0.5, 0.777, 0.05, 0.93])
+    lo = np.array([0.0, 0.4, 0.7, 0.0, 0.5])
+    hi = np.array([1.0, 0.6, 0.8, 0.1, 1.0])  # unequal widths: brackets freeze apart
+    calls = []
+
+    def f(x):
+        calls.append(x.shape)
+        return parabola(peaks)(x)
+
+    x, fx = golden_section_max(f, lo, hi, 1e-6)
+    assert np.all(np.abs(x - peaks) < 1e-6)
+    assert set(calls) == {peaks.shape}
+    assert len(calls) == 3 + math.ceil(math.log(1e-6) / math.log(GOLDEN))
+    for j, peak in enumerate(peaks.tolist()):
+        assert (x[j], fx[j]) == scalar_golden(parabola(peak), lo[j], hi[j], 1e-6)
+    x0, fx0 = golden_section_max(parabola(0.3), 0.0, 1.0, 1e-6)
+    assert np.shape(x0) == np.shape(fx0) == ()
+    assert (x0, fx0) == scalar_golden(parabola(0.3), 0.0, 1.0, 1e-6)
+
+
+def test_golden_section_frozen_bracket_takes_no_step():
+    # the bracket at 1e6 reaches tol=2e-10 at its rounding scale, where one
+    # more step would not narrow it, while the wider bracket keeps stepping
+    peaks, lo, hi = np.array([1e6 + 0.3, 0.3]), [1e6, 0.0], [1e6 + 1.0, 100.0]
+    x, fx = golden_section_max(parabola(peaks), lo, hi, 2e-10)
+    for j, peak in enumerate(peaks.tolist()):
+        assert (x[j], fx[j]) == scalar_golden(parabola(peak), lo[j], hi[j], 2e-10)
+
+
+def test_golden_section_one_stalled_bracket_raises():
+    # [0, 1] reaches 1e-12; the bracket at 1e6 cannot shrink below its ulp
+    peaks = np.array([0.3, 1e6 + 0.3])
+    with pytest.raises(SearchError, match=r"bracket width .* above tol=1e-12"):
+        golden_section_max(parabola(peaks), [0.0, 1e6], [1.0, 1e6 + 1.0], 1e-12)
 
 
 # ---------------------------------------------------------------------------
