@@ -13,16 +13,16 @@ when the file is parsed.  Flags override single keys (``--seed`` is
 
 Outputs are deterministic: floats serialize with 17 significant digits in
 both CSV and JSON, keys are sorted, and SVG is assembled from fixed-format
-strings.  CSV is written in blocks of columns, each column formatted in one
-pass, so a large sweep streams one theta row at a time.  Every artifact
-carries the effective parameters and tool version, embedded for JSON and as
-a ``.meta.json`` sidecar for CSV/SVG.
+strings.  CSV is written in blocks of columns: each column is formatted in
+one pass, the block's rows are joined into one write, and a large sweep
+streams one theta row at a time.  Every artifact carries the effective
+parameters and tool version, embedded for JSON and as a ``.meta.json``
+sidecar for CSV/SVG.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -36,7 +36,8 @@ import numpy as np
 from . import __version__
 from .core import steady_state
 from .dynamics import phase_portrait, shock_experiment
-from .empirics import DgpConfig, event_study, generate_panel, twfe_did, write_panel_csv
+from .empirics import (DgpConfig, _csv_lines, _csv_quoted, event_study, generate_panel,
+                       twfe_did, write_panel_csv)
 from .errors import ConfigError, ModelError, ParameterError
 from .params import BASELINE, ModelParams
 from .qtheory import firm_steady_state, investment_rate
@@ -199,26 +200,34 @@ def write_csv(path, header, blocks) -> None:
     """RFC-4180 CSV, UTF-8, LF line endings, 17-digit floats.
 
     ``blocks`` is an iterable of blocks, each a sequence of equally long
-    columns in header order; the rows of one block are written before the
-    next block is read.
+    columns in header order; the rows of one block are joined and written
+    before the next block is read.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        fh.write(_csv_lines([[cell] for cell in _text_cells(header)]))
         for block in blocks:
-            writer.writerows(zip(*(_csv_column(col) for col in block)))
+            fh.write(_csv_lines([_csv_column(col) for col in block]))
 
 
-def _csv_column(col) -> list:
+def _csv_column(col) -> list[str]:
     """Cells of one column: floats in 17 digits (NaN empty), integers in
-    decimal, anything else as given (None empty)."""
+    decimal, a list or tuple of strings as given, anything else through
+    ``str`` (None empty); only string cells are quoted."""
+    if isinstance(col, (list, tuple)) and all(type(v) is str for v in col):
+        return _csv_quoted(list(col))
     arr = np.asarray(col)
     values = arr.tolist()
     if arr.dtype.kind == "f":
         return [_FLOAT_FORMAT % v if v == v else "" for v in values]
     if arr.dtype.kind in "iu":
         return list(map(str, values))
-    return ["" if v is None else v for v in values]
+    return _text_cells(values)
+
+
+def _text_cells(values) -> list[str]:
+    """Each value through ``str`` one by one (None empty), then quoted: True,
+    1 and 1.0 compare equal but print differently."""
+    return _csv_quoted(["" if v is None else str(v) for v in values])
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +530,7 @@ def _cmd_did_sim(cfg: RunConfig, w: _Writer):
         "att": did.att, "se": did.se, "n_obs": did.n_obs,
         "n_units_absorbed": did.n_units_absorbed,
         "n_years_absorbed": did.n_years_absorbed,
-        "true_effect": cfg.dgp.effect,
+        "true_effect": cfg.dgp.true_att(panel, cfg.did.drop_adoption_period),
     }, dgp)
     w.csv("event_study.csv", ["period", "coefficient", "std_error"],
           [(es.periods, es.coefficients, es.std_errors)],

@@ -71,6 +71,34 @@ class DgpConfig:
             if min(self.adoption_years) < y0:
                 raise DomainError("adoption years must not precede the span start")
 
+    def _effect_at(self, rel: np.ndarray) -> np.ndarray:
+        """The treatment effect on rows at relative periods ``rel`` (NaN for
+        never-treated rows): none before adoption, then ``effect`` or the
+        profile."""
+        treated = _treated_mask(rel)
+        effect = np.zeros(len(rel))
+        if self.dynamic_profile is not None:
+            profile = np.asarray(self.dynamic_profile, dtype=float)
+            idx = np.clip(rel[treated].astype(int), 0, len(profile) - 1)
+            effect[treated] = profile[idx]
+        else:
+            effect[treated] = self.effect
+        return effect
+
+    def true_att(self, panel: Panel, drop_adoption_period: bool = True) -> float:
+        """The mean effect over the panel's treated rows in the DID estimation
+        sample (without relative period 0 when the adoption year is
+        dropped); ``effect`` itself when no profile is given."""
+        if self.dynamic_profile is None:
+            return self.effect
+        rel = panel.relative_period()
+        rows = _treated_mask(rel)
+        if drop_adoption_period:
+            rows &= rel != 0
+        if not rows.any():
+            raise DesignError("no treated observations in the estimation sample")
+        return float(self._effect_at(rel)[rows].mean())
+
 
 @dataclass(frozen=True)
 class Panel:
@@ -165,19 +193,9 @@ def generate_panel(cfg: DgpConfig) -> Panel:
     controls = rng.normal(0.0, 1.0, (n_units * n_years, m)) if m else np.empty((n_units * n_years, 0))
     noise = rng.normal(0.0, 1.0, n_units * n_years) * cfg.noise_scale
 
-    rel = year_col - adopt_col
-    treated_now = _treated_mask(rel)
-    effect = np.zeros(n_units * n_years)
-    if cfg.dynamic_profile is not None:
-        profile = np.asarray(cfg.dynamic_profile, dtype=float)
-        idx = np.clip(rel[treated_now].astype(int), 0, len(profile) - 1)
-        effect[treated_now] = profile[idx]
-    else:
-        effect[treated_now] = cfg.effect
-
     outcome = (unit_fx[unit_col] + year_fx[year_col - y0]
                + controls @ np.asarray(cfg.control_coefs, dtype=float)
-               + effect + noise)
+               + cfg._effect_at(year_col - adopt_col) + noise)
     names = tuple(f"control_{i + 1}" for i in range(m))
     return Panel(unit_col, year_col, outcome, adopt_col, controls, names)
 
@@ -422,29 +440,57 @@ def event_study(panel: Panel, window: tuple[int, int] = (-5, 5),
                             n_units_absorbed=n_u, n_years_absorbed=n_y)
 
 
-# CSV schema: unit,year,outcome,adoption_year,control_1..control_m with an
-# empty adoption_year for never-treated rows.
+# CSV text, shared with ``cli.write_csv``: rows of finished cells joined by
+# commas and ended by LF, a cell quoted (its quotes doubled) only when it
+# holds a comma, a quote, CR or LF (RFC 4180), and a row of one empty cell
+# written as "" so that it reads back as a row.
+
+_CSV_SPECIAL = (",", '"', "\n", "\r")
+
+
+def _csv_quoted(cells: list[str]) -> list[str]:
+    """String cells as CSV writes them, decided once per distinct string and
+    not at all when no cell holds a special character."""
+    joined = "".join(cells)
+    if not any(ch in joined for ch in _CSV_SPECIAL):
+        return cells
+    quoted = {c: '"%s"' % c.replace('"', '""') if any(ch in c for ch in _CSV_SPECIAL) else c
+              for c in set(cells)}
+    return [quoted[c] for c in cells]
+
+
+def _csv_lines(cols: list[list[str]]) -> str:
+    """The rows of equally long columns of finished cells, as CSV lines."""
+    if len(cols) == 1:
+        cols = [['""' if c == "" else c for c in cols[0]]]
+    rows = list(map(",".join, zip(*cols)))
+    if rows:
+        rows.append("")  # ends the last row without copying the text
+    return "\n".join(rows)
+
+
+# Panel CSV schema: unit,year,outcome,adoption_year,control_1..control_m
+# with an empty adoption_year for never-treated rows.
 
 _CSV_CHUNK_ROWS = 4096
 
 
 def write_panel_csv(panel: Panel, path) -> None:
     """Write the panel in chunks of rows, formatting each column of a chunk
-    in one pass (17-digit floats)."""
+    in one pass (17-digit floats) and writing the chunk's rows at once."""
+    header = ["unit", "year", "outcome", "adoption_year", *panel.control_names]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["unit", "year", "outcome", "adoption_year",
-                         *panel.control_names])
+        fh.write(_csv_lines([[cell] for cell in _csv_quoted(header)]))
         for start in range(0, len(panel.unit), _CSV_CHUNK_ROWS):
             rows = slice(start, start + _CSV_CHUNK_ROWS)
             floats = np.column_stack([panel.outcome[rows], panel.controls[rows]])
             cols = [["%.17g" % v for v in col] for col in floats.T.tolist()]
-            writer.writerows(zip(
-                panel.unit[rows].astype(int).tolist(),
-                panel.year[rows].astype(int).tolist(),
+            fh.write(_csv_lines([
+                list(map(str, panel.unit[rows].astype(int).tolist())),
+                list(map(str, panel.year[rows].astype(int).tolist())),
                 cols[0],
-                ["" if a != a else int(a) for a in panel.adoption_year[rows].tolist()],
-                *cols[1:]))
+                ["" if a != a else str(int(a)) for a in panel.adoption_year[rows].tolist()],
+                *cols[1:]]))
 
 
 def read_panel_csv(path) -> Panel:

@@ -199,6 +199,9 @@ def threshold_curve(p_base: ModelParams, thetas,
                     tol: float = 1e-4) -> ThresholdCurve:
     """eta*(theta) over a theta grid on a single band-free eta range.
 
+    The curve's ``eta_range`` is the band-free range searched: one ending
+    inside the singular band is cut at the band's edge.
+
     One ``steady_states`` scan of the range brackets the maximum at every
     theta, and one lockstep golden-section search on ``steady_states``
     refines all brackets (cells its mask refuses count as -inf), so the
@@ -232,7 +235,7 @@ def threshold_curve(p_base: ModelParams, thetas,
     edge = max(2.0 * tol, 1e-6 * (hi - lo))
     shapes = np.where((eta_star - lo <= edge) | (hi - eta_star <= edge),
                       "monotone-on-range", "interior-peak")
-    return ThresholdCurve(thetas, eta_star, c_max, tuple(shapes.tolist()), tuple(eta_range))
+    return ThresholdCurve(thetas, eta_star, c_max, tuple(shapes.tolist()), (lo, hi))
 
 
 # Marching squares: segment endpoints are keyed by grid edge so that

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from dataecon import (ConfigError, RenderSpec, baseline_params, grid_sweep,
                       iso_equilibrium_contour, phase_portrait, render_svg,
@@ -19,6 +21,7 @@ from dataecon.cli import (RunConfig, ThresholdOptions, dumps_json, effective_con
                           format_float, main, parse_config, run_command, write_csv)
 from dataecon.svgplot import render_phase
 
+from .test_empirics import rowwise_panel_csv
 from .textdiff import first_difference
 
 BASE = baseline_params()
@@ -373,19 +376,170 @@ def test_sweep_csv_matches_rowwise_writer(tmp_path):
                             (tmp_path / "ref.csv").read_bytes().decode()) is None
 
 
-def test_write_csv_matches_rowwise_writer(tmp_path):
-    blocks = [
-        (np.array([3, -1, 0]), np.array([0.1, math.nan, math.inf]),
-         ["a", None, "b,c"], [1.5, 2.0, 1e-300], np.float32([0.1, 2, 3])),
-        (np.array([7], dtype=np.uint8), np.array([-0.0]), ["x"], [math.nan],
-         np.float32([math.nan])),
-        ((), (), (), (), ()),
-    ]
-    header = ["i", "f", "s", "list", "f32"]
-    write_csv(tmp_path / "cols.csv", header, blocks)
-    write_rowwise_csv(tmp_path / "rows.csv", header,
-                      [row for block in blocks for row in zip(*block)])
-    assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+def write_csv_with_csv_writer(path, header, blocks):
+    """The column writer write_csv was before it joined its own rows: each
+    column formatted in one pass, csv.writer quoting and joining the cells."""
+    def column(col):
+        arr = np.asarray(col)
+        values = arr.tolist()
+        if arr.dtype.kind == "f":
+            return ["%.17g" % v if v == v else "" for v in values]
+        if arr.dtype.kind in "iu":
+            return list(map(str, values))
+        return ["" if v is None else v for v in values]
+
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for block in blocks:
+            writer.writerows(zip(*(column(col) for col in block)))
+
+
+# The references are compared on text without CR or NUL: csv.writer leaves
+# a lone CR unquoted, which write_csv quotes, and the old column writer lost
+# a trailing NUL to numpy's fixed-width str dtype (see the tests below).
+CSV_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\x00"),
+                   max_size=5)
+
+
+def csv_column(n):
+    """Strategy for one column of n cells, in each form write_csv accepts."""
+    def sized(elements):
+        return st.lists(elements, min_size=n, max_size=n)
+    return st.one_of(
+        sized(st.floats()).map(np.array),
+        sized(st.floats()),
+        sized(st.floats(width=32)).map(np.float32),
+        sized(st.integers(-2**63, 2**63 - 1)).map(lambda v: np.array(v, dtype=np.int64)),
+        sized(st.integers(0, 255)).map(lambda v: np.array(v, dtype=np.uint8)),
+        sized(st.booleans()).map(np.array),
+        sized(CSV_TEXT),
+        sized(st.none() | CSV_TEXT),
+    )
+
+
+@st.composite
+def csv_tables(draw):
+    width = draw(st.integers(1, 4))
+    header = draw(st.lists(CSV_TEXT, min_size=width, max_size=width))
+    sizes = draw(st.lists(st.integers(0, 4), max_size=3))
+    return header, [[draw(csv_column(n)) for _ in range(width)] for n in sizes]
+
+
+TINY = 5e-324  # the smallest subnormal
+
+
+@given(csv_tables())
+@example((["i", "f", "s", "list", "f32"], [
+    (np.array([3, -1, 0]), np.array([0.1, math.nan, math.inf]),
+     ["a", None, "b,c"], [1.5, 2.0, 1e-300], np.float32([0.1, 2, 3])),
+    (np.array([7], dtype=np.uint8), np.array([-0.0]), ["x"], [math.nan],
+     np.float32([math.nan])),
+    ((), (), (), (), ())]))
+# one-column rows whose cell is empty: csv.writer writes them as ""
+@example(([""], [[["", None, "a"]], [np.array([math.nan, 1.0])], [[None]]]))
+# commas, quotes and newlines in cells and in the header
+@example((["a,b", 'say "x"', "l\nm"],
+          [[["p,q", None, ""], ['"', "x\ny", 'z"'], np.array([1, 2, 3])]]))
+# an object column: cells equal as values but not as text, each through str
+@example((["o", "s"], [[np.array([True, 1, 1.0, -0.0, 0.0, None], dtype=object),
+                        ["1", "1", "1,0", "1,0", "-0", ""]]]))
+@example((["f32", "u8", "f"], [
+    [np.float32([math.inf, -math.inf, 1e-45]), np.array([0, 255], dtype=np.uint8)[[0, 1, 1]],
+     np.array([TINY, -TINY, 2.2250738585072009e-308])],
+    [np.float32([]), np.array([], dtype=np.uint8), np.array([])]]))
+def test_write_csv_matches_rowwise_writer(tmp_path_factory, table):
+    header, blocks = table
+    out = tmp_path_factory.mktemp("csv")
+    write_csv(out / "joined.csv", header, blocks)
+    write_csv_with_csv_writer(out / "columns.csv", header, blocks)
+    joined = (out / "joined.csv").read_bytes()
+    assert joined == (out / "columns.csv").read_bytes()
+    # the per-cell rule formats numbers in 17 digits even in an object column
+    if not any(isinstance(col, np.ndarray) and col.dtype == object
+               for block in blocks for col in block):
+        write_rowwise_csv(out / "rows.csv", header,
+                          [row for block in blocks for row in zip(*block)])
+        assert joined == (out / "rows.csv").read_bytes()
+
+
+def test_write_csv_keeps_a_trailing_nul_in_a_list_of_strings(tmp_path):
+    write_csv(tmp_path / "nul.csv", ["s"], [[["a\x00", "b"]]])
+    assert (tmp_path / "nul.csv").read_bytes() == b"s\na\x00\nb\n"
+
+
+def test_write_csv_quotes_a_lone_carriage_return(tmp_path):
+    # RFC 4180 quotes CR; csv.writer with LF line endings did not
+    write_csv(tmp_path / "cr.csv", ["a\rb", "c"], [[["x\ry", "z"], np.array([1, 2])]])
+    assert (tmp_path / "cr.csv").read_bytes() == b'"a\rb",c\n"x\ry",1\nz,2\n'
+    with open(tmp_path / "cr.csv", newline="", encoding="utf-8") as fh:
+        assert list(csv.reader(fh)) == [["a\rb", "c"], ["x\ry", "1"], ["z", "2"]]
+
+
+CSV_COMMANDS = ["sweep", "threshold", "contour", "phase", "shock", "did-sim"]
+
+
+@pytest.mark.parametrize("command", CSV_COMMANDS)
+def test_csv_artifacts_match_csv_writer_references(tmp_path, monkeypatch, command):
+    cfg = parse_config(None, {"out": str(tmp_path / "o"), "eta_before": 0.1, "eta_after": 0.2})
+
+    def run():
+        run_command(cfg, command)
+        files = {p.name: p.read_bytes() for p in (tmp_path / "o").iterdir()}
+        for p in (tmp_path / "o").iterdir():
+            p.unlink()
+        return files
+
+    joined = run()
+    with monkeypatch.context() as m:
+        m.setattr(cli, "write_csv", write_csv_with_csv_writer)
+        m.setattr(cli, "write_panel_csv", rowwise_panel_csv)
+        reference = run()
+    assert any(name.endswith(".csv") for name in joined)
+    assert sorted(joined) == sorted(reference)
+    assert [name for name in joined if joined[name] != reference[name]] == []
+
+
+def test_threshold_range_ending_in_the_band_reports_the_searched_range(tmp_path):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({
+        "threshold": {"eta_lo": 0.05, "eta_hi": 0.32, "thetas": [0.5]},
+        "out_dir": str(tmp_path / "o")}))
+    cfg = parse_config(str(cfg_file))
+    run_command(cfg, "threshold")
+    p = cfg.params
+    edge = (1 - p.alpha - p.beta) / p.alpha - p.singular_band / p.alpha  # band's lower edge
+    assert edge < 0.32
+    out = tmp_path / "o"
+    assert json.loads((out / "threshold.json").read_text())["result"]["eta_range"] == [0.05, edge]
+    for name in ("threshold.csv", "threshold.svg"):
+        meta = json.loads((out / f"{name}.meta.json").read_text())
+        assert meta["eta_range"] == [0.05, edge]
+
+
+def test_did_sim_true_effect_is_the_dgp_mean_over_estimated_treated_rows(tmp_path):
+    profile = [0.1, 0.3, 0.7]
+    for drop in (True, False):
+        out = tmp_path / f"o{drop}"
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({
+            "dgp": {"n_units": 20, "years": [2000, 2009], "adoption_years": [2003, 2005],
+                    "noise_scale": 0.0, "dynamic_profile": profile},
+            "did": {"drop_adoption_period": drop}, "out_dir": str(out)}))
+        run_command(parse_config(str(cfg_file)), "did-sim")
+        effects = []
+        with open(out / "panel.csv", newline="", encoding="utf-8") as fh:
+            for row in csv.DictReader(fh):
+                if row["adoption_year"]:
+                    rel = int(row["year"]) - int(row["adoption_year"])
+                    if rel > 0 or (rel == 0 and not drop):
+                        effects.append(profile[min(rel, len(profile) - 1)])
+        did = json.loads((out / "did.json").read_text())["result"]
+        assert did["true_effect"] == pytest.approx(sum(effects) / len(effects), rel=1e-15)
+    # without a profile the truth is the configured level shift itself
+    cfg = parse_config(None, {"out": str(tmp_path / "flat")})
+    run_command(replace(cfg, dgp=replace(cfg.dgp, effect=0.1)), "did-sim")
+    assert json.loads((tmp_path / "flat" / "did.json").read_text())["result"]["true_effect"] == 0.1
 
 
 def test_empty_thetas_and_axis_counts_below_one_refused_by_the_options():

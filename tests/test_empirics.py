@@ -1,5 +1,6 @@
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -63,6 +64,25 @@ def test_dynamic_profile_gaps_match_exactly():
         else:
             assert g == pytest.approx(profile[min(int(r), len(profile) - 1)],
                                       abs=1e-12)
+
+
+def test_true_att_is_the_profile_mean_over_estimated_treated_rows():
+    # one treated unit adopting in 2003 and seen to 2006, so relative periods
+    # 0..3 carry 1, 2, 4 and 4 (the profile's last value holds)
+    cfg = DgpConfig(n_units=2, years=(2000, 2006), share_treated=0.5,
+                    adoption_years=(2003,), unit_effect_scale=0.0, year_effect_scale=0.0,
+                    noise_scale=0.0, dynamic_profile=(1.0, 2.0, 4.0))
+    panel = generate_panel(cfg)
+    treated = ~np.isnan(panel.adoption_year)
+    assert panel.outcome[treated].tolist() == [0, 0, 0, 1, 2, 4, 4]
+    assert panel.outcome[~treated].tolist() == [0] * 7
+    assert cfg.true_att(panel) == 10 / 3  # the adoption year is dropped
+    assert cfg.true_att(panel, drop_adoption_period=False) == 11 / 4
+    flat = replace(cfg, dynamic_profile=None, effect=0.1)
+    assert flat.true_att(generate_panel(flat)) == 0.1
+    late = replace(cfg, adoption_years=(2006,))  # treated only in the dropped year
+    with pytest.raises(DesignError, match="no treated observations"):
+        late.true_att(generate_panel(late))
 
 
 def test_panel_structure():
@@ -573,6 +593,29 @@ def test_panel_csv_matches_rowwise_writer(tmp_path, monkeypatch, chunk):
     rowwise_panel_csv(panel, tmp_path / "rowwise.csv")
     assert first_difference((tmp_path / "chunked.csv").read_bytes().decode(),
                             (tmp_path / "rowwise.csv").read_bytes().decode()) is None
+
+
+def test_panel_csv_quotes_control_names_and_round_trips(tmp_path):
+    names = ("gdp, real", 'the "index"', "line\nbreak", "plain")
+    rng = np.random.default_rng(0)
+    controls = rng.normal(size=(6, 4))
+    controls[0] = [-0.0, 5e-324, math.inf, -1e300]
+    panel = Panel(np.repeat([0, 1], 3), np.tile([2000, 2001, 2002], 2),
+                  np.array([0.1, -2.5, 1e-300, 0.0, 7.0, -0.0]),
+                  np.array([np.nan] * 3 + [2001.0] * 3), controls, names)
+    path = tmp_path / "panel.csv"
+    write_panel_csv(panel, path)
+    rowwise_panel_csv(panel, tmp_path / "rowwise.csv")
+    assert path.read_bytes() == (tmp_path / "rowwise.csv").read_bytes()
+    assert path.read_text(encoding="utf-8").startswith(
+        'unit,year,outcome,adoption_year,"gdp, real","the ""index""","line\nbreak",plain\n')
+    back = read_panel_csv(path)
+    assert back.control_names == names
+    assert np.array_equal(back.unit, panel.unit) and np.array_equal(back.year, panel.year)
+    assert np.array_equal(back.outcome, panel.outcome)
+    assert np.array_equal(np.signbit(back.outcome), np.signbit(panel.outcome))
+    assert np.array_equal(back.adoption_year, panel.adoption_year, equal_nan=True)
+    assert np.array_equal(back.controls, panel.controls)
 
 
 def test_panel_csv_header_schema(tmp_path):

@@ -236,6 +236,15 @@ def test_threshold_curve_default_range_is_band_free():
     assert all(s == "interior-peak" for s in curve.shapes)
 
 
+def test_threshold_curve_reports_the_band_free_range_it_searched():
+    (lo, edge), = band_free_intervals(BASE, (0.05, 0.32))  # 0.32 lies in the band
+    assert lo == 0.05 and edge < 0.32
+    curve = threshold_curve(BASE, [0.5], (0.05, 0.32))
+    assert curve.eta_range == (0.05, edge)
+    assert curve.eta_star[0] <= edge
+    assert threshold_curve(BASE, [0.5]).eta_range == default_eta_range(BASE)
+
+
 def test_threshold_curve_rejects_straddling_range():
     with pytest.raises(DomainError):
         threshold_curve(BASE, [0.5], (0.05, 0.95))
