@@ -11,13 +11,13 @@ and annotations, and a malformed value raises ``ConfigError`` (exit code 2)
 when the file is parsed.  Flags override single keys (``--seed`` is
 ``dgp.seed``), so a run's ``effective_config.json`` reruns it.
 
-Outputs are deterministic: floats serialize with 17 significant digits in
-both CSV and JSON, keys are sorted, and SVG is assembled from fixed-format
-strings.  CSV is written in blocks of columns: each column is formatted in
-one pass, the block's rows are joined into one write, and a large sweep
-streams one theta row at a time.  Every artifact carries the effective
-parameters and tool version, embedded for JSON and as a ``.meta.json``
-sidecar for CSV/SVG.
+Outputs are deterministic: JSON floats and float CSV columns serialize with
+17 significant digits (cells of an object column go through ``str``, None
+empty), keys are sorted, and SVG is assembled from fixed-format strings.
+CSV is written in blocks of columns: each column is formatted in one pass,
+the block's rows are joined into one write, and a large sweep streams one
+theta row at a time.  Every artifact carries the effective parameters and
+tool version, embedded for JSON and as a ``.meta.json`` sidecar for CSV/SVG.
 """
 
 from __future__ import annotations
@@ -197,11 +197,11 @@ def dumps_json(obj) -> str:
 
 
 def write_csv(path, header, blocks) -> None:
-    """RFC-4180 CSV, UTF-8, LF line endings, 17-digit floats.
+    """RFC-4180 CSV, UTF-8, LF line endings, float-dtype columns in 17 digits.
 
-    ``blocks`` is an iterable of blocks, each a sequence of equally long
-    columns in header order; the rows of one block are joined and written
-    before the next block is read.
+    ``blocks`` yields blocks of equally long columns in header order, each
+    written before the next is read.  Cells of an object column (floats
+    mixed with None or str) go through ``str``, None empty.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(_csv_lines([[cell] for cell in _text_cells(header)]))

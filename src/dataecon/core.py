@@ -47,7 +47,7 @@ def _log_power(expo, base):
 def _exp(s):
     """exp(s), saturating to inf above _LOG_MAX; callers treat non-finite
     results as infeasible."""
-    return np.exp(np.where(s > _LOG_MAX, np.inf, s))
+    return np.exp(np.where(np.real(s) > _LOG_MAX, np.inf, s))
 
 
 @dataclass(frozen=True)
@@ -74,11 +74,14 @@ class Coefficients:
     with y_exp = alpha/den, r_coef = y_exp piw, r_exp = kx/den and
     k_exp = den/kx.  ``refused`` holds the first failing check (_SINGULAR,
     _NO_DATA, _NO_PROFIT) or _OK; refused cells hold meaningless numbers.
+    A complex theta or eta serves derivatives: read only imaginary parts.
     """
 
     def __init__(self, p: ModelParams, theta=None, eta=None):
-        theta = np.asarray(p.theta if theta is None else theta, dtype=float)
-        eta = np.asarray(p.eta if eta is None else eta, dtype=float)
+        theta = p.theta if theta is None else theta
+        eta = p.eta if eta is None else eta
+        theta = np.asarray(theta, dtype=complex if np.iscomplexobj(theta) else float)
+        eta = np.asarray(eta, dtype=complex if np.iscomplexobj(eta) else float)
         alpha, beta, w = p.alpha, p.beta, p.w
         self.p = p
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -99,9 +102,9 @@ class Coefficients:
             self.r_coef = self.y_exp * piw
             self.r_exp, self.k_exp = kx / den, den / kx
             self.refused = np.where(
-                np.abs(kx) < p.singular_band, _SINGULAR,
-                np.where((eta > 0.0) & (theta <= 0.0), _NO_DATA,
-                         np.where(piw <= 0.0, _NO_PROFIT, _OK)))
+                np.abs(np.real(kx)) < p.singular_band, _SINGULAR,
+                np.where((np.real(eta) > 0.0) & (np.real(theta) <= 0.0), _NO_DATA,
+                         np.where(np.real(piw) <= 0.0, _NO_PROFIT, _OK)))
 
     def capital(self, target):
         return _exp(self.k_exp * np.log(target * self.den / (self.p.alpha * self.piw)))
@@ -124,7 +127,7 @@ class Coefficients:
             l = np.where(finite, self.labor(k), np.nan)
             y = np.where(finite, self.output(k), np.nan)
             c = y - self.p.delta * k
-            feasible = np.isfinite(c) & np.isfinite(l) & np.isfinite(y) & (c > 0.0) & (l > 0.0)
+            feasible = np.isfinite(c) & np.isfinite(l) & (np.real(c) > 0.0) & (np.real(l) > 0.0)
         code = np.where(self.refused != _OK, self.refused,
                         np.where(k == 0.0, _NO_CAPITAL, np.where(feasible, _OK, _INFEASIBLE)))
         return code, {"k_star": k, "c_star": c, "l_star": l, "y_star": y,

@@ -235,11 +235,13 @@ def _two_way_demean(mat: np.ndarray, unit_idx: np.ndarray, year_idx: np.ndarray)
     if 3 * n_y * n_y > _DUMMY_MAX_CELLS:
         raise DesignError(f"two-way {n_y} x {n_y} system and its solve would hold "
                           f"{3 * n_y * n_y} cells (limit {_DUMMY_MAX_CELLS:.0f})")
-    counts = np.bincount(unit_idx * n_y + year_idx,
-                         minlength=n_u * n_y).reshape(n_u, n_y).astype(float)
+    # C as floats, then scaled in place to C / sqrt(unit counts): one table
+    counts = np.bincount(unit_idx * n_y + year_idx, weights=np.ones(len(unit_idx)),
+                         minlength=n_u * n_y).reshape(n_u, n_y)
     u_counts = counts.sum(axis=1)
     system = np.diag(counts.sum(axis=0))
-    system -= counts.T @ (counts / u_counts[:, None])
+    counts /= np.sqrt(u_counts)[:, None]
+    system -= counts.T @ counts
     out = np.array(mat, dtype=float, order="F")  # contiguous columns
     year_sums = np.empty((n_y, out.shape[1]))
     for j in range(out.shape[1]):
@@ -248,7 +250,7 @@ def _two_way_demean(mat: np.ndarray, unit_idx: np.ndarray, year_idx: np.ndarray)
         year_sums[:, j] = np.bincount(year_idx, weights=col, minlength=n_y)
     year_fx = np.linalg.lstsq(system, year_sums, rcond=1e-10)[0]
     # unit means of year_fx[year_idx], read off the count table
-    unit_fx = (counts @ year_fx) / u_counts[:, None]
+    unit_fx = (counts @ year_fx) / np.sqrt(u_counts)[:, None]
     for j in range(out.shape[1]):
         out[:, j] -= year_fx[:, j][year_idx] - unit_fx[:, j][unit_idx]
     return out

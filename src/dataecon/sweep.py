@@ -4,7 +4,7 @@ Builds equilibrium surfaces on rectangular grids with singular / infeasible
 cells masked, locates the consumption-maximizing conversion rate eta*(theta)
 for every theta at once by a lockstep golden-section search on the array
 evaluator, extracts iso-equilibrium contours by marching squares, and
-reports local finite-difference sensitivity signs.
+reports local complex-step sensitivity signs.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .params import ModelParams
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # inverse golden ratio
 _COARSE_POINTS = 65  # eta points of the threshold search's bracketing scan
+_COMPLEX_STEP = 1e-20  # sensitivity_signs' imaginary step
 _QUANTITIES = tuple(f.name for f in fields(SteadyState) if f.name != "feasible")
 
 
@@ -355,39 +356,18 @@ def iso_equilibrium_contour(grid: SweepGrid, variable: str, level: float) -> Iso
     return IsoContour(float(level), variable, points, tuple(chains))
 
 
-def sensitivity_signs(p: ModelParams, h: float = 1e-4) -> SensitivityReport:
-    """Central finite-difference signs of (k*, c*) in (eta, theta).
+def sensitivity_signs(p: ModelParams) -> SensitivityReport:
+    """Signs of d(k*, c*)/d(eta, theta) by complex step (Squire & Trapp 1998).
 
-    ``h`` is a relative step.  A derivative is declared zero when the two
-    one-sided evaluations agree to within 1e-10 of their magnitude (the
-    noise floor of the closed forms).  Infeasible neighbors, and an eta step
-    that leaves [0, 1), trigger a step-shrink retry before failing.
+    One ``steady_states`` call on (theta, eta + ih) and (theta + ih, eta)
+    gives each derivative as Im(value)/h: no step choice, no cancellation,
+    no stencil leaving the domain.  A sign is 0 only where the derivative
+    is exactly 0.  Raises DomainError where the mask refuses either cell.
     """
-    for attempt in range(7):
-        step = h / (2 ** attempt)
-        d_eta = step * max(abs(p.eta), 1e-3)
-        d_theta = step * max(abs(p.theta), 1e-3)
-        mask, values = steady_states(
-            p, [p.theta, p.theta, min(p.theta + d_theta, 1.0), max(p.theta - d_theta, 0.0)],
-            [p.eta + d_eta, max(p.eta - d_eta, 0.0), p.eta, p.eta])
-        if np.any(mask != "ok") or p.eta + d_eta >= 1.0:  # eta >= 1 lies outside the model
-            continue
-        kp_e, km_e, kp_t, km_t = values["k_star"].tolist()
-        cp_e, cm_e, cp_t, cm_t = values["c_star"].tolist()
-        return SensitivityReport(
-            dk_deta=_derivative(kp_e, km_e, 2 * d_eta),
-            dk_dtheta=_derivative(kp_t, km_t, 2 * d_theta),
-            dc_deta=_derivative(cp_e, cm_e, 2 * d_eta),
-            dc_dtheta=_derivative(cp_t, cm_t, 2 * d_theta),
-            step=step,
-        )
-    raise DomainError(
-        f"no feasible finite-difference stencil around (theta={p.theta}, eta={p.eta})")
-
-
-def _derivative(f_plus: float, f_minus: float, width: float) -> Derivative:
-    diff = f_plus - f_minus
-    if abs(diff) <= 1e-10 * max(abs(f_plus), abs(f_minus), 1e-300):
-        return Derivative(0, 0.0)
-    value = diff / width
-    return Derivative(1 if value > 0 else -1, value)
+    step = np.array([0.0, 1j]) * _COMPLEX_STEP
+    mask, values = steady_states(p, p.theta + step, p.eta + step[::-1])
+    if np.any(mask != "ok"):
+        raise DomainError(f"no feasible complex-step cells around (theta={p.theta}, eta={p.eta})")
+    slopes = np.concatenate([values["k_star"].imag, values["c_star"].imag]) / _COMPLEX_STEP
+    return SensitivityReport(*(Derivative(int(np.sign(v)), v) for v in slopes.tolist()),
+                             step=_COMPLEX_STEP)

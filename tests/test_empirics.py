@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -168,6 +169,23 @@ def test_year_system_bound_refuses_before_allocating(monkeypatch):
     with pytest.raises(DesignError, match=r"^two-way 4100 x 4100 system and its solve "
                                           r"would hold 50430000 cells \(limit 50000000\)$"):
         empirics._two_way_demean(np.zeros((m, 1)), codes, codes)
+
+
+def test_projection_holds_one_count_table():
+    """On a sparse design whose 3,000 x 300 count table dominates (6,000
+    rows), the projection's traced peak stays below 1.5 tables."""
+    rng = np.random.default_rng(0)
+    n_u, n_y, n = 3000, 300, 6000
+    unit_idx = np.concatenate([np.arange(n_u), rng.integers(0, n_u, n - n_u)])
+    year_idx = np.concatenate([np.arange(n_y), rng.integers(0, n_y, n - n_y)])
+    mat = rng.normal(size=(n, 2))
+    tracemalloc.start()
+    try:
+        empirics._two_way_demean(mat, unit_idx, year_idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n_u * n_y * 8
 
 
 def sweep_demean(mat, unit_idx, year_idx, tol=1e-13, max_sweeps=400):

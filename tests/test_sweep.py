@@ -15,7 +15,10 @@ from dataecon import (DegenerateError, DomainError, ModelError, ModelParams,
                       sensitivity_signs, steady_state, threshold_curve,
                       validate_params)
 from dataecon import sweep
+from dataecon.core import steady_states
 from dataecon.sweep import _cell_segments, _chain_segments, _crossing_segments
+
+from .strategies import model_params
 
 BASE = baseline_params()
 
@@ -584,6 +587,7 @@ def test_sensitivity_theta_irrelevant_at_eta0():
     assert rep.dk_dtheta.sign == 0
     assert rep.dc_dtheta.sign == 0
     assert rep.dk_dtheta.value == 0.0
+    assert rep.dc_dtheta.value == 0.0
 
 
 def test_sensitivity_flanks_around_threshold():
@@ -594,20 +598,113 @@ def test_sensitivity_flanks_around_threshold():
     assert above.dc_deta.sign == -1
 
 
-def test_sensitivity_step_shrink_keeps_eta_below_one():
-    # the first eta step would reach eta >= 1, outside the parameter domain
+def _difference(p, name, d, side):
+    """Second-order difference of (k*, c*) in parameter ``name`` with step
+    d: central (side 0), or one-sided forward (1) or backward (-1)."""
+    x = getattr(p, name)
+
+    def f(s):
+        ss = steady_state(p.replace(**{name: x + s * d}))
+        return np.array([ss.k_star, ss.c_star])
+
+    if side == 0:
+        return (f(1) - f(-1)) / (2 * d)
+    return side * (4 * f(side) - f(2 * side) - 3 * f(0)) / (2 * d)
+
+
+def fd_reference(p, name, h=1e-3):
+    """Reference d(k*, c*)/d(name) from differences of steady_state, and
+    the bound its rounding puts on it.
+
+    The step is d = h max(|x|, 1e-3), and Richardson extrapolation
+    (4 D(d/2) - D(d)) / 3 cancels the d^2 error term.  The stencil is
+    central where x +- d stays in the parameter domain and one-sided into
+    it at the edges (eta = 0, theta = 1).  Its weights sum to at most 12/d,
+    and k* and c* are correct to about 1e-13 of k* and y* (c* = y* - delta k*),
+    so rounding moves the result by at most 12e-13 (k*, y*) / d: below that
+    a derivative is not resolved.
+    """
+    x = getattr(p, name)
+    d = h * max(abs(x), 1e-3)
+    top = 1.0 if name == "theta" else math.nextafter(1.0, 0.0)
+    side = 1 if x - d < 0.0 else -1 if x + d > top else 0
+    ss = steady_state(p)
+    return ((4 * _difference(p, name, d / 2, side) - _difference(p, name, d, side)) / 3,
+            12e-13 * np.array([ss.k_star, ss.y_star]) / d)
+
+
+def assert_matches_reference(rep, p, h=1e-3, rel=1e-5):
+    """Every complex-step derivative within ``rel`` of fd_reference plus its
+    rounding bound, and of its sign wherever the reference resolves one."""
+    (dk_deta, dc_deta), noise_eta = fd_reference(p, "eta", h)
+    (dk_dtheta, dc_dtheta), noise_theta = fd_reference(p, "theta", h)
+    for got, ref, noise in ((rep.dk_deta, dk_deta, noise_eta[0]),
+                            (rep.dc_deta, dc_deta, noise_eta[1]),
+                            (rep.dk_dtheta, dk_dtheta, noise_theta[0]),
+                            (rep.dc_dtheta, dc_dtheta, noise_theta[1])):
+        assert abs(got.value - ref) <= rel * abs(ref) + noise, (got, ref, noise)
+        if abs(ref) > noise:
+            assert got.sign == np.sign(ref)
+
+
+def test_sensitivity_near_eta_one_matches_reference():
+    # a central stencil of relative step 1e-4 would reach eta >= 1
     p = baseline_params(eta=0.99995)
     rep = sensitivity_signs(p)
-    assert rep.step < 1e-4
-    d_eta = rep.step * p.eta
-    plus, minus = (steady_state(p.replace(eta=p.eta + s * d_eta)) for s in (1, -1))
-    assert rep.dk_deta.value == (plus.k_star - minus.k_star) / (2 * d_eta)
-    assert rep.dc_deta.value == (plus.c_star - minus.c_star) / (2 * d_eta)
+    assert rep.step == 1e-20
+    assert (rep.dk_deta.sign, rep.dk_dtheta.sign, rep.dc_deta.sign,
+            rep.dc_dtheta.sign) == (1, -1, -1, -1)
+    assert_matches_reference(rep, p)
 
 
-def test_sensitivity_step_shrink_near_band_edge():
-    # close enough to the singular band that the first stencil fails
+def test_sensitivity_near_band_edge_matches_reference():
+    # close enough to the singular band that a stencil of relative step
+    # 0.02 would reach into it; the reference's relative step 1e-4 does not
     p = baseline_params(eta=0.2995, theta=0.5)
-    rep = sensitivity_signs(p, h=0.02)
-    assert rep.step < 0.02
-    assert rep.dk_deta.sign == 1
+    rep = sensitivity_signs(p)
+    assert (rep.dk_deta.sign, rep.dk_dtheta.sign, rep.dc_deta.sign,
+            rep.dc_dtheta.sign) == (1, 1, 1, 1)
+    assert_matches_reference(rep, p, h=1e-4)
+
+
+@pytest.mark.parametrize("name, edge", [("eta", 0.0), ("theta", 1.0)])
+def test_sensitivity_at_domain_edge_matches_one_sided_difference(name, edge):
+    # only a one-sided difference stays in the domain here (a clipped
+    # central stencil divided by its full width reads half of it)
+    p = BASE.replace(**{name: edge})
+    rep = sensitivity_signs(p)
+    d = 1e-5
+    dk, dc = _difference(p, name, d, 1 if edge == 0.0 else -1)
+    assert getattr(rep, f"dk_d{name}").value == pytest.approx(dk, rel=1e-5, abs=0.0)
+    assert getattr(rep, f"dc_d{name}").value == pytest.approx(dc, rel=1e-5, abs=0.0)
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.5])
+def test_sensitivity_refuses_theta0(eta):
+    # at eta = 0 the eta step meets log 0; at eta > 0 there is no data
+    with pytest.raises(DomainError):
+        sensitivity_signs(baseline_params(theta=0.0, eta=eta))
+
+
+def test_sensitivity_is_one_evaluator_call(monkeypatch):
+    calls, inner = [], sweep.steady_states
+    monkeypatch.setattr(sweep, "steady_states", lambda *a: calls.append(a) or inner(*a))
+    sensitivity_signs(BASE)
+    (_, thetas, etas), = calls
+    assert thetas.tolist() == [0.5, 0.5 + 1e-20j] and etas.tolist() == [0.2 + 1e-20j, 0.2]
+
+
+@given(model_params(feasible=True, margin=0.05))
+def test_sensitivity_matches_richardson_reference(p):
+    assert_matches_reference(sensitivity_signs(p), p)
+
+
+def test_complex_cells_keep_the_real_mask():
+    thetas, etas = np.meshgrid(np.linspace(0.0, 1.0, 181), np.linspace(0.0, 0.9, 181),
+                               indexing="ij")
+    real = steady_states(BASE, thetas, etas)[0]
+    assert (real == "ok").sum() > 181 * 181 // 4
+    assert np.array_equal(steady_states(BASE, thetas + 1e-20j, etas)[0], real)
+    eta_step = steady_states(BASE, thetas, etas + 1e-20j)[0]
+    differ = np.argwhere(eta_step != real).tolist()
+    assert differ == [[0, 0]]  # log 0 at theta = 0 gives NaN
