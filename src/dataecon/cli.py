@@ -36,8 +36,8 @@ import numpy as np
 from . import __version__
 from .core import steady_state
 from .dynamics import phase_portrait, shock_experiment
-from .empirics import (DgpConfig, _csv_lines, _csv_quoted, event_study, generate_panel,
-                       twfe_did, write_panel_csv)
+from .empirics import (_FLOAT_FORMAT, DgpConfig, _csv_lines, _csv_quoted, event_study,
+                       generate_panel, twfe_did, write_panel_csv)
 from .errors import ConfigError, ModelError, ParameterError
 from .params import BASELINE, ModelParams
 from .qtheory import firm_steady_state, investment_rate
@@ -67,11 +67,6 @@ class SweepOptions:
 
 @dataclass(frozen=True)
 class PhaseOptions:
-    k_lo_frac: float = 0.5
-    k_hi_frac: float = 1.5
-    samples: int = 241
-    field_nk: int = 15
-    field_nc: int = 12
     tol: float = 1e-9
     include_saddle: bool = True
 
@@ -126,8 +121,6 @@ class ShockOptions:
 
 @dataclass(frozen=True)
 class DidOptions:
-    window_lead: int = -5
-    window_lag: int = 5
     drop_adoption_period: bool = True
 
 
@@ -147,9 +140,6 @@ class RunConfig:
 
 # ---------------------------------------------------------------------------
 # Deterministic serialization
-
-_FLOAT_FORMAT = "%.17g"
-
 
 def format_float(v: float) -> str:
     """17-significant-digit decimal form; round-trips float64 exactly."""
@@ -480,12 +470,8 @@ def _phase_files(w: _Writer, portrait, prefix: str):
 
 
 def _cmd_phase(cfg: RunConfig, w: _Writer):
-    opt = cfg.phase
-    ss = steady_state(cfg.params)
-    k_range = (opt.k_lo_frac * ss.k_star, opt.k_hi_frac * ss.k_star)
-    portrait = phase_portrait(cfg.params, k_range, n=opt.samples,
-                              field_shape=(opt.field_nk, opt.field_nc),
-                              include_saddle=opt.include_saddle, tol=opt.tol)
+    portrait = phase_portrait(cfg.params, include_saddle=cfg.phase.include_saddle,
+                              tol=cfg.phase.tol)
     eig = [[complex(v).real, complex(v).imag] for v in portrait.eigenvalues]
     w.json("phase.json", {
         "equilibrium": {"c": portrait.equilibrium.c, "k": portrait.equilibrium.k},
@@ -522,10 +508,9 @@ def _cmd_did_sim(cfg: RunConfig, w: _Writer):
     if "csv" in cfg.formats:
         write_panel_csv(panel, w.path("panel.csv"))
         w.sidecar("panel.csv", dgp)
-    window = (cfg.did.window_lead, cfg.did.window_lag)
     did = twfe_did(panel, drop_adoption_period=cfg.did.drop_adoption_period)
-    es = event_study(panel, window=window,
-                     drop_adoption_period=cfg.did.drop_adoption_period)
+    es = event_study(panel, drop_adoption_period=cfg.did.drop_adoption_period)
+    window = [int(es.periods[0]), int(es.periods[-1])]
     w.json("did.json", {
         "att": did.att, "se": did.se, "n_obs": did.n_obs,
         "n_units_absorbed": did.n_units_absorbed,
@@ -534,10 +519,10 @@ def _cmd_did_sim(cfg: RunConfig, w: _Writer):
     }, dgp)
     w.csv("event_study.csv", ["period", "coefficient", "std_error"],
           [(es.periods, es.coefficients, es.std_errors)],
-          {"window": list(window), **dgp})
+          {"window": window, **dgp})
     w.svg("event_study.svg",
           lambda: render_event_study(es, RenderSpec(kind="event-study")),
-          {"window": list(window), **dgp})
+          {"window": window, **dgp})
 
 
 _COMMANDS = {

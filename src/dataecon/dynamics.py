@@ -30,6 +30,7 @@ from .errors import (ClassificationError, DegenerateError, DomainError,
 from .params import ModelParams
 
 _TINY = 1e-300
+_FIELD_SHAPE = (15, 12)  # phase_portrait's quiver samples in k and in c
 
 
 @dataclass(frozen=True)
@@ -460,9 +461,9 @@ def saddle_path_deviation(p: ModelParams, k_targets: tuple[float, float],
 
 
 def phase_portrait(p: ModelParams, k_range: tuple[float, float] | None = None,
-                   n: int = 241, field_shape: tuple[int, int] = (15, 12),
                    include_saddle: bool = True, tol: float = 1e-9) -> PhasePortrait:
-    """Assemble nullclines, classification, stable branches, and a quiver grid.
+    """Assemble nullclines (241 samples over ``k_range``, by default
+    (k*/2, 3k*/2)), classification, stable branches, and a quiver grid.
 
     ``tol`` is checked even when no saddle path is integrated."""
     _check_tol(tol)
@@ -470,14 +471,14 @@ def phase_portrait(p: ModelParams, k_range: tuple[float, float] | None = None,
     ss = cls.steady_state
     if k_range is None:
         k_range = (0.5 * ss.k_star, 1.5 * ss.k_star)
-    c_null, k_null = nullclines(p, k_range, n)
+    c_null, k_null = nullclines(p, k_range)
 
     paths: tuple[Trajectory, ...] = ()
     if include_saddle and cls.classification == "saddle":
         lo = max(k_range[0], 1e-12)
         paths = saddle_path(p, (lo, k_range[1]), tol=tol)
 
-    nk, nc = field_shape
+    nk, nc = _FIELD_SHAPE
     c_top = float(np.max(c_null[:, 1]))
     f = _field(p)
     rows = []

@@ -36,7 +36,8 @@ class DgpConfig:
     (adoption year = 0); periods beyond the profile hold its last value and
     pre-adoption periods are untreated, so the reference period -1 carries
     no effect by construction.  ``effect`` is the homogeneous level shift
-    used when no profile is given.
+    used when no profile is given.  A panel of more than ``_DUMMY_MAX_CELLS``
+    cells (rows times 4 + controls columns) is refused before it is drawn.
     """
 
     n_units: int = 200
@@ -59,6 +60,9 @@ class DgpConfig:
         y0, y1 = self.years
         if self.n_units < 2 or y1 < y0:
             raise DomainError("need at least 2 units and a nonempty year span")
+        cells = int(self.n_units) * (int(y1) - int(y0) + 1) * (4 + len(self.control_coefs))
+        if cells > _DUMMY_MAX_CELLS:
+            raise DomainError(f"panel would hold {cells} cells (limit {_DUMMY_MAX_CELLS:.0f})")
         if not 0.0 <= self.share_treated <= 1.0:
             raise DomainError(f"share_treated must lie in [0, 1], got {self.share_treated}")
         if self.noise_scale < 0.0:
@@ -116,6 +120,8 @@ class Panel:
         if not (len(self.year) == len(self.outcome) == len(self.adoption_year) == n
                 and self.controls.shape[0] in (n, 0)):
             raise DomainError("panel columns must have equal length")
+        if n == 0:
+            raise DomainError("panel has no rows")
         order = np.lexsort((self.year, self.unit))
         unit, year = self.unit[order], self.year[order]
         if np.any((unit[1:] == unit[:-1]) & (year[1:] == year[:-1])):
@@ -348,31 +354,16 @@ def _qr_solve(xy: np.ndarray, names: list[str]) -> np.ndarray:
     return beta
 
 
-def _prepare(panel: Panel, controls, drop_adoption_period: bool):
+def _prepare(panel: Panel, drop_adoption_period: bool):
     rel = panel.relative_period()
-    keep = np.ones(len(panel.unit), dtype=bool)
-    if drop_adoption_period:
-        keep &= ~(rel == 0)
-
-    if controls is None or controls == "all":
-        ctrl = panel.controls
-        names = list(panel.control_names)
-    else:
-        unknown = [c for c in controls if c not in panel.control_names]
-        if unknown:
-            raise DomainError(f"unknown controls {unknown}; the panel has "
-                              f"{list(panel.control_names)}")
-        idx = [list(panel.control_names).index(c) for c in controls]
-        ctrl = panel.controls[:, idx]
-        names = list(controls)
-
+    keep = rel != 0 if drop_adoption_period else np.ones(len(rel), dtype=bool)  # NaN rows kept
     unit_codes = np.unique(panel.unit[keep])
     year_codes = np.unique(panel.year[keep])
     unit_idx = np.searchsorted(unit_codes, panel.unit[keep])
     year_idx = np.searchsorted(year_codes, panel.year[keep])
     if not _treated_mask(rel[keep]).any():
         raise DesignError("no treated observations in the estimation sample")
-    return (panel.outcome[keep], ctrl[keep], names, rel[keep],
+    return (panel.outcome[keep], panel.controls[keep], list(panel.control_names), rel[keep],
             unit_idx, year_idx, len(unit_codes), len(year_codes))
 
 
@@ -391,15 +382,15 @@ def _fit(y, x, names, unit_idx, year_idx, n_u, n_y, method):
     return beta, _clustered_se(x_t, resid, unit_idx, n_u + n_y - 1)
 
 
-def twfe_did(panel: Panel, controls="all",
-             drop_adoption_period: bool = True, method: str = "within") -> DidResult:
+def twfe_did(panel: Panel, drop_adoption_period: bool = True,
+             method: str = "within") -> DidResult:
     """Two-way fixed-effects DID on the treated-and-post indicator.
 
     Absorbs unit and year fixed effects, estimates by least squares on the
     projected design, and clusters standard errors by unit.
     """
     (y, ctrl, names, rel,
-     unit_idx, year_idx, n_u, n_y) = _prepare(panel, controls, drop_adoption_period)
+     unit_idx, year_idx, n_u, n_y) = _prepare(panel, drop_adoption_period)
     treated = _treated_mask(rel)
     if treated.all():
         raise DesignError("no untreated observations in the estimation sample")
@@ -411,7 +402,7 @@ def twfe_did(panel: Panel, controls="all",
 
 
 def event_study(panel: Panel, window: tuple[int, int] = (-5, 5),
-                controls="all", drop_adoption_period: bool = True,
+                drop_adoption_period: bool = True,
                 method: str = "within") -> EventStudyResult:
     """Dynamic DID with relative-period indicators, reference period -1.
 
@@ -422,7 +413,7 @@ def event_study(panel: Panel, window: tuple[int, int] = (-5, 5),
     if w_lo > -2 or w_hi < 2:
         raise DomainError(f"window must cover periods -2..+2, got {window}")
     (y, ctrl, names, rel,
-     unit_idx, year_idx, n_u, n_y) = _prepare(panel, controls, drop_adoption_period)
+     unit_idx, year_idx, n_u, n_y) = _prepare(panel, drop_adoption_period)
 
     rel_binned = np.clip(rel, w_lo, w_hi)
     periods = [t for t in range(w_lo, w_hi + 1)
@@ -445,8 +436,10 @@ def event_study(panel: Panel, window: tuple[int, int] = (-5, 5),
 # CSV text, shared with ``cli.write_csv``: rows of finished cells joined by
 # commas and ended by LF, a cell quoted (its quotes doubled) only when it
 # holds a comma, a quote, CR or LF (RFC 4180), and a row of one empty cell
-# written as "" so that it reads back as a row.
+# written as "" so that it reads back as a row.  Floats, in CSV and JSON
+# alike, take 17 significant digits, which round-trip float64 exactly.
 
+_FLOAT_FORMAT = "%.17g"
 _CSV_SPECIAL = (",", '"', "\n", "\r")
 
 
@@ -486,7 +479,7 @@ def write_panel_csv(panel: Panel, path) -> None:
         for start in range(0, len(panel.unit), _CSV_CHUNK_ROWS):
             rows = slice(start, start + _CSV_CHUNK_ROWS)
             floats = np.column_stack([panel.outcome[rows], panel.controls[rows]])
-            cols = [["%.17g" % v for v in col] for col in floats.T.tolist()]
+            cols = [[_FLOAT_FORMAT % v for v in col] for col in floats.T.tolist()]
             fh.write(_csv_lines([
                 list(map(str, panel.unit[rows].astype(int).tolist())),
                 list(map(str, panel.year[rows].astype(int).tolist())),

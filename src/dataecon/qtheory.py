@@ -15,10 +15,9 @@ q_dot = 0 inverts to the steady capital stock at a given q; at q = 1 the
 adjustment terms vanish exactly and capital solves MPK(k) = r + delta.
 
 The printed steady-capital bracket is ambiguous about whether the
-``2 delta`` term is divided by the adjustment coefficient or the capital
-elasticity (typographic collision of `a` and `alpha`); ``alpha_variant``
-selects the reading, defaulting to the adjustment coefficient, and both
-agree at q = 1 where the term vanishes.
+``2 delta`` term is divided by the adjustment coefficient `a` or the capital
+elasticity `alpha`; this module reads `a`, and the two readings agree at
+q = 1, where the term vanishes.
 """
 
 from __future__ import annotations
@@ -47,18 +46,17 @@ def investment_rate(q: float, p: ModelParams) -> float:
     return p.delta + (q - 1.0) / p.a
 
 
-def _adjustment_terms(q: float, p: ModelParams, alpha_variant: bool) -> float:
+def _adjustment_terms(q: float, p: ModelParams) -> float:
     dq = q - 1.0
-    denom = p.alpha if alpha_variant else p.a
-    return 0.5 * p.a * (dq * dq / (p.a * p.a) + (2.0 * p.delta / denom) * dq)
+    return 0.5 * p.a * (dq * dq / (p.a * p.a) + (2.0 * p.delta / p.a) * dq)
 
 
-def q_dot(s: QState, r: float, p: ModelParams, alpha_variant: bool = False) -> float:
+def q_dot(s: QState, r: float, p: ModelParams) -> float:
     """Costate drift of the shadow price at discount rate r."""
-    return (r + p.delta) * s.q - interest_rate(s.k, p) - _adjustment_terms(s.q, p, alpha_variant)
+    return (r + p.delta) * s.q - interest_rate(s.k, p) - _adjustment_terms(s.q, p)
 
 
-def k_of_q(q: float, r: float, p: ModelParams, alpha_variant: bool = False) -> float:
+def k_of_q(q: float, r: float, p: ModelParams) -> float:
     """Steady capital stock at shadow price q: the root of q_dot in k.
 
     Raises DegenerateError when the bracket (r + delta) q minus the
@@ -66,7 +64,7 @@ def k_of_q(q: float, r: float, p: ModelParams, alpha_variant: bool = False) -> f
     """
     if q <= 0.0:
         raise DomainError(f"q must be positive, got {q}")
-    numerator = (r + p.delta) * q - _adjustment_terms(q, p, alpha_variant)
+    numerator = (r + p.delta) * q - _adjustment_terms(q, p)
     if numerator <= 0.0:
         raise DegenerateError(
             f"no steady capital at q={q}: marginal-value bracket is {numerator:.6g}"

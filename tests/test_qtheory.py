@@ -39,9 +39,7 @@ def test_q_dot_sign_for_larger_capital():
 
 
 def test_q_dot_quadratic_term_vanishes_at_q1():
-    # both bracket readings coincide at q = 1
-    s = QState(1.0, 10.0)
-    assert q_dot(s, 0.07, BASE) == q_dot(s, 0.07, BASE, alpha_variant=True)
+    # the adjustment terms vanish at q = 1, so the adjustment coefficient drops out
     a_small = BASE.replace(a=0.5)
     a_large = BASE.replace(a=10.0)
     assert q_dot(QState(1.0, 10.0), 0.07, a_small) == pytest.approx(
@@ -68,13 +66,6 @@ def test_q_dot_vanishes_on_k_of_q(q):
     k = k_of_q(q, p.rho, p)
     scale = (p.rho + p.delta) * q
     assert abs(q_dot(QState(q, k), p.rho, p)) <= 1e-10 * scale
-
-
-def test_k_of_q_alpha_variant_also_consistent():
-    for q in (0.8, 1.5):
-        k = k_of_q(q, BASE.rho, BASE, alpha_variant=True)
-        resid = q_dot(QState(q, k), BASE.rho, BASE, alpha_variant=True)
-        assert abs(resid) <= 1e-10
 
 
 def test_k_of_q_degenerate_bracket():

@@ -159,6 +159,20 @@ def test_axis_validation():
         grid_sweep(BASE, [-0.1], [0.2])
 
 
+def test_oversized_grid_refused_before_allocating(monkeypatch):
+    axis = np.linspace(0.0, 0.99, 100_000)
+    with monkeypatch.context() as m:
+        m.setattr(sweep.np, "meshgrid", None)  # no grid may be built first
+        m.setattr(sweep, "steady_states", None)
+        with pytest.raises(DomainError, match=r"^grid of 100000 x 100000 cells exceeds "
+                                              r"2500000 cells$"):
+            grid_sweep(BASE, axis, axis)
+    monkeypatch.setattr(sweep, "_MAX_CELLS", 12)
+    assert grid_sweep(BASE, [0.1, 0.2, 0.3], [0.1, 0.2, 0.3, 0.4]).mask.shape == (3, 4)
+    with pytest.raises(DomainError, match="grid of 13 x 1 cells"):
+        grid_sweep(BASE, np.linspace(0.1, 0.9, 13), [0.2])
+
+
 # ---------------------------------------------------------------------------
 # threshold search
 
