@@ -16,7 +16,7 @@ from .core import (SteadyState, data_volume, interest_rate, labor_demand,
                    output, profit_coefficient, reduced_output, steady_state,
                    technology)
 from .dynamics import (Classification, PhasePortrait, ShockResult, State,
-                       Trajectory, classify_equilibrium, classify_matrix,
+                       Trajectory, classify_equilibrium,
                        integrate, jacobian, nullclines, phase_portrait, rhs,
                        saddle_path, saddle_path_deviation, shock_experiment)
 from .empirics import (DgpConfig, DidResult, EventStudyResult, Panel,

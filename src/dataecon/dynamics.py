@@ -7,10 +7,11 @@ State (c, k) evolves under
 
 with r(k) the endogenous interest rate and y(k, l*(k)) the reduced output at
 the firm's labor optimum.  The module provides the vector field, its analytic
-Jacobian, eigenvalue classification of the steady state, nullclines, an
-adaptive embedded Runge-Kutta integrator (Dormand-Prince 5(4), every stage
-read from one tableau and computed on plain floats), stable-branch extraction
-by backward integration, and parameter-shock comparisons of phase portraits.
+Jacobian, the steady state's linearization in closed form (its speed of
+convergence does not depend on theta), nullclines, an adaptive embedded
+Runge-Kutta integrator (Dormand-Prince 5(4), every stage read from one
+tableau and computed on plain floats), stable-branch extraction by backward
+integration, and parameter-shock comparisons of phase portraits.
 
 Conventions: State and Trajectory store (c, k); portrait geometry (nullcline
 polylines, vector-field samples) is stored in plot order (k, c).
@@ -154,61 +155,38 @@ def jacobian(s, p: ModelParams) -> np.ndarray:
     ])
 
 
-def classify_matrix(j: np.ndarray) -> tuple[str, np.ndarray, np.ndarray | None]:
-    """Classify a 2x2 linearization via its characteristic polynomial.
-
-    Returns (classification, eigenvalues, eigenvectors); eigenvectors are
-    unit columns for real spectra and None for complex ones.
-    """
-    a, b = float(j[0, 0]), float(j[0, 1])
-    c, d = float(j[1, 0]), float(j[1, 1])
-    tr = a + d
-    det = a * d - b * c
-    disc = tr * tr - 4.0 * det
-
-    if disc >= 0.0:
-        s = math.sqrt(disc)
-        lams = np.array([(tr - s) / 2.0, (tr + s) / 2.0])
-        vecs = np.column_stack([_real_eigvec(a, b, c, d, lam) for lam in lams])
-    else:
-        s = math.sqrt(-disc)
-        lams = np.array([complex(tr / 2.0, -s / 2.0), complex(tr / 2.0, s / 2.0)])
-        vecs = None
-
-    if abs(det) < 1e-12:
-        label = "center-degenerate"
-    elif det < 0.0:
-        label = "saddle"
-    elif disc < 0.0:
-        label = "center-degenerate" if tr == 0.0 else (
-            "spiral-sink" if tr < 0.0 else "spiral-source")
-    else:
-        label = "sink" if tr < 0.0 else "source"
-    return label, lams, vecs
-
-
-def _real_eigvec(a, b, c, d, lam) -> np.ndarray:
-    v1 = np.array([b, lam - a])
-    v2 = np.array([lam - d, c])
-    v = v1 if np.dot(v1, v1) >= np.dot(v2, v2) else v2
-    n = math.sqrt(float(np.dot(v, v)))
-    if n == 0.0:  # lam*I exactly; any direction is an eigenvector
-        return np.array([1.0, 0.0])
-    return v / n
-
-
 def classify_equilibrium(p: ModelParams) -> Classification:
-    """Eigen-decomposition of the Jacobian at the steady state.
+    """Linearization at the steady state, in closed form.
 
-    A saddle (det < 0) has real eigenvalues of opposite sign; its stable
-    eigenvector seeds the saddle-path construction.
+    With ae = alpha*eta and den, kx as in ``core``, r k = alpha y/(1 - ae)
+    gives y*/k* = (rho + delta)(1 - ae)/alpha, so the Jacobian there is
+    [[0, a], [-1, b]] with determinant a = (y*/k* - delta)(kx/den)(rho +
+    delta)/sigma and trace b = (rho + delta)(1 - ae)/den - delta > rho;
+    neither contains theta.  The eigenvalues (b -/+ sqrt(b^2 - 4a))/2 ascend,
+    with unit eigenvectors along (b - lambda, 1), None for a complex pair.
+    a has the sign of kx: below the singular band the steady state is a
+    saddle, above it a source or spiral source ('sink' and 'spiral-sink'
+    cannot occur); |a| < 1e-12 is 'center-degenerate'.
     """
     ss = steady_state(p)
     if not ss.feasible:
         raise DegenerateError("steady state is infeasible; nothing to classify")
-    j = jacobian(State(ss.c_star, ss.k_star), p)
-    label, lams, vecs = classify_matrix(j)
-    return Classification(label, lams, vecs, j, ss)
+    co = core.Coefficients(p)
+    rho_delta, om = p.rho + p.delta, 1.0 - p.alpha * p.eta
+    a = (rho_delta * om / p.alpha - p.delta) * float(co.r_exp) * rho_delta / p.sigma
+    b = rho_delta * om / float(co.den) - p.delta
+    disc = b * b - 4.0 * a
+    if disc >= 0.0:
+        s = math.sqrt(disc)
+        lams = np.array([(b - s) / 2.0, (b + s) / 2.0])
+        vecs = np.array([b - lams, [1.0, 1.0]]) / np.sqrt((b - lams) ** 2 + 1.0)
+    else:
+        s = math.sqrt(-disc)
+        lams = np.array([complex(b / 2.0, -s / 2.0), complex(b / 2.0, s / 2.0)])
+        vecs = None
+    label = ("center-degenerate" if abs(a) < 1e-12 else "saddle" if a < 0.0
+             else "spiral-source" if disc < 0.0 else "source")
+    return Classification(label, lams, vecs, np.array([[0.0, a], [-1.0, b]]), ss)
 
 
 def nullclines(p: ModelParams, k_range: tuple[float, float],
@@ -397,15 +375,12 @@ def saddle_path(p: ModelParams, k_targets: tuple[float, float],
         raise DomainError(
             f"k_targets {k_targets} must straddle k* = {ss.k_star:.6g}")
 
-    lams, vecs = cls.eigenvalues, cls.eigenvectors
-    i_stable = int(np.argmin(lams.real))
-    vc, vk = (float(x) for x in vecs[:, i_stable])
-    if vk < 0.0:  # orient toward increasing capital
-        vc, vk = -vc, -vk
+    lam_s = float(cls.eigenvalues[0])
+    vc, vk = (float(x) for x in cls.eigenvectors[:, 0])  # vk > 0: toward more capital
     eps = eps_scale * ss.k_star
     if max_time is None:
         span = max(ss.k_star - klo, khi - ss.k_star)
-        max_time = 3.0 * (math.log(max(span / eps, 2.0)) + 10.0) / abs(float(lams[i_stable]))
+        max_time = 3.0 * (math.log(max(span / eps, 2.0)) + 10.0) / abs(lam_s)
 
     f = _field(p)
 

@@ -117,8 +117,8 @@ class Panel:
 
     def __post_init__(self):
         n = len(self.unit)
-        if not (len(self.year) == len(self.outcome) == len(self.adoption_year) == n
-                and self.controls.shape[0] in (n, 0)):
+        if not (len(self.year) == len(self.outcome) == len(self.adoption_year)
+                == self.controls.shape[0] == n):
             raise DomainError("panel columns must have equal length")
         if n == 0:
             raise DomainError("panel has no rows")

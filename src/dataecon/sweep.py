@@ -22,7 +22,7 @@ from .params import ModelParams
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # inverse golden ratio
 _COARSE_POINTS = 65  # eta points of the threshold search's bracketing scan
 _COMPLEX_STEP = 1e-20  # sensitivity_signs' imaginary step
-_MAX_CELLS = 2_500_000  # grid_sweep's cell bound, about 365 MB of evaluation
+_MAX_CELLS = 2_500_000  # cell bound of grid_sweep and threshold_curve's scan (~365 MB)
 _QUANTITIES = tuple(f.name for f in fields(SteadyState) if f.name != "feasible")
 
 
@@ -213,7 +213,9 @@ def threshold_curve(p_base: ModelParams, thetas,
     One ``steady_states`` scan of the range brackets the maximum at every
     theta, and one lockstep golden-section search on ``steady_states``
     refines all brackets (cells its mask refuses count as -inf), so the
-    number of evaluator calls does not grow with the number of thetas.
+    number of evaluator calls does not grow with the number of thetas.  The
+    scan holds ``_COARSE_POINTS`` cells per theta, so more thetas than fit in
+    ``grid_sweep``'s ``_MAX_CELLS`` raise DomainError before any evaluation.
     """
     if eta_range is None:
         eta_range = default_eta_range(p_base)
@@ -225,6 +227,9 @@ def threshold_curve(p_base: ModelParams, thetas,
     thetas = np.asarray(list(thetas), dtype=float)
     if len(thetas) == 0:
         raise DomainError("thetas must be a nonempty list")
+    if len(thetas) * _COARSE_POINTS > _MAX_CELLS:
+        raise DomainError(f"{len(thetas)} thetas x {_COARSE_POINTS} scan points exceeds "
+                          f"{_MAX_CELLS} cells")
     for theta in thetas.tolist():
         p_base.replace(theta=theta)  # a theta outside the model raises ParameterError
 

@@ -120,6 +120,16 @@ def test_oversized_sweep_exits_1_before_allocating(tmp_path, capsys, monkeypatch
                                        "2500000 cells\n")
 
 
+def test_oversized_threshold_exits_1_before_evaluating(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sweep, "steady_states", None)
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"threshold": {"thetas": [0.5] * 38_462}}))
+    assert main(["threshold", "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == ("error: 38462 thetas x 65 scan points exceeds "
+                                       "2500000 cells\n")
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["effective_config.json"]
+
+
 def test_bad_type_rejected(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     for doc in ({"sweep": {"theta_n": "fifty"}}, {"dgp": {"seed": "x"}}):

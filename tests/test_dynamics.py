@@ -2,21 +2,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from dataecon import (ClassificationError, DomainError, IntegrationError,
                       ModelParams, State, Trajectory, baseline_params,
-                      classify_equilibrium, classify_matrix, integrate,
-                      jacobian, nullclines, phase_portrait, rhs, saddle_path,
-                      saddle_path_deviation, shock_experiment, steady_state,
-                      validate_params)
+                      classify_equilibrium, integrate, jacobian, nullclines,
+                      phase_portrait, rhs, saddle_path, saddle_path_deviation,
+                      shock_experiment, steady_state, validate_params)
 from dataecon.dynamics import _TINY, _as_trajectory, _field, _rk45, _unpack
 
 from .strategies import model_params, positive_state
 
 BASE = baseline_params()
 SS = steady_state(BASE)
+SPIRAL = ModelParams(alpha=0.72, beta=0.15, eta=0.9, theta=0.8, delta=0.02, rho=0.43,
+                     sigma=1.01)  # a spiral source
 
 
 # ---------------------------------------------------------------------------
@@ -109,12 +110,15 @@ def test_increasing_returns_regime_is_a_source():
     cls = classify_equilibrium(validate_params({"eta": 0.45, "theta": 0.5}))
     assert cls.classification == "source"
     assert np.all(cls.eigenvalues.real > 0.0)
+    spiral = classify_equilibrium(SPIRAL)
+    assert spiral.classification == "spiral-source" and spiral.eigenvectors is None
 
 
 @given(model_params(feasible=True))
 def test_eigen_identities(p):
     cls = classify_equilibrium(p)
-    j = cls.jacobian
+    ss = cls.steady_state
+    j = jacobian((ss.c_star, ss.k_star), p)
     tr = j[0, 0] + j[1, 1]
     det = j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
     lams = cls.eigenvalues
@@ -125,27 +129,26 @@ def test_eigen_identities(p):
         assert det < 0.0
 
 
-def test_classify_matrix_covers_all_labels():
-    cases = {
-        "saddle": [[1.0, 0.0], [0.0, -1.0]],
-        "sink": [[-1.0, 0.0], [0.0, -2.0]],
-        "source": [[1.0, 0.0], [0.0, 2.0]],
-        "spiral-sink": [[-0.5, -1.0], [1.0, -0.5]],
-        "spiral-source": [[0.5, -1.0], [1.0, 0.5]],
-        "center-degenerate": [[0.0, -1.0], [1.0, 0.0]],
-    }
-    for expected, mat in cases.items():
-        label, lams, vecs = classify_matrix(np.array(mat))
-        assert label == expected
-        if vecs is not None:
-            for i in range(2):
-                resid = np.array(mat) @ vecs[:, i] - lams[i] * vecs[:, i]
-                assert np.linalg.norm(resid) < 1e-9
-
-
-def test_classify_matrix_degenerate_determinant():
-    label, _, _ = classify_matrix(np.array([[1.0, 1.0], [1e-14, 1e-14]]))
-    assert label == "center-degenerate"
+@given(model_params(feasible=True), st.floats(0.05, 1.0))
+@example(SPIRAL, 0.3)
+def test_closed_form_linearization_matches_eigvals_oracle(p, theta):
+    """The closed-form eigenpairs against np.linalg.eigvals of the analytic
+    Jacobian at (c*, k*); theta moves neither eigenvalue by a bit."""
+    cls = classify_equilibrium(p)
+    ss = cls.steady_state
+    j = jacobian((ss.c_star, ss.k_star), p)
+    lams = cls.eigenvalues
+    scale = float(np.max(np.abs(lams)))
+    assert np.max(np.abs(np.sort_complex(np.linalg.eigvals(j)) - lams)) <= 1e-12 * scale
+    if cls.eigenvectors is not None:
+        for i in range(2):
+            v = cls.eigenvectors[:, i]
+            assert np.linalg.norm(j @ v - lams[i] * v) <= 1e-12 * scale
+    assert (cls.classification == "saddle") == (p.k_exponent < 0.0)
+    assert cls.jacobian[1, 1] > p.rho
+    other = p.replace(theta=theta)
+    assume(steady_state(other).feasible)
+    assert classify_equilibrium(other).eigenvalues.tobytes() == lams.tobytes()
 
 
 # ---------------------------------------------------------------------------

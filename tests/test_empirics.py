@@ -140,6 +140,14 @@ def test_empty_panel_refused(tmp_path):
         read_panel_csv(path)
 
 
+def test_controls_without_rows_refused():
+    """A 16-row panel whose controls hold 0 rows is refused when it is built,
+    not inside the fit."""
+    with pytest.raises(DomainError, match="^panel columns must have equal length$"):
+        Panel(np.repeat(np.arange(4), 4), np.tile(np.arange(2000, 2004), 4),
+              np.zeros(16), np.full(16, np.nan), np.empty((0, 0)), ())
+
+
 def test_duplicate_rows_rejected():
     with pytest.raises(DomainError):
         Panel(np.array([0, 0]), np.array([2000, 2000]), np.zeros(2),

@@ -272,6 +272,22 @@ def test_threshold_curve_refuses_empty_thetas():
         threshold_curve(BASE, [], (0.4, 0.95))
 
 
+def test_oversized_threshold_curve_refused_before_evaluating(monkeypatch):
+    """The scan's 65 cells per theta share grid_sweep's cell bound; the
+    refusal comes before any theta is checked (1.5 is outside the model) or
+    evaluated."""
+    thetas = [0.5] * 38_461 + [1.5]  # 38,462 x 65 = 2,500,030 cells
+    with monkeypatch.context() as m:
+        m.setattr(sweep, "steady_states", None)
+        with pytest.raises(DomainError, match=r"^38462 thetas x 65 scan points exceeds "
+                                              r"2500000 cells$"):
+            threshold_curve(BASE, thetas, (0.4, 0.95))
+    monkeypatch.setattr(sweep, "_MAX_CELLS", 130)
+    assert len(threshold_curve(BASE, [0.3, 0.5], (0.4, 0.95)).eta_star) == 2
+    with pytest.raises(DomainError, match="3 thetas x 65 scan points"):
+        threshold_curve(BASE, [0.3, 0.5, 0.7], (0.4, 0.95))
+
+
 def test_threshold_refuses_theta_outside_model():
     with pytest.raises(ParameterError, match=r"theta must lie in \[0, 1\], got 1.5"):
         threshold_curve(BASE, [0.5, 1.5], (0.4, 0.95))
