@@ -2,14 +2,18 @@
 
 No external assets, no plotting library: every figure is assembled from
 fixed-format strings, so identical inputs produce byte-identical documents.
-Heatmaps are written row-wise: the cell geometry is formatted once per
-theta and once per eta, and the colours of one theta row come from one
-vectorized ramp.
+A heatmap is one embedded PNG with one pixel per grid cell, coloured by one
+vectorized ramp.  Its deflate stream is written as stored (uncompressed)
+blocks, so its bytes do not depend on the zlib build; the image is clipped
+to the plot frame, so the edge cells show at full width up to the frame.
 """
 
 from __future__ import annotations
 
+import binascii
 import math
+import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,22 +62,18 @@ def _fmt(v: float) -> str:
     return "%.2f" % v
 
 
-_HEX = tuple("%02x" % n for n in range(256))
-
-
-def _ramp(t) -> list[str]:
-    """Hex colours of the values ``t`` (clipped to [0, 1]) on the viridis
-    ramp; channels round half to even, like Python's ``round``."""
+def _ramp(t) -> np.ndarray:
+    """``(n, 3)`` uint8 RGB of the values ``t`` (clipped to [0, 1]) on the
+    viridis ramp; channels round half to even, like Python's ``round``."""
     stops = np.asarray(_VIRIDIS)
     x = np.clip(t, 0.0, 1.0) * (len(stops) - 1)
     i = np.minimum(x.astype(int), len(stops) - 2)
     f = (x - i)[:, None]
-    rgb = np.rint(255 * (stops[i] + f * (stops[i + 1] - stops[i]))).astype(int)
-    return ["#" + _HEX[r] + _HEX[g] + _HEX[b] for r, g, b in rgb.tolist()]
+    return np.rint(255 * (stops[i] + f * (stops[i + 1] - stops[i]))).astype(np.uint8)
 
 
 def _color(t: float) -> str:
-    return _ramp(np.array([t]))[0]
+    return "#%02x%02x%02x" % tuple(_ramp(np.array([t]))[0].tolist())
 
 
 class _Canvas:
@@ -84,6 +84,8 @@ class _Canvas:
         self.y0, self.y1 = y_range
         self.px0, self.px1 = _MARGIN, spec.width - 18.0
         self.py0, self.py1 = spec.height - _MARGIN, 30.0
+        self.frame = (f'x="{_fmt(self.px0)}" y="{_fmt(self.py1)}" '
+                      f'width="{_fmt(self.px1 - self.px0)}" height="{_fmt(self.py0 - self.py1)}"')
         self.parts = [
             '<?xml version="1.0" encoding="UTF-8"?>\n'
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.width}" '
@@ -102,9 +104,7 @@ class _Canvas:
 
     def _axes(self, x_label, y_label):
         p = self.parts
-        p.append(f'<rect x="{_fmt(self.px0)}" y="{_fmt(self.py1)}" '
-                 f'width="{_fmt(self.px1 - self.px0)}" height="{_fmt(self.py0 - self.py1)}" '
-                 'fill="none" stroke="black" stroke-width="1"/>\n')
+        p.append(f'<rect {self.frame} fill="none" stroke="black" stroke-width="1"/>\n')
         for i in range(5):
             xv = self.x0 + i * (self.x1 - self.x0) / 4
             yv = self.y0 + i * (self.y1 - self.y0) / 4
@@ -155,57 +155,73 @@ class _Canvas:
         return "".join(self.parts)
 
 
-def _grid_ranges(grid: SweepGrid, spec: RenderSpec):
-    xr = spec.x_range or (float(grid.theta_axis[0]), float(grid.theta_axis[-1]))
-    yr = spec.y_range or (float(grid.eta_axis[0]), float(grid.eta_axis[-1]))
-    _check_range(xr)
-    _check_range(yr)
-    return xr, yr
+def _step(name: str, axis) -> float:
+    """Mean step of an axis of two or more points.  An image has equal
+    cells, so steps off the mean by more than 1e-9 of it are refused."""
+    _check_range((float(axis[0]), float(axis[-1])))
+    step = (float(axis[-1]) - float(axis[0])) / (len(axis) - 1)
+    if np.max(np.abs(np.diff(axis) - step)) > 1e-9 * step:
+        raise DomainError(f"heatmap {name} axis is not evenly spaced")
+    return step
 
 
-def _cell_spans(axis):
-    """(lo, hi) of each cell along one axis: the midpoints to its
-    neighbours, clamped at the axis ends."""
-    mids = 0.5 * (axis[:-1] + axis[1:])
-    return zip(np.concatenate([axis[:1], mids]).tolist(),
-               np.concatenate([mids, axis[-1:]]).tolist())
+def _chunk(tag: bytes, data: bytes) -> bytes:
+    return struct.pack(">I", len(data)) + tag + data + struct.pack(">I", zlib.crc32(tag + data))
+
+
+def _png(rgb: np.ndarray) -> bytes:
+    """8-bit RGB PNG of an ``(h, w, 3)`` uint8 array.  Its zlib stream is
+    stored deflate blocks, so the bytes do not depend on the zlib build."""
+    h, w, _ = rgb.shape
+    raw = np.insert(rgb.reshape(h, 3 * w), 0, 0, axis=1).tobytes()  # row filter 0
+    z = [b"\x78\x01"]
+    for at in range(0, len(raw), 0xFFFF):
+        block = raw[at:at + 0xFFFF]
+        z += [struct.pack("<BHH", at + 0xFFFF >= len(raw), len(block), len(block) ^ 0xFFFF),
+              block]
+    z.append(struct.pack(">I", zlib.adler32(raw)))
+    return (b"\x89PNG\r\n\x1a\n" + _chunk(b"IHDR", struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0))
+            + _chunk(b"IDAT", b"".join(z)) + _chunk(b"IEND", b""))
 
 
 def render_heatmap(grid: SweepGrid, variable: str, spec: RenderSpec) -> str:
-    """2-D heatmap of one equilibrium variable; masked cells are hatched gray.
+    """2-D heatmap of one equilibrium variable over evenly spaced axes, one
+    pixel per cell; masked cells are gray.
 
     Values spanning more than three decades are colored on a log10 scale.
     """
+    tx, ey = grid.theta_axis, grid.eta_axis
+    dx, dy = _step("theta", tx), _step("eta", ey)
     vals = grid.values(variable)
-    finite = vals[np.isfinite(vals)]
+    ok = np.isfinite(vals)
+    finite = vals[ok]
     log_scale = (finite.size > 0 and np.all(finite > 0)
                  and finite.max() / max(finite.min(), 1e-300) > 1e3)
-    norm = np.log10(finite) if log_scale else finite
+    # libm's log10, not numpy's: a vectorized log10 may differ by an ulp
+    # on some CPUs, and an ulp of t can flip a rounded colour channel
+    norm = np.array([math.log10(v) for v in finite.tolist()]) if log_scale else finite
     lo = float(norm.min()) if norm.size else 0.0
     hi = float(norm.max()) if norm.size else 1.0
     span = (hi - lo) or 1.0
+    rgb = np.full(vals.shape + (3,), 0xBB, np.uint8)  # masked cells: #bbbbbb
+    rgb[ok] = _ramp((norm - lo) / span)
+    png = _png(rgb.transpose(1, 0, 2)[::-1])  # rows: eta, largest first
 
-    xr, yr = _grid_ranges(grid, spec)
+    xr = spec.x_range or (float(tx[0]), float(tx[-1]))
+    yr = spec.y_range or (float(ey[0]), float(ey[-1]))
     scale_tag = "log10" if log_scale else "linear"
     cv = _Canvas(spec, xr, yr, f"{variable} ({scale_tag} color scale)",
                  "theta", "eta")
-    cols = [(_fmt(cv.px(a)), _fmt(cv.px(b) - cv.px(a)))
-            for a, b in _cell_spans(grid.theta_axis)]
-    rows = [(_fmt(cv.py(b)), _fmt(cv.py(a) - cv.py(b)))
-            for a, b in _cell_spans(grid.eta_axis)]
-    for (x_s, w_s), row in zip(cols, vals):
-        ok = np.isfinite(row)
-        # libm's log10, not numpy's: a vectorized log10 may differ by an ulp
-        # on some CPUs, and an ulp of t can flip a rounded colour channel
-        norm = [math.log10(v) for v in row[ok].tolist()] if log_scale else row[ok]
-        fills = np.full(len(row), "#bbbbbb", dtype=object)
-        fills[ok] = _ramp((np.asarray(norm) - lo) / span)
-        cv.parts.append("".join(
-            f'<rect x="{x_s}" y="{y_s}" width="{w_s}" height="{h_s}" fill="{fill}"/>\n'
-            for (y_s, h_s), fill in zip(rows, fills.tolist())))
-    cv.parts.append(f'<rect x="{_fmt(cv.px0)}" y="{_fmt(cv.py1)}" '
-                    f'width="{_fmt(cv.px1 - cv.px0)}" height="{_fmt(cv.py0 - cv.py1)}" '
-                    'fill="none" stroke="black" stroke-width="1"/>\n')
+    x0, x1 = cv.px(tx[0] - dx / 2), cv.px(tx[-1] + dx / 2)
+    y0, y1 = cv.py(ey[-1] + dy / 2), cv.py(ey[0] - dy / 2)
+    cv.parts += [
+        f'<clipPath id="frame"><rect {cv.frame}/></clipPath>\n',
+        f'<image x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(x1 - x0)}" '
+        f'height="{_fmt(y1 - y0)}" preserveAspectRatio="none" '
+        'style="image-rendering:pixelated" clip-path="url(#frame)" '
+        f'href="data:image/png;base64,{binascii.b2a_base64(png, newline=False).decode()}"/>\n',
+        f'<rect {cv.frame} fill="none" stroke="black" stroke-width="1"/>\n',
+    ]
     return cv.finish()
 
 

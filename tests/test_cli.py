@@ -613,6 +613,19 @@ def test_one_point_sweep_axis_exits_with_error(tmp_path, axis):
         assert sorted(p.name for p in out.iterdir()) == ["effective_config.json"]
 
 
+def test_uneven_sweep_axis_exits_with_error_and_writes_no_artifact(tmp_path):
+    # a linspace over a range of a few hundred ulps has unequal steps,
+    # which one image pixel per cell cannot show
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"sweep": {"theta_min": 0.5, "theta_max": 0.5 + 1e-13,
+                                              "theta_n": 200, "eta_n": 3}}))
+    out = tmp_path / "o"
+    proc = run_cli("sweep", "--config", str(cfg_file), "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stderr == "error: heatmap theta axis is not evenly spaced\n"
+    assert sorted(p.name for p in out.iterdir()) == ["effective_config.json"]
+
+
 @pytest.mark.parametrize("axis, value", [("theta_n", 0.05), ("eta_n", 0.6)])
 def test_one_point_contour_axis_exits_with_error(tmp_path, axis, value):
     cfg_file = tmp_path / "cfg.json"

@@ -1,15 +1,16 @@
+import base64
 import math
+import re
+import struct
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dataecon import RenderSpec, baseline_params, grid_sweep
-from dataecon.svgplot import (_VIRIDIS, _Canvas, _color, _fmt, _grid_ranges, _ramp,
-                              render_heatmap)
-
-from .textdiff import first_difference
+from dataecon import DomainError, RenderSpec, baseline_params, grid_sweep
+from dataecon.svgplot import _VIRIDIS, _Canvas, _color, _fmt, _ramp, render_heatmap
 
 
 def scalar_color(t):
@@ -21,6 +22,10 @@ def scalar_color(t):
     f = x - i
     rgb = [stops[i][c] + f * (stops[i + 1][c] - stops[i][c]) for c in range(3)]
     return "#%02x%02x%02x" % tuple(int(round(255 * v)) for v in rgb)
+
+
+def hex_of(rgb):
+    return "#%02x%02x%02x" % tuple(rgb)
 
 
 def half_ties():
@@ -54,50 +59,55 @@ def test_ramp_matches_scalar_colour_at_edges_stops_and_ties():
     assert len(ties) >= 10
     ts = [0.0, 1.0, -0.25, 1.25, -1e-300, math.nextafter(1.0, 2.0), -math.inf,
           math.inf, *(k / (n - 1) for k in range(n)), *ties]
-    assert _ramp(np.array(ts)) == [scalar_color(t) for t in ts]
+    rgb = _ramp(np.array(ts))
+    assert rgb.dtype == np.uint8 and rgb.shape == (len(ts), 3)
+    assert [hex_of(c) for c in rgb.tolist()] == [scalar_color(t) for t in ts]
     assert [_color(t) for t in ts] == [scalar_color(t) for t in ts]
 
 
 @given(st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=50))
 def test_ramp_matches_scalar_colour(ts):
-    assert _ramp(np.array(ts)) == [scalar_color(t) for t in ts]
+    assert [hex_of(c) for c in _ramp(np.array(ts)).tolist()] == [scalar_color(t) for t in ts]
 
 
-def cellwise_heatmap(grid, variable, spec):
-    """The per-cell heatmap loop the row-wise one replaced."""
+def embedded_png(svg):
+    """Pixels of the heatmap's one embedded PNG as an (height, width, 3)
+    array, after checking its signature, chunk order, CRCs and header."""
+    hrefs = re.findall(r'<image [^>]*href="data:image/png;base64,([^"]*)"', svg)
+    assert len(hrefs) == 1
+    png = base64.b64decode(hrefs[0], validate=True)
+    assert png[:8] == b"\x89PNG\r\n\x1a\n"
+    chunks, at = [], 8
+    while at < len(png):
+        (size,) = struct.unpack(">I", png[at:at + 4])
+        tag, data = png[at + 4:at + 8], png[at + 8:at + 8 + size]
+        assert struct.unpack(">I", png[at + 8 + size:at + 12 + size])[0] == zlib.crc32(tag + data)
+        chunks.append((tag, data))
+        at += 12 + size
+    assert at == len(png)
+    assert [tag for tag, _ in chunks] == [b"IHDR", b"IDAT", b"IEND"]
+    width, height, *rest = struct.unpack(">IIBBBBB", chunks[0][1])
+    assert rest == [8, 2, 0, 0, 0]  # 8-bit RGB, deflate, filter set 0, no interlace
+    rows = np.frombuffer(zlib.decompress(chunks[1][1]), np.uint8).reshape(height, 1 + 3 * width)
+    assert not rows[:, 0].any()  # every scanline unfiltered
+    return rows[:, 1:].reshape(height, width, 3)
+
+
+def cellwise_colours(grid, variable):
+    """The per-cell colour rule: the scalar ramp over libm log10 values when
+    the finite values span more than three decades, gray where masked.
+    Indexed [theta][eta]."""
     vals = grid.values(variable)
-    finite = vals[np.isfinite(vals)]
-    log_scale = (finite.size > 0 and np.all(finite > 0)
-                 and finite.max() / max(finite.min(), 1e-300) > 1e3)
-    norm = np.log10(finite) if log_scale else finite
-    lo = float(norm.min()) if norm.size else 0.0
-    hi = float(norm.max()) if norm.size else 1.0
+    finite = vals[np.isfinite(vals)].tolist()
+    log_scale = (len(finite) > 0 and min(finite) > 0
+                 and max(finite) / max(min(finite), 1e-300) > 1e3)
+    norm = [math.log10(v) if log_scale else v for v in finite]
+    lo = min(norm) if norm else 0.0
+    hi = max(norm) if norm else 1.0
     span = (hi - lo) or 1.0
-    xr, yr = _grid_ranges(grid, spec)
-    scale_tag = "log10" if log_scale else "linear"
-    cv = _Canvas(spec, xr, yr, f"{variable} ({scale_tag} color scale)", "theta", "eta")
-    tx, ey = grid.theta_axis, grid.eta_axis
-    for i in range(len(tx)):
-        x_lo = tx[i] if i == 0 else 0.5 * (tx[i - 1] + tx[i])
-        x_hi = tx[i] if i == len(tx) - 1 else 0.5 * (tx[i] + tx[i + 1])
-        for j in range(len(ey)):
-            y_lo = ey[j] if j == 0 else 0.5 * (ey[j - 1] + ey[j])
-            y_hi = ey[j] if j == len(ey) - 1 else 0.5 * (ey[j] + ey[j + 1])
-            v = vals[i, j]
-            if np.isfinite(v):
-                t = ((math.log10(v) if log_scale else v) - lo) / span
-                fill = scalar_color(t)
-            else:
-                fill = "#bbbbbb"
-            x_px, y_px = cv.px(x_lo), cv.py(y_hi)
-            w_px = cv.px(x_hi) - cv.px(x_lo)
-            h_px = cv.py(y_lo) - cv.py(y_hi)
-            cv.parts.append(f'<rect x="{_fmt(x_px)}" y="{_fmt(y_px)}" '
-                            f'width="{_fmt(w_px)}" height="{_fmt(h_px)}" fill="{fill}"/>\n')
-    cv.parts.append(f'<rect x="{_fmt(cv.px0)}" y="{_fmt(cv.py1)}" '
-                    f'width="{_fmt(cv.px1 - cv.px0)}" height="{_fmt(cv.py0 - cv.py1)}" '
-                    'fill="none" stroke="black" stroke-width="1"/>\n')
-    return cv.finish()
+    return log_scale, [[scalar_color(((math.log10(v) if log_scale else v) - lo) / span)
+                        if math.isfinite(v) else "#bbbbbb" for v in row]
+                       for row in vals.tolist()]
 
 
 @pytest.mark.parametrize("axes", [
@@ -109,5 +119,60 @@ def test_heatmap_matches_cellwise_loop(axes):
     grid = grid_sweep(baseline_params(), *(np.linspace(*a) for a in axes))
     spec = RenderSpec(kind="surface-heatmap")
     for variable in ("k_star", "c_star"):
-        assert first_difference(render_heatmap(grid, variable, spec),
-                                cellwise_heatmap(grid, variable, spec)) is None
+        svg = render_heatmap(grid, variable, spec)
+        pixels = embedded_png(svg)
+        assert pixels.shape == (len(grid.eta_axis), len(grid.theta_axis), 3)
+        log_scale, expected = cellwise_colours(grid, variable)
+        assert f"{variable} ({'log10' if log_scale else 'linear'} color scale)" in svg
+        # image row 0 is the largest eta
+        got = [[hex_of(c) for c in col] for col in pixels[::-1].transpose(1, 0, 2).tolist()]
+        assert got == expected
+
+
+def image_box(svg):
+    m = re.search(r'<image x="([^"]*)" y="([^"]*)" width="([^"]*)" height="([^"]*)" '
+                  r'preserveAspectRatio="none" style="image-rendering:pixelated" '
+                  r'clip-path="url\(#frame\)" href=', svg)
+    assert m is not None
+    return m.groups()
+
+
+@pytest.mark.parametrize("ranges", [
+    (None, None), ((0.1, 0.6), (0.2, 0.4)), ((0.0, 1.0), (0.0, 1.0))])
+def test_image_spans_the_half_step_extended_axes(ranges):
+    thetas, etas = np.linspace(0.1, 0.6, 11), np.linspace(0.2, 0.4, 7)
+    grid = grid_sweep(baseline_params(), thetas, etas)
+    spec = RenderSpec(kind="surface-heatmap", x_range=ranges[0], y_range=ranges[1])
+    svg = render_heatmap(grid, "c_star", spec)
+    cv = _Canvas(spec, ranges[0] or (0.1, 0.6), ranges[1] or (0.2, 0.4), "", "", "")
+    dx, dy = 0.05, 0.2 / 6
+    x0, x1 = cv.px(thetas[0] - dx / 2), cv.px(thetas[-1] + dx / 2)
+    y0, y1 = cv.py(etas[-1] + dy / 2), cv.py(etas[0] - dy / 2)
+    assert image_box(svg) == (_fmt(x0), _fmt(y0), _fmt(x1 - x0), _fmt(y1 - y0))
+    assert f'<clipPath id="frame"><rect {cv.frame}/></clipPath>' in svg
+
+
+def test_renders_of_one_grid_are_byte_identical():
+    grid = grid_sweep(baseline_params(), np.linspace(0.05, 0.95, 40),
+                      np.linspace(0.05, 0.95, 30))
+    spec = RenderSpec(kind="surface-heatmap")
+    assert render_heatmap(grid, "k_star", spec) == render_heatmap(grid, "k_star", spec)
+
+
+@pytest.mark.parametrize("uneven", ["theta", "eta"])
+def test_uneven_axis_refused(uneven):
+    axes = {"theta": np.linspace(0.05, 0.95, 20), "eta": np.linspace(0.05, 0.25, 20)}
+    axes[uneven] = np.geomspace(0.05, 0.25, 20)
+    grid = grid_sweep(baseline_params(), axes["theta"], axes["eta"])
+    with pytest.raises(DomainError, match=f"heatmap {uneven} axis is not evenly spaced"):
+        render_heatmap(grid, "c_star", RenderSpec(kind="surface-heatmap"))
+
+
+@pytest.mark.parametrize("ranges", [(None, None), ((0.0, 1.0), (0.0, 1.0))])
+@pytest.mark.parametrize("shape", [(1, 5), (5, 1)])
+def test_one_point_axis_refused(shape, ranges):
+    thetas, etas = np.linspace(0.3, 0.7, shape[0]), np.linspace(0.3, 0.7, shape[1])
+    grid = grid_sweep(baseline_params(), thetas, etas)
+    spec = RenderSpec(kind="surface-heatmap", x_range=ranges[0], y_range=ranges[1])
+    with pytest.raises(DomainError, match=re.escape("empty axis range (0.3, 0.3)")):
+        render_heatmap(grid, "c_star", spec)
