@@ -79,7 +79,7 @@ class DgpConfig:
         """The treatment effect on rows at relative periods ``rel`` (NaN for
         never-treated rows): none before adoption, then ``effect`` or the
         profile."""
-        treated = _treated_mask(rel)
+        treated = rel >= 0  # NaN compares False
         effect = np.zeros(len(rel))
         if self.dynamic_profile is not None:
             profile = np.asarray(self.dynamic_profile, dtype=float)
@@ -96,7 +96,7 @@ class DgpConfig:
         if self.dynamic_profile is None:
             return self.effect
         rel = panel.relative_period()
-        rows = _treated_mask(rel)
+        rows = rel >= 0
         if drop_adoption_period:
             rows &= rel != 0
         if not rows.any():
@@ -120,6 +120,9 @@ class Panel:
         if not (len(self.year) == len(self.outcome) == len(self.adoption_year)
                 == self.controls.shape[0] == n):
             raise DomainError("panel columns must have equal length")
+        if self.controls.ndim != 2 or self.controls.shape[1] != len(self.control_names):
+            raise DomainError(f"controls of shape {self.controls.shape} need 2 dimensions and "
+                              f"one column per name ({len(self.control_names)} names)")
         if n == 0:
             raise DomainError("panel has no rows")
         order = np.lexsort((self.year, self.unit))
@@ -204,14 +207,6 @@ def generate_panel(cfg: DgpConfig) -> Panel:
                + cfg._effect_at(year_col - adopt_col) + noise)
     names = tuple(f"control_{i + 1}" for i in range(m))
     return Panel(unit_col, year_col, outcome, adopt_col, controls, names)
-
-
-def _treated_mask(rel: np.ndarray) -> np.ndarray:
-    """Post-adoption indicator; never-treated (NaN relative period) is False."""
-    out = np.zeros(len(rel), dtype=bool)
-    m = ~np.isnan(rel)
-    out[m] = rel[m] >= 0
-    return out
 
 
 def _two_way_demean(mat: np.ndarray, unit_idx: np.ndarray, year_idx: np.ndarray) -> np.ndarray:
@@ -354,32 +349,34 @@ def _qr_solve(xy: np.ndarray, names: list[str]) -> np.ndarray:
     return beta
 
 
-def _prepare(panel: Panel, drop_adoption_period: bool):
-    rel = panel.relative_period()
-    keep = rel != 0 if drop_adoption_period else np.ones(len(rel), dtype=bool)  # NaN rows kept
-    unit_codes = np.unique(panel.unit[keep])
-    year_codes = np.unique(panel.year[keep])
-    unit_idx = np.searchsorted(unit_codes, panel.unit[keep])
-    year_idx = np.searchsorted(year_codes, panel.year[keep])
-    if not _treated_mask(rel[keep]).any():
-        raise DesignError("no treated observations in the estimation sample")
-    return (panel.outcome[keep], panel.controls[keep], list(panel.control_names), rel[keep],
-            unit_idx, year_idx, len(unit_codes), len(year_codes))
-
-
-def _fit(y, x, names, unit_idx, year_idx, n_u, n_y, method):
+def _estimate(panel: Panel, drop_adoption_period: bool, regressors, method: str):
+    """The one DID fit, on the columns and names ``regressors(rel)`` builds
+    from the sample's relative periods, then the controls.  Returns the
+    coefficients, their CR1 standard errors, the row count and the absorbed
+    unit and year counts."""
     if method not in ("within", "dummies"):
         raise DomainError(f"unknown method {method!r}; use 'within' or 'dummies'")
-    stacked = _two_way_demean(np.column_stack([x, y]), unit_idx, year_idx)
+    rel = panel.relative_period()
+    keep = (rel != 0) | (not drop_adoption_period)
+    rel = rel[keep]
+    if not (rel >= 0).any():
+        raise DesignError("no treated observations in the estimation sample")
+    unit_codes, unit_idx = np.unique(panel.unit[keep], return_inverse=True)
+    year_codes, year_idx = np.unique(panel.year[keep], return_inverse=True)
+    n_u, n_y = len(unit_codes), len(year_codes)
+    cols, names = regressors(rel)
+    xy = np.column_stack([*cols, panel.controls[keep], panel.outcome[keep]])
+    stacked = _two_way_demean(xy, unit_idx, year_idx)
     x_t, y_t = stacked[:, :-1], stacked[:, -1]
-    beta = _qr_solve(stacked, names)
+    beta = _qr_solve(stacked, names + list(panel.control_names))
     resid = y_t - x_t @ beta
     if method == "dummies":
         # oracle: refit on the explicit dummy design instead of the projection
-        full = _dummy_design(x, unit_idx, year_idx)
-        beta_full, *_ = np.linalg.lstsq(full, y, rcond=None)
-        beta, resid = beta_full[:x.shape[1]], y - full @ beta_full
-    return beta, _clustered_se(x_t, resid, unit_idx, n_u + n_y - 1)
+        full = _dummy_design(xy[:, :-1], unit_idx, year_idx)
+        beta_full, *_ = np.linalg.lstsq(full, xy[:, -1], rcond=None)
+        beta, resid = beta_full[:len(beta)], xy[:, -1] - full @ beta_full
+    se = _clustered_se(x_t, resid, unit_idx, n_u + n_y - 1)
+    return beta, se, len(rel), n_u, n_y
 
 
 def twfe_did(panel: Panel, drop_adoption_period: bool = True,
@@ -389,16 +386,14 @@ def twfe_did(panel: Panel, drop_adoption_period: bool = True,
     Absorbs unit and year fixed effects, estimates by least squares on the
     projected design, and clusters standard errors by unit.
     """
-    (y, ctrl, names, rel,
-     unit_idx, year_idx, n_u, n_y) = _prepare(panel, drop_adoption_period)
-    treated = _treated_mask(rel)
-    if treated.all():
-        raise DesignError("no untreated observations in the estimation sample")
-    x = np.column_stack([treated.astype(float), ctrl])
-    beta, se = _fit(y, x, ["treated_post"] + names,
-                    unit_idx, year_idx, n_u, n_y, method)
-    return DidResult(att=float(beta[0]), se=float(se[0]), n_obs=int(len(y)),
-                     n_units_absorbed=n_u, n_years_absorbed=n_y)
+    def regressors(rel):
+        treated = rel >= 0  # False on never-treated (NaN) rows
+        if treated.all():
+            raise DesignError("no untreated observations in the estimation sample")
+        return [treated], ["treated_post"]
+
+    beta, se, *sizes = _estimate(panel, drop_adoption_period, regressors, method)
+    return DidResult(float(beta[0]), float(se[0]), *sizes)
 
 
 def event_study(panel: Panel, window: tuple[int, int] = (-5, 5),
@@ -412,25 +407,21 @@ def event_study(panel: Panel, window: tuple[int, int] = (-5, 5),
     w_lo, w_hi = int(window[0]), int(window[1])
     if w_lo > -2 or w_hi < 2:
         raise DomainError(f"window must cover periods -2..+2, got {window}")
-    (y, ctrl, names, rel,
-     unit_idx, year_idx, n_u, n_y) = _prepare(panel, drop_adoption_period)
-
-    rel_binned = np.clip(rel, w_lo, w_hi)
     periods = [t for t in range(w_lo, w_hi + 1)
                if t != -1 and not (drop_adoption_period and t == 0)]
-    cols = [(~np.isnan(rel_binned) & (rel_binned == t)).astype(float) for t in periods]
-    x = np.column_stack(cols + [ctrl]) if ctrl.size else np.column_stack(cols)
-    col_names = [f"rel_{t}" for t in periods] + names
-    beta, se = _fit(y, x, col_names, unit_idx, year_idx, n_u, n_y, method)
 
+    def regressors(rel):
+        binned = np.clip(rel, w_lo, w_hi)  # NaN stays NaN: no dummy is set
+        return [binned == t for t in periods], [f"rel_{t}" for t in periods]
+
+    beta, se, *sizes = _estimate(panel, drop_adoption_period, regressors, method)
     all_periods = np.arange(w_lo, w_hi + 1)
     coefs = np.full(len(all_periods), np.nan)
     errs = np.full(len(all_periods), np.nan)
     coefs[-1 - w_lo] = errs[-1 - w_lo] = 0.0
     pos = np.asarray(periods) - w_lo
     coefs[pos], errs[pos] = beta[:len(pos)], se[:len(pos)]
-    return EventStudyResult(all_periods, coefs, errs, n_obs=int(len(y)),
-                            n_units_absorbed=n_u, n_years_absorbed=n_y)
+    return EventStudyResult(all_periods, coefs, errs, *sizes)
 
 
 # CSV text, shared with ``cli.write_csv``: rows of finished cells joined by
@@ -489,20 +480,32 @@ def write_panel_csv(panel: Panel, path) -> None:
 
 
 def read_panel_csv(path) -> Panel:
+    """Read a panel CSV of the schema above.  DomainError names the 1-based
+    line of a missing header, of a row with more or fewer cells than the
+    header, and of a cell that does not parse as an integer (unit, year) or
+    a float (the rest; an empty adoption_year is never-treated)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise DomainError("panel CSV line 1: no header")
         if header[:4] != ["unit", "year", "outcome", "adoption_year"]:
             raise DomainError(f"unexpected panel header: {header[:4]}")
         names = tuple(header[4:])
         units, years, outcomes, adopts, ctrls = [], [], [], [], []
         for row in reader:
-            units.append(int(row[0]))
-            years.append(int(row[1]))
-            outcomes.append(float(row[2]))
-            adopts.append(float(row[3]) if row[3] != "" else math.nan)
-            ctrls.append([float(v) for v in row[4:]])
+            if len(row) != len(header):
+                raise DomainError(f"panel CSV line {reader.line_num}: {len(row)} cells "
+                                  f"under a header of {len(header)}")
+            try:
+                units.append(int(row[0]))
+                years.append(int(row[1]))
+                outcomes.append(float(row[2]))
+                adopts.append(float(row[3]) if row[3] != "" else math.nan)
+                ctrls.append([float(v) for v in row[4:]])
+            except ValueError as exc:
+                raise DomainError(f"panel CSV line {reader.line_num}: {exc}") from None
     n = len(units)
-    controls = np.asarray(ctrls, dtype=float) if names else np.empty((n, 0))
+    controls = np.asarray(ctrls, dtype=float).reshape(n, len(names))
     return Panel(np.asarray(units), np.asarray(years), np.asarray(outcomes),
-                 np.asarray(adopts), controls.reshape(n, len(names)), names)
+                 np.asarray(adopts), controls, names)

@@ -13,7 +13,6 @@ from dataecon import (DesignError, DgpConfig, DomainError, Panel,
                       RankDeficiencyError, event_study, generate_panel,
                       read_panel_csv, twfe_did, write_panel_csv)
 from dataecon import empirics
-from dataecon.empirics import _treated_mask
 
 from .textdiff import first_difference
 
@@ -48,7 +47,7 @@ def test_zero_noise_treatment_gap_is_exact():
     treated = generate_panel(small_cfg(effect=0.05))
     control = generate_panel(small_cfg(effect=0.0))
     gap = treated.outcome - control.outcome
-    post = _treated_mask(treated.relative_period())
+    post = treated.relative_period() >= 0
     assert np.allclose(gap[post], 0.05, rtol=0.0, atol=1e-12)
     assert np.all(gap[~post] == 0.0)
 
@@ -146,6 +145,19 @@ def test_controls_without_rows_refused():
     with pytest.raises(DomainError, match="^panel columns must have equal length$"):
         Panel(np.repeat(np.arange(4), 4), np.tile(np.arange(2000, 2004), 4),
               np.zeros(16), np.full(16, np.nan), np.empty((0, 0)), ())
+
+
+@pytest.mark.parametrize("controls, names", [
+    (np.zeros((4, 2)), ("control_1",)),  # two columns, one name
+    (np.zeros(4), ("control_1",)),  # one dimension
+])
+def test_malformed_controls_refused(controls, names):
+    """Controls must hold one column per name: a panel with more columns than
+    names would be written under a header that reads back as a bad file."""
+    with pytest.raises(DomainError, match=r"^controls of shape .* need 2 dimensions and "
+                                          r"one column per name \(1 names\)$"):
+        Panel(np.repeat([0, 1], 2), np.tile([2000, 2001], 2), np.zeros(4),
+              np.full(4, np.nan), controls, names)
 
 
 def test_duplicate_rows_rejected():
@@ -370,6 +382,40 @@ def test_clustered_se_invariant_to_unit_relabeling():
     res2 = twfe_did(relabeled)
     assert res2.att == pytest.approx(res.att, rel=1e-10)
     assert res2.se == pytest.approx(res.se, rel=1e-10)
+
+
+@pytest.mark.parametrize("share_treated", [0.5, 0.0])
+def test_unknown_method_refused(share_treated):
+    """The method is checked first, also on a panel with no treated row."""
+    panel = generate_panel(small_cfg(share_treated=share_treated))
+    for fit in (twfe_did, event_study):
+        with pytest.raises(DomainError, match="^unknown method 'lsq'; use 'within' or 'dummies'$"):
+            fit(panel, method="lsq")
+
+
+@pytest.mark.parametrize("method", ["within", "dummies"])
+def test_fits_invariant_to_row_order_and_labels(method):
+    """Shuffled rows, sparse large unit labels and shifted years (adoption
+    years with them) code to the same design: the same estimates to 1e-12
+    relative and the same counts."""
+    panel = generate_panel(small_cfg(noise_scale=0.2, control_coefs=(0.3, -0.1)))
+    order = np.random.default_rng(8).permutation(len(panel.unit))
+    moved = Panel(10**9 + 7 * panel.unit[order], panel.year[order] + 37,
+                  panel.outcome[order], panel.adoption_year[order] + 37,
+                  panel.controls[order], panel.control_names)
+    for drop in (True, False):
+        did, did2 = (twfe_did(p, drop_adoption_period=drop, method=method)
+                     for p in (panel, moved))
+        assert did2.att == pytest.approx(did.att, rel=1e-12, abs=0)
+        assert did2.se == pytest.approx(did.se, rel=1e-12, abs=0)
+        assert ((did2.n_obs, did2.n_units_absorbed, did2.n_years_absorbed)
+                == (did.n_obs, did.n_units_absorbed, did.n_years_absorbed))
+        es, es2 = (event_study(p, window=(-4, 3), drop_adoption_period=drop, method=method)
+                   for p in (panel, moved))
+        np.testing.assert_allclose(es2.coefficients, es.coefficients, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(es2.std_errors, es.std_errors, rtol=1e-12, atol=0)
+        assert ((es2.n_obs, es2.n_units_absorbed, es2.n_years_absorbed)
+                == (es.n_obs, es.n_units_absorbed, es.n_years_absorbed))
 
 
 def test_se_positive_with_noise():
@@ -663,3 +709,20 @@ def test_panel_csv_header_schema(tmp_path):
     write_panel_csv(panel, path)
     header = path.read_text(encoding="utf-8").splitlines()[0]
     assert header == "unit,year,outcome,adoption_year,control_1"
+
+
+
+@pytest.mark.parametrize("text, match", [
+    ("", "^panel CSV line 1: no header$"),
+    ("unit,year,outcome,adoption_year\n0,2000,1.0\n",
+     "^panel CSV line 2: 3 cells under a header of 4$"),
+    ("unit,year,outcome,adoption_year,c\n0,2000,1.0,,0.5\n1,2000,2.0,,0.5,0.7\n",
+     "^panel CSV line 3: 6 cells under a header of 5$"),
+    ("unit,year,outcome,adoption_year\n0,2000,1.0,\n0,2001,abc,\n",
+     "^panel CSV line 3: could not convert string to float: 'abc'$"),
+], ids=["empty", "short-row", "ragged-control-row", "bad-float"])
+def test_malformed_panel_csv_names_the_line(tmp_path, text, match):
+    path = tmp_path / "panel.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DomainError, match=match):
+        read_panel_csv(path)
