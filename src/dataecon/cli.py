@@ -44,7 +44,8 @@ from .qtheory import firm_steady_state, investment_rate
 from .svgplot import (RenderSpec, render_contour, render_curve,
                       render_event_study, render_heatmap, render_phase,
                       render_shock)
-from .sweep import _QUANTITIES, grid_sweep, iso_equilibrium_contour, threshold_curve
+from .sweep import (_QUANTITIES, _check_grid_size, grid_sweep, iso_equilibrium_contour,
+                    threshold_curve)
 
 PARAM_FLAGS = tuple(BASELINE)
 
@@ -389,8 +390,10 @@ def _cmd_qsteady(cfg: RunConfig, w: _Writer):
 
 def _surface(p: ModelParams, opt: SweepOptions, kind: str):
     """The grid of a sweep or contour section and the figure spec over its
-    axes; the spec refuses a one-point axis before any file is written,
-    whatever the formats."""
+    axes; an oversized grid is refused before its axes are built, and the
+    spec refuses a one-point axis before any file is written, whatever the
+    formats."""
+    _check_grid_size(opt.theta_n, opt.eta_n)
     thetas = np.linspace(opt.theta_min, opt.theta_max, opt.theta_n)
     etas = np.linspace(opt.eta_min, opt.eta_max, opt.eta_n)
     spec = RenderSpec(kind=kind,

@@ -95,13 +95,15 @@ class DgpConfig:
         dropped); ``effect`` itself when no profile is given."""
         if self.dynamic_profile is None:
             return self.effect
-        rel = panel.relative_period()
-        rows = rel >= 0
-        if drop_adoption_period:
-            rows &= rel != 0
-        if not rows.any():
-            raise DesignError("no treated observations in the estimation sample")
-        return float(self._effect_at(rel)[rows].mean())
+        _, rel = _estimation_sample(panel, drop_adoption_period)
+        return float(self._effect_at(rel)[rel >= 0].mean())
+
+
+def _whole(values: np.ndarray) -> bool:
+    """Every value is a finite whole number, as the panel CSV writes it."""
+    if values.dtype.kind in "iu":
+        return True
+    return bool(np.all(np.isfinite(values) & (values == np.round(values))))
 
 
 @dataclass(frozen=True)
@@ -125,12 +127,15 @@ class Panel:
                               f"one column per name ({len(self.control_names)} names)")
         if n == 0:
             raise DomainError("panel has no rows")
+        adopt = self.adoption_year[~np.isnan(self.adoption_year)]
+        for name, values in (("unit", self.unit), ("year", self.year), ("adoption_year", adopt)):
+            if not _whole(values):
+                raise DomainError(f"{name} values must be whole numbers")
         order = np.lexsort((self.year, self.unit))
         unit, year = self.unit[order], self.year[order]
         if np.any((unit[1:] == unit[:-1]) & (year[1:] == year[:-1])):
             raise DomainError("duplicate (unit, year) rows")
         start = int(self.year.min())
-        adopt = self.adoption_year[~np.isnan(self.adoption_year)]
         if adopt.size and adopt.min() < start:
             raise DomainError("adoption years must not precede the span start")
 
@@ -349,6 +354,17 @@ def _qr_solve(xy: np.ndarray, names: list[str]) -> np.ndarray:
     return beta
 
 
+def _estimation_sample(panel: Panel, drop_adoption_period: bool):
+    """The rows of the DID estimation sample (all rows, or all but relative
+    period 0) and their relative periods; DesignError when no row is treated."""
+    rel = panel.relative_period()
+    keep = (rel != 0) | (not drop_adoption_period)
+    rel = rel[keep]
+    if not (rel >= 0).any():
+        raise DesignError("no treated observations in the estimation sample")
+    return keep, rel
+
+
 def _estimate(panel: Panel, drop_adoption_period: bool, regressors, method: str):
     """The one DID fit, on the columns and names ``regressors(rel)`` builds
     from the sample's relative periods, then the controls.  Returns the
@@ -356,11 +372,7 @@ def _estimate(panel: Panel, drop_adoption_period: bool, regressors, method: str)
     unit and year counts."""
     if method not in ("within", "dummies"):
         raise DomainError(f"unknown method {method!r}; use 'within' or 'dummies'")
-    rel = panel.relative_period()
-    keep = (rel != 0) | (not drop_adoption_period)
-    rel = rel[keep]
-    if not (rel >= 0).any():
-        raise DesignError("no treated observations in the estimation sample")
+    keep, rel = _estimation_sample(panel, drop_adoption_period)
     unit_codes, unit_idx = np.unique(panel.unit[keep], return_inverse=True)
     year_codes, year_idx = np.unique(panel.year[keep], return_inverse=True)
     n_u, n_y = len(unit_codes), len(year_codes)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +42,6 @@ class SweepGrid:
     y_star: np.ndarray
     r_star: np.ndarray
     mask: np.ndarray
-    base: ModelParams
 
     def values(self, variable: str) -> np.ndarray:
         """Matrix of one SteadyState quantity, NaN on masked cells."""
@@ -51,25 +49,6 @@ class SweepGrid:
             raise DomainError(f"unknown variable {variable!r}; choose from "
                               f"{', '.join(_QUANTITIES)}")
         return getattr(self, variable)
-
-    @cached_property
-    def cells(self) -> tuple[tuple[SteadyState | None, ...], ...]:
-        """``cells[i][j]`` is the SteadyState of cell (i, j), None when masked."""
-        rows = zip(self.mask.tolist(), *(getattr(self, q).tolist() for q in _QUANTITIES))
-        return tuple(tuple(SteadyState(*values, True) if mask == "ok" else None
-                           for mask, *values in zip(*row))
-                     for row in rows)
-
-
-@dataclass(frozen=True)
-class ThresholdResult:
-    """Consumption-maximizing eta on one band-free sub-interval."""
-
-    theta: float
-    eta_star: float
-    c_star_max: float
-    shape: str  # 'interior-peak' | 'monotone-on-range'
-    eta_range: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -121,6 +100,13 @@ def _check_axis(name: str, axis) -> np.ndarray:
     return arr
 
 
+def _check_grid_size(n_theta: int, n_eta: int) -> None:
+    """Refuse a grid of more than ``_MAX_CELLS`` cells from its axis lengths
+    alone, so that no axis need be built first."""
+    if n_theta * n_eta > _MAX_CELLS:
+        raise DomainError(f"grid of {n_theta} x {n_eta} cells exceeds {_MAX_CELLS} cells")
+
+
 def grid_sweep(p_base: ModelParams, theta_axis, eta_axis) -> SweepGrid:
     """Evaluate the steady state on every grid cell, masking failures.
 
@@ -133,12 +119,10 @@ def grid_sweep(p_base: ModelParams, theta_axis, eta_axis) -> SweepGrid:
     """
     thetas = _check_axis("theta_axis", theta_axis)
     etas = _check_axis("eta_axis", eta_axis)
-    if len(thetas) * len(etas) > _MAX_CELLS:
-        raise DomainError(f"grid of {len(thetas)} x {len(etas)} cells exceeds "
-                          f"{_MAX_CELLS} cells")
+    _check_grid_size(len(thetas), len(etas))
     mask, values = steady_states(p_base, *np.meshgrid(thetas, etas, indexing="ij"))
     ok = mask == "ok"
-    return SweepGrid(thetas, etas, mask=mask, base=p_base,
+    return SweepGrid(thetas, etas, mask=mask,
                      **{name: np.where(ok, v, np.nan) for name, v in values.items()})
 
 
@@ -184,31 +168,14 @@ def band_free_intervals(p: ModelParams, eta_range: tuple[float, float]) -> list[
     return [(a, b) for a, b in parts if a < b]
 
 
-def consumption_threshold(p_base: ModelParams, theta: float,
-                          eta_range: tuple[float, float],
-                          tol: float = 1e-4) -> list[ThresholdResult]:
-    """Locate the argmax of c*(eta; theta) by ``threshold_curve`` at this one
-    theta, one result per band-free sub-interval of ``eta_range``."""
-    p_base.replace(theta=float(theta))  # ParameterError before any range check
-    curves = [threshold_curve(p_base, [theta], part, tol)
-              for part in band_free_intervals(p_base, eta_range)]
-    return [ThresholdResult(float(theta), float(c.eta_star[0]), float(c.c_star_max[0]),
-                            c.shapes[0], c.eta_range) for c in curves]
-
-
-def default_eta_range(p: ModelParams) -> tuple[float, float]:
-    """The widest band-free eta sub-interval of [0.05, 0.95]."""
-    parts = band_free_intervals(p, (0.05, 0.95))
-    return max(parts, key=lambda ab: ab[1] - ab[0])
-
-
 def threshold_curve(p_base: ModelParams, thetas,
                     eta_range: tuple[float, float] | None = None,
                     tol: float = 1e-4) -> ThresholdCurve:
     """eta*(theta) over a theta grid on a single band-free eta range.
 
     The curve's ``eta_range`` is the band-free range searched: one ending
-    inside the singular band is cut at the band's edge.
+    inside the singular band is cut at the band's edge, and ``None`` searches
+    the widest band-free part of [0.05, 0.95].
 
     One ``steady_states`` scan of the range brackets the maximum at every
     theta, and one lockstep golden-section search on ``steady_states``
@@ -218,7 +185,7 @@ def threshold_curve(p_base: ModelParams, thetas,
     ``grid_sweep``'s ``_MAX_CELLS`` raise DomainError before any evaluation.
     """
     if eta_range is None:
-        eta_range = default_eta_range(p_base)
+        eta_range = max(band_free_intervals(p_base, (0.05, 0.95)), key=lambda ab: ab[1] - ab[0])
     parts = band_free_intervals(p_base, eta_range)
     if len(parts) != 1:
         raise DomainError(

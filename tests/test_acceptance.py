@@ -64,13 +64,13 @@ def test_criterion_02_sweep_residuals():
     worst_rate, worst_rhs, checked = 0.0, 0.0, 0
     for i, theta in enumerate(thetas):
         for j, eta in enumerate(etas):
-            ss = grid.cells[i][j]
-            if ss is None:
+            if grid.mask[i, j] != "ok":
                 continue
+            k_star, c_star, y_star = grid.k_star[i, j], grid.c_star[i, j], grid.y_star[i, j]
             p = BASE.replace(theta=float(theta), eta=float(eta))
-            worst_rate = max(worst_rate, abs(interest_rate(ss.k_star, p) - 0.15))
-            c_dot, k_dot = rhs((ss.c_star, ss.k_star), p)
-            rel = math.hypot(c_dot / ss.c_star, k_dot / max(ss.y_star, 1.0))
+            worst_rate = max(worst_rate, abs(interest_rate(k_star, p) - 0.15))
+            c_dot, k_dot = rhs((c_star, k_star), p)
+            rel = math.hypot(c_dot / c_star, k_dot / max(y_star, 1.0))
             worst_rhs = max(worst_rhs, rel)
             checked += 1
     elapsed = time.perf_counter() - t0

@@ -120,6 +120,24 @@ def test_oversized_sweep_exits_1_before_allocating(tmp_path, capsys, monkeypatch
                                        "2500000 cells\n")
 
 
+@pytest.mark.parametrize("command, section, cells", [
+    ("sweep", {"theta_n": 30_000_000, "eta_n": 2}, "30000000 x 2"),
+    ("sweep", {"theta_n": 10**18}, "1000000000000000000 x 50"),
+    ("contour", {"eta_n": 10**20}, "46 x 100000000000000000000"),
+], ids=["sweep-3e7x2", "sweep-1e18", "contour-1e20"])
+def test_oversized_surface_refused_before_building_its_axes(tmp_path, capsys, monkeypatch,
+                                                            command, section, cells):
+    def linspace(*args, **kwargs):
+        raise AssertionError("an axis was built before the grid bound was checked")
+
+    monkeypatch.setattr(cli.np, "linspace", linspace)
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({command: section}))
+    assert main([command, "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: grid of {cells} cells exceeds 2500000 cells\n"
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["effective_config.json"]
+
+
 def test_oversized_threshold_exits_1_before_evaluating(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(sweep, "steady_states", None)
     cfg_file = tmp_path / "cfg.json"

@@ -726,3 +726,36 @@ def test_malformed_panel_csv_names_the_line(tmp_path, text, match):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(DomainError, match=match):
         read_panel_csv(path)
+
+
+@pytest.mark.parametrize("column, values", [
+    ("unit", [0.0, 0.5]),
+    ("unit", [0.0, math.nan]),
+    ("year", [2000.0, 2000.25]),
+    ("adoption_year", [2001.5, math.nan]),
+    ("adoption_year", [math.inf, math.nan]),
+], ids=["fractional-unit", "nan-unit", "fractional-year", "fractional-adoption",
+        "infinite-adoption"])
+def test_panel_refuses_ids_and_years_that_are_not_whole(column, values):
+    """The CSV writes ids and years as integers: a fractional one would read
+    back as another id or year (2001.5 as 2001, a year earlier)."""
+    cols = {"unit": np.array([0.0, 1.0]), "year": np.array([2000.0, 2000.0]),
+            "adoption_year": np.array([2001.0, math.nan])}
+
+    def panel():
+        return Panel(cols["unit"], cols["year"], np.zeros(2), cols["adoption_year"],
+                     np.empty((2, 0)), ())
+
+    panel()  # whole floats and a NaN adoption year are accepted
+    cols[column] = np.array(values)
+    with pytest.raises(DomainError, match=f"^{column} values must be whole numbers$"):
+        panel()
+
+
+def test_fractional_adoption_year_in_csv_refused(tmp_path):
+    path = tmp_path / "panel.csv"
+    path.write_text("unit,year,outcome,adoption_year\n"
+                    "0,2000,0.0,2001.5\n0,2001,0.0,2001.5\n0,2002,1.0,2001.5\n"
+                    "1,2000,0.0,\n1,2001,0.0,\n1,2002,0.0,\n", encoding="utf-8")
+    with pytest.raises(DomainError, match="^adoption_year values must be whole numbers$"):
+        read_panel_csv(path)

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from dataecon import (DegenerateError, DomainError, ModelError, ModelParams,
-                      ParameterError, RegimeError, SearchError, SweepGrid,
-                      ThresholdResult, band_free_intervals,
-                      baseline_params, consumption_threshold,
-                      default_eta_range, golden_section_max, grid_sweep,
+                      ParameterError, RegimeError, SearchError, SteadyState,
+                      SweepGrid, ThresholdCurve, band_free_intervals,
+                      baseline_params, golden_section_max, grid_sweep,
                       interest_rate, iso_equilibrium_contour, regime, rhs,
                       sensitivity_signs, steady_state, threshold_curve,
                       validate_params)
@@ -29,7 +28,15 @@ def synthetic_grid(f, thetas, etas) -> SweepGrid:
     return SweepGrid(np.asarray(thetas, float), np.asarray(etas, float),
                      k_star=v, c_star=v, l_star=np.ones_like(v),
                      y_star=np.ones_like(v), r_star=np.full_like(v, 0.15),
-                     mask=np.full(v.shape, "ok", dtype="<U10"), base=BASE)
+                     mask=np.full(v.shape, "ok", dtype="<U10"))
+
+
+def cell(grid, i, j):
+    """The SteadyState of cell (i, j) read from the grid's quantity arrays,
+    None where the mask refuses the cell."""
+    if grid.mask[i, j] != "ok":
+        return None
+    return SteadyState(**{q: grid.values(q)[i, j] for q in sweep._QUANTITIES}, feasible=True)
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +45,7 @@ def synthetic_grid(f, thetas, etas) -> SweepGrid:
 def test_single_cell_grid_equals_steady_state():
     grid = grid_sweep(BASE, [0.5], [0.2])
     assert grid.mask[0, 0] == "ok"
-    assert grid.cells[0][0] == steady_state(validate_params({"theta": 0.5, "eta": 0.2}))
+    assert cell(grid, 0, 0) == steady_state(validate_params({"theta": 0.5, "eta": 0.2}))
 
 
 def test_eta0_row_constant_across_theta():
@@ -61,8 +68,7 @@ def test_default_grid_masks_singular_band():
 def test_masked_cells_carry_no_numbers():
     grid = grid_sweep(BASE, [0.5], [1.0 / 3.0 - 1e-9])
     assert grid.mask[0, 0] == "singular"
-    assert grid.cells[0][0] is None
-    assert math.isnan(grid.values("k_star")[0, 0])
+    assert all(math.isnan(grid.values(q)[0, 0]) for q in sweep._QUANTITIES)
 
 
 def test_theta_zero_with_positive_eta_masked_degenerate():
@@ -90,7 +96,7 @@ def test_grid_cells_order_independent():
     for i, j in order:
         single = grid_sweep(BASE, [thetas[i]], [etas[j]])
         assert single.mask[0, 0] == grid.mask[i, j]
-        assert single.cells[0][0] == grid.cells[i][j]
+        assert cell(single, 0, 0) == cell(grid, i, j)
 
 
 def test_unmasked_cells_satisfy_equilibrium_conditions():
@@ -98,7 +104,7 @@ def test_unmasked_cells_satisfy_equilibrium_conditions():
     target = BASE.rho + BASE.delta
     for i, theta in enumerate(grid.theta_axis):
         for j, eta in enumerate(grid.eta_axis):
-            ss = grid.cells[i][j]
+            ss = cell(grid, i, j)
             if ss is None:
                 continue
             p = BASE.replace(theta=float(theta), eta=float(eta))
@@ -145,7 +151,7 @@ def test_grid_matches_scalar_solver_cell_by_cell(case):
             mask, ss = scalar_cell(p)
             assert grid.mask[i, j] == mask, (theta, eta)
             assert (mask == "singular") == regime(p).singular, (theta, eta)
-            assert grid.cells[i][j] == ss, (theta, eta)  # exact on 'ok' cells
+            assert cell(grid, i, j) == ss, (theta, eta)  # exact on 'ok' cells
 
 
 def test_axis_validation():
@@ -203,54 +209,67 @@ def test_golden_section_below_rounding_scale_raises_instead_of_hanging():
 def test_threshold_matches_brute_force():
     tol = 1e-4
     lo, hi = 0.4, 0.95
-    res = consumption_threshold(BASE, 0.3, (lo, hi), tol)[0]
+    res = threshold_curve(BASE, [0.3], (lo, hi), tol)
     etas = np.linspace(lo, hi, 10_000)
     cs = [steady_state(BASE.replace(theta=0.3, eta=float(e))).c_star for e in etas]
     brute = etas[int(np.argmax(cs))]
-    assert abs(res.eta_star - brute) <= 2.0 * tol
-    assert res.c_star_max >= max(cs) - 1e-9
-    assert res.shape == "interior-peak"
+    assert abs(res.eta_star[0] - brute) <= 2.0 * tol
+    assert res.c_star_max[0] >= max(cs) - 1e-9
+    assert res.shapes == ("interior-peak",)
 
 
 def test_threshold_monotone_theta_pair():
     tol = 1e-4
-    lo = consumption_threshold(BASE, 0.3, (0.4, 0.95), tol)[0]
-    hi = consumption_threshold(BASE, 0.7, (0.4, 0.95), tol)[0]
-    assert lo.eta_star <= hi.eta_star + tol
+    lo = threshold_curve(BASE, [0.3], (0.4, 0.95), tol)
+    hi = threshold_curve(BASE, [0.7], (0.4, 0.95), tol)
+    assert lo.eta_star[0] <= hi.eta_star[0] + tol
 
 
 def test_threshold_splits_around_band():
-    results = consumption_threshold(BASE, 0.5, (0.05, 0.95), 1e-4)
+    results = [threshold_curve(BASE, [0.5], part, 1e-4)
+               for part in band_free_intervals(BASE, (0.05, 0.95))]
     assert len(results) == 2
     left, right = results
     assert left.eta_range[1] <= 0.31
     assert right.eta_range[0] >= 0.36
     # left side rises into the band edge: boundary maximum
-    assert left.shape == "monotone-on-range"
-    assert right.shape == "interior-peak"
+    assert left.shapes == ("monotone-on-range",)
+    assert right.shapes == ("interior-peak",)
 
 
 def test_threshold_all_infeasible_raises():
     # heavy depreciation: c* < 0 for every eta above ~0.7
     p = baseline_params(delta=0.8, rho=0.01)
     with pytest.raises(SearchError):
-        consumption_threshold(p, 0.9, (0.75, 0.95), 1e-4)
+        threshold_curve(p, [0.9], (0.75, 0.95), 1e-4)
 
 
 def test_threshold_inverted_u_flanks():
-    res = consumption_threshold(BASE, 0.3, (0.4, 0.95), 1e-5)[0]
+    eta_star = float(threshold_curve(BASE, [0.3], (0.4, 0.95), 1e-5).eta_star[0])
     f = lambda e: steady_state(BASE.replace(theta=0.3, eta=e)).c_star
     h = 0.01
-    assert f(res.eta_star - h) > f(res.eta_star - 2 * h)   # rising below
-    assert f(res.eta_star + 2 * h) < f(res.eta_star + h)   # falling above
+    assert f(eta_star - h) > f(eta_star - 2 * h)   # rising below
+    assert f(eta_star + 2 * h) < f(eta_star + h)   # falling above
 
 
 def test_threshold_curve_default_range_is_band_free():
-    rng = default_eta_range(BASE)
-    assert len(band_free_intervals(BASE, rng)) == 1
     curve = threshold_curve(BASE, [0.2, 0.5, 0.8], tol=1e-4)
+    assert band_free_intervals(BASE, curve.eta_range) == [curve.eta_range]
     assert np.all(np.diff(curve.eta_star) >= -1e-4)
     assert all(s == "interior-peak" for s in curve.shapes)
+
+
+@pytest.mark.parametrize("params, side, expected", [
+    ({}, 1, (0.3667, 0.95)),  # band centre 1/3: the part above it is the wider
+    ({"alpha": 0.5, "beta": 0.1}, 0, (0.05, 0.76)),  # band centre 0.8: the part below
+])
+def test_threshold_default_range_is_the_wider_side_of_the_band(params, side, expected):
+    """With no eta_range the search runs on the wider band-free part of
+    [0.05, 0.95], on whichever side of the band that lies."""
+    p = baseline_params(**params)
+    curve = threshold_curve(p, [0.5])
+    assert curve.eta_range == band_free_intervals(p, (0.05, 0.95))[side]
+    assert curve.eta_range == pytest.approx(expected, abs=1e-4)
 
 
 def test_threshold_curve_reports_the_band_free_range_it_searched():
@@ -259,7 +278,7 @@ def test_threshold_curve_reports_the_band_free_range_it_searched():
     curve = threshold_curve(BASE, [0.5], (0.05, 0.32))
     assert curve.eta_range == (0.05, edge)
     assert curve.eta_star[0] <= edge
-    assert threshold_curve(BASE, [0.5]).eta_range == default_eta_range(BASE)
+    assert threshold_curve(BASE, [0.5]).eta_range == band_free_intervals(BASE, (0.05, 0.95))[1]
 
 
 def test_threshold_curve_rejects_straddling_range():
@@ -291,9 +310,6 @@ def test_oversized_threshold_curve_refused_before_evaluating(monkeypatch):
 def test_threshold_refuses_theta_outside_model():
     with pytest.raises(ParameterError, match=r"theta must lie in \[0, 1\], got 1.5"):
         threshold_curve(BASE, [0.5, 1.5], (0.4, 0.95))
-    for eta_range in ((0.4, 0.95), (0.9, 0.2)):  # before the range is checked
-        with pytest.raises(ParameterError, match="got 1.5"):
-            consumption_threshold(BASE, 1.5, eta_range)
 
 
 # The per-theta search the lockstep one replaced: a scalar golden section on
@@ -387,9 +403,11 @@ def test_threshold_curve_matches_per_theta_scalar_search(case):
     assert band_free_intervals(base, (lo, hi)) == [(lo, hi)]
     rows = [outcome(reference_threshold, base, t, lo, hi, tol) for t in thetas]
     for theta, row in zip(thetas, rows):  # one theta: every value and refusal exact
-        res = outcome(consumption_threshold, base, theta, (lo, hi), tol)
-        assert res == (row if len(row) == 2 else
-                       [ThresholdResult(theta, *row, (lo, hi))])
+        one = outcome(threshold_curve, base, [theta], (lo, hi), tol)
+        if isinstance(one, ThresholdCurve):
+            assert one.eta_range == (lo, hi)
+            one = (one.eta_star[0], one.c_star_max[0], one.shapes[0])
+        assert one == row
     got = outcome(threshold_curve, base, thetas, (lo, hi), tol)
     refusals = [row for row in rows if len(row) == 2]
     if refusals:
@@ -409,12 +427,11 @@ def test_threshold_evaluator_calls_do_not_grow_with_thetas(monkeypatch):
     calls, inner = [], sweep.steady_states
     monkeypatch.setattr(sweep, "steady_states", lambda *a: calls.append(1) or inner(*a))
     thetas = np.linspace(0.05, 0.95, 37)
-    rng = default_eta_range(BASE)
-    threshold_curve(BASE, thetas, rng, 1e-4)
+    threshold_curve(BASE, thetas, None, 1e-4)
     n_all = len(calls)
     for theta in thetas:
         calls.clear()
-        threshold_curve(BASE, [theta], rng, 1e-4)
+        threshold_curve(BASE, [theta], None, 1e-4)
         assert len(calls) == n_all, theta
     assert n_all < 20
 
@@ -585,7 +602,7 @@ def test_contour_scan_matches_cell_loop(case):
     expected = loop_segments(x, y, z, level)
     assert segments == expected
     grid = SweepGrid(x, y, k_star=z, c_star=z, l_star=z, y_star=z, r_star=z,
-                     mask=np.full(z.shape, "ok"), base=BASE)
+                     mask=np.full(z.shape, "ok"))
     chains = sorted(_chain_segments(expected), key=len, reverse=True)
     components = iso_equilibrium_contour(grid, "c_star", level).components
     assert len(components) == len(chains)
@@ -621,9 +638,9 @@ def test_sensitivity_theta_irrelevant_at_eta0():
 
 
 def test_sensitivity_flanks_around_threshold():
-    res = consumption_threshold(BASE, 0.5, (0.4, 0.95), 1e-5)[0]
-    below = sensitivity_signs(baseline_params(theta=0.5, eta=res.eta_star - 0.02))
-    above = sensitivity_signs(baseline_params(theta=0.5, eta=res.eta_star + 0.02))
+    eta_star = float(threshold_curve(BASE, [0.5], (0.4, 0.95), 1e-5).eta_star[0])
+    below = sensitivity_signs(baseline_params(theta=0.5, eta=eta_star - 0.02))
+    above = sensitivity_signs(baseline_params(theta=0.5, eta=eta_star + 0.02))
     assert below.dc_deta.sign == 1
     assert above.dc_deta.sign == -1
 
