@@ -7,7 +7,9 @@ profile.  The estimator absorbs unit and year fixed effects by an exact
 projection (within-unit demeaning, then one small solve for the year
 effects), tests the rank of the projected design and solves it with one
 pivoted QR (explicit dummies refit it by least squares as a cross-check),
-and reports unit-clustered standard errors (CR1 small-sample scaling).
+and reports unit-clustered standard errors (CR1 small-sample scaling).  The
+design, the controls and the outcome share one column-major buffer that the
+projection overwrites, and the tall QR runs on row blocks of it.
 
 Rows at relative period 0 (the adoption year itself) are excluded by
 default, mirroring designs that drop the implementation period; the plain
@@ -26,6 +28,7 @@ import numpy as np
 from .errors import DesignError, DomainError, RankDeficiencyError
 
 _DUMMY_MAX_CELLS = 5e7  # doubles in the dense dummies oracle (400 MB)
+_QR_BLOCK_ROWS = 8192  # rows per block of the tall QR (720 KB at 11 columns)
 
 
 @dataclass(frozen=True)
@@ -225,6 +228,8 @@ def _two_way_demean(mat: np.ndarray, unit_idx: np.ndarray, year_idx: np.ndarray)
     A is a dense m x m matrix, m the shorter factor's length, and its SVD
     solve costs O(m^3): nothing at 23 years, about 1 s on a sparse
     6,000-row panel of some 1,500 units and 1,500 years.
+    ``mat`` must be a float array, best column-major: it is overwritten
+    with the projection and returned, so no copy of the design is made.
     Raises DesignError, before anything is allocated, when C or the m x m
     arrays of the solve would exceed the dummies oracle's cell bound.
     """
@@ -248,18 +253,17 @@ def _two_way_demean(mat: np.ndarray, unit_idx: np.ndarray, year_idx: np.ndarray)
     system = np.diag(counts.sum(axis=0))
     counts /= np.sqrt(u_counts)[:, None]
     system -= counts.T @ counts
-    out = np.array(mat, dtype=float, order="F")  # contiguous columns
-    year_sums = np.empty((n_y, out.shape[1]))
-    for j in range(out.shape[1]):
-        col = out[:, j]
+    year_sums = np.empty((n_y, mat.shape[1]))
+    for j in range(mat.shape[1]):
+        col = mat[:, j]
         col -= (np.bincount(unit_idx, weights=col, minlength=n_u) / u_counts)[unit_idx]
         year_sums[:, j] = np.bincount(year_idx, weights=col, minlength=n_y)
     year_fx = np.linalg.lstsq(system, year_sums, rcond=1e-10)[0]
     # unit means of year_fx[year_idx], read off the count table
     unit_fx = (counts @ year_fx) / np.sqrt(u_counts)[:, None]
-    for j in range(out.shape[1]):
-        out[:, j] -= year_fx[:, j][year_idx] - unit_fx[:, j][unit_idx]
-    return out
+    for j in range(mat.shape[1]):
+        mat[:, j] -= year_fx[:, j][year_idx] - unit_fx[:, j][unit_idx]
+    return mat
 
 
 def _dummy_design(x: np.ndarray, unit_idx: np.ndarray, year_idx: np.ndarray):
@@ -281,13 +285,23 @@ def _dummy_design(x: np.ndarray, unit_idx: np.ndarray, year_idx: np.ndarray):
 
 def _clustered_se(x_t: np.ndarray, resid: np.ndarray, clusters: np.ndarray,
                   n_absorbed: int) -> np.ndarray:
-    """CR1 cluster-robust standard errors of the leading coefficients."""
+    """CR1 cluster-robust standard errors of the leading coefficients.
+
+    The scores ``x_j * resid`` are summed per cluster one column at a time,
+    so no n x q score matrix is formed.  Fewer than three clusters raise
+    DesignError: two clusters' scores sum to zero, so both are zero up to
+    rounding and the standard error with them.
+    """
     n, q = x_t.shape
+    n_c = int(clusters.max()) + 1
+    if n_c < 3:
+        raise DesignError(f"{n_c} clusters give no usable cluster-robust standard "
+                          f"error; need at least 3")
     bread = np.linalg.pinv(x_t.T @ x_t)
-    n_c = clusters.max() + 1
-    scores = x_t * resid[:, None]
-    cluster_scores = np.column_stack(
-        [np.bincount(clusters, weights=s, minlength=n_c) for s in scores.T])
+    cluster_scores = np.empty((n_c, q))
+    for j in range(q):
+        cluster_scores[:, j] = np.bincount(clusters, weights=x_t[:, j] * resid,
+                                           minlength=n_c)
     meat = cluster_scores.T @ cluster_scores
     k_total = q + n_absorbed
     dof = (n_c / (n_c - 1)) * ((n - 1) / max(n - k_total, 1))
@@ -325,19 +339,37 @@ def _pivoted_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
     return a[:, piv], a[:, k], piv
 
 
+def _tall_triangle(xy: np.ndarray) -> np.ndarray:
+    """The (k+1) x (k+1) triangle R of an unpivoted QR of the n x (k+1)
+    ``xy``, zero rows padding a design of fewer rows.
+
+    numpy's QR runs on blocks of ``_QR_BLOCK_ROWS`` rows, and one more QR
+    reduces their stacked triangles to the triangle of the whole (TSQR;
+    Demmel, Grigori, Hoemmen & Langou 2012), so LAPACK's two copies of its
+    input are of one block, not of the design.  A design of one block is
+    factored as it is; above it, R moves by rounding only.
+    """
+    n, k1 = xy.shape
+    blocks = [np.linalg.qr(xy[i:i + _QR_BLOCK_ROWS], mode="r")
+              for i in range(0, n, _QR_BLOCK_ROWS)]
+    r = blocks[0] if len(blocks) == 1 else np.linalg.qr(np.vstack(blocks), mode="r")
+    r_aug = np.zeros((k1, k1))
+    r_aug[:len(r)] = r
+    return r_aug
+
+
 def _qr_solve(xy: np.ndarray, names: list[str]) -> np.ndarray:
     """Least squares of the last column y of ``xy = [x y]`` on the others x
     by a column-pivoted QR of x; RankDeficiencyError names the columns
     whose pivots fall below 1e-10 of the largest.
 
-    numpy's unpivoted QR of ``[x y]`` does the tall O(n k^2) work and
-    yields the (k+1) x (k+1) triangle ``[R Q'y]``; R has x's Gram matrix
-    and so x's pivots, and ``_pivoted_qr`` pivots only R, a loop of k
-    small steps.  Column-major ``xy`` is factored fastest.
+    The unpivoted QR of ``[x y]`` (``_tall_triangle``) does the tall
+    O(n k^2) work and yields the (k+1) x (k+1) triangle ``[R Q'y]``; R has
+    x's Gram matrix and so x's pivots, and ``_pivoted_qr`` pivots only R,
+    a loop of k small steps.  Column-major ``xy`` is factored fastest.
     """
-    n, k = xy.shape[0], xy.shape[1] - 1
-    r_aug = np.zeros((k + 1, k + 1))  # zero rows pad a design of fewer rows
-    r_aug[:min(n, k + 1)] = np.linalg.qr(xy, mode="r")
+    k = xy.shape[1] - 1
+    r_aug = _tall_triangle(xy)
     r, qty, piv = _pivoted_qr(r_aug[:k])
     diag = np.abs(np.diag(r))
     ref = diag[0] if diag.size else 0.0
@@ -377,16 +409,20 @@ def _estimate(panel: Panel, drop_adoption_period: bool, regressors, method: str)
     year_codes, year_idx = np.unique(panel.year[keep], return_inverse=True)
     n_u, n_y = len(unit_codes), len(year_codes)
     cols, names = regressors(rel)
-    xy = np.column_stack([*cols, panel.controls[keep], panel.outcome[keep]])
-    stacked = _two_way_demean(xy, unit_idx, year_idx)
-    x_t, y_t = stacked[:, :-1], stacked[:, -1]
-    beta = _qr_solve(stacked, names + list(panel.control_names))
+    columns = [*cols, *panel.controls[keep].T, panel.outcome[keep]]
+    xy = np.empty((len(rel), len(columns)), order="F")  # the one design buffer
+    for j, col in enumerate(columns):
+        xy[:, j] = col
+    raw = xy.copy(order="F") if method == "dummies" else None
+    xy = _two_way_demean(xy, unit_idx, year_idx)
+    x_t, y_t = xy[:, :-1], xy[:, -1]
+    beta = _qr_solve(xy, names + list(panel.control_names))
     resid = y_t - x_t @ beta
-    if method == "dummies":
+    if raw is not None:
         # oracle: refit on the explicit dummy design instead of the projection
-        full = _dummy_design(xy[:, :-1], unit_idx, year_idx)
-        beta_full, *_ = np.linalg.lstsq(full, xy[:, -1], rcond=None)
-        beta, resid = beta_full[:len(beta)], xy[:, -1] - full @ beta_full
+        full = _dummy_design(raw[:, :-1], unit_idx, year_idx)
+        beta_full, *_ = np.linalg.lstsq(full, raw[:, -1], rcond=None)
+        beta, resid = beta_full[:len(beta)], raw[:, -1] - full @ beta_full
     se = _clustered_se(x_t, resid, unit_idx, n_u + n_y - 1)
     return beta, se, len(rel), n_u, n_y
 

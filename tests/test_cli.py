@@ -599,6 +599,14 @@ def test_did_sim_true_effect_is_the_dgp_mean_over_estimated_treated_rows(tmp_pat
     assert json.loads((tmp_path / "flat" / "did.json").read_text())["result"]["true_effect"] == 0.1
 
 
+def test_did_sim_on_two_units_exits_1(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"dgp": {"n_units": 2}}))
+    assert main(["did-sim", "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == ("error: 2 clusters give no usable cluster-robust "
+                                       "standard error; need at least 3\n")
+
+
 def test_empty_thetas_and_axis_counts_below_one_refused_by_the_options():
     with pytest.raises(ConfigError, match="thetas must be a nonempty list"):
         ThresholdOptions(thetas=())

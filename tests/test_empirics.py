@@ -210,7 +210,7 @@ def test_year_system_bound_refuses_before_allocating(monkeypatch):
     monkeypatch.setattr(empirics.np, "bincount", None)  # nothing may be counted first
     with pytest.raises(DesignError, match=r"^two-way 4100 x 4100 system and its solve "
                                           r"would hold 50430000 cells \(limit 50000000\)$"):
-        empirics._two_way_demean(np.zeros((m, 1)), codes, codes)
+        empirics._two_way_demean(np.zeros((m, 1), order="F"), codes, codes)
 
 
 def test_projection_holds_one_count_table():
@@ -220,7 +220,7 @@ def test_projection_holds_one_count_table():
     n_u, n_y, n = 3000, 300, 6000
     unit_idx = np.concatenate([np.arange(n_u), rng.integers(0, n_u, n - n_u)])
     year_idx = np.concatenate([np.arange(n_y), rng.integers(0, n_y, n - n_y)])
-    mat = rng.normal(size=(n, 2))
+    mat = rng.normal(size=(n, 2)).copy(order="F")
     tracemalloc.start()
     try:
         empirics._two_way_demean(mat, unit_idx, year_idx)
@@ -296,7 +296,7 @@ def design_columns(unit_idx, year_idx, rng):
 def test_projection_matches_dummies_and_sweeps(design):
     unit_idx, year_idx = design
     mat = design_columns(unit_idx, year_idx, np.random.default_rng(len(unit_idx)))
-    out = empirics._two_way_demean(mat, unit_idx, year_idx)
+    out = empirics._two_way_demean(mat.copy(order="F"), unit_idx, year_idx)
     scale = np.linalg.norm(mat)
     assert np.linalg.norm(out - dummies_demean(mat, unit_idx, year_idx)) <= 1e-12 * scale
     assert np.linalg.norm(out[:, 2]) <= 1e-12 * scale
@@ -339,7 +339,7 @@ def test_projection_on_a_chain_the_sweeps_do_not_converge_on():
     year_idx = unit_idx + np.tile([0, 1], 80)
     mat = design_columns(unit_idx, year_idx, np.random.default_rng(0))
     assert sweep_demean(mat, unit_idx, year_idx) is None
-    out = empirics._two_way_demean(mat, unit_idx, year_idx)
+    out = empirics._two_way_demean(mat.copy(order="F"), unit_idx, year_idx)
     ref = dummies_demean(mat, unit_idx, year_idx)
     assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(mat)
 
@@ -475,6 +475,30 @@ def test_qr_solve_with_fewer_rows_than_columns_raises():
     assert len(exc.value.columns) == 2
 
 
+def first_copies(x):
+    """Each column's name mapped to the name of the first column that
+    agrees with it to 1e-10 of its norm."""
+    k = x.shape[1]
+    norms = np.linalg.norm(x, axis=0)
+    first = [min(d for d in range(k) if np.linalg.norm(x[:, d] - x[:, c]) <= 1e-10 * norms[c])
+             for c in range(k)]
+    return {f"x{c}": f"x{d}" for c, d in enumerate(first)}
+
+
+def rank_case_design(n, k, case, rng):
+    """A scaled normal n x k design, with column j zeroed, a copy of an
+    earlier column i, or that copy plus 1e-13 noise."""
+    x = rng.normal(size=(n, k)) * rng.uniform(0.1, 10.0, k)
+    i, j = sorted(rng.choice(k, 2, replace=False)) if k > 1 else (0, 0)
+    if case == "zero":
+        x[:, j] = 0.0
+    elif case == "duplicate":
+        x[:, j] = x[:, i]
+    elif case == "near_duplicate":
+        x[:, j] = x[:, i] + 1e-13 * rng.normal(size=n)
+    return x
+
+
 @given(st.integers(1, 40), st.integers(1, 12),
        st.sampled_from(["plain", "zero", "duplicate", "near_duplicate"]),
        st.integers(0, 2**32 - 1))
@@ -489,14 +513,7 @@ def test_pivoted_triangle_decides_as_scipy_does(n, k, case, seed):
     that agree to 1e-10 of their norm, which one either names turns on the
     last bits of their norms, so the names are compared up to such a copy."""
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=(n, k)) * rng.uniform(0.1, 10.0, k)
-    i, j = sorted(rng.choice(k, 2, replace=False)) if k > 1 else (0, 0)
-    if case == "zero":
-        x[:, j] = 0.0
-    elif case == "duplicate":
-        x[:, j] = x[:, i]
-    elif case == "near_duplicate":
-        x[:, j] = x[:, i] + 1e-13 * rng.normal(size=n)
+    x = rank_case_design(n, k, case, rng)
     xy = np.column_stack([x, rng.normal(size=n)])
     names = [f"x{c}" for c in range(k)]
 
@@ -506,10 +523,7 @@ def test_pivoted_triangle_decides_as_scipy_does(n, k, case, seed):
     diag = np.abs(np.diag(r))
     expected = ([names[piv[c]] for c in range(k) if diag[c] <= 1e-10 * max(diag[0], 1.0)]
                 if diag[0] else names)
-    norms = np.linalg.norm(x, axis=0)
-    first_copy = {f"x{c}": min(d for d in range(k)
-                               if np.linalg.norm(x[:, d] - x[:, c]) <= 1e-10 * norms[c])
-                  for c in range(k)}
+    first_copy = first_copies(x)
     if expected:
         with pytest.raises(RankDeficiencyError) as exc:
             empirics._qr_solve(xy, names)
@@ -519,6 +533,71 @@ def test_pivoted_triangle_decides_as_scipy_does(n, k, case, seed):
         beta = empirics._qr_solve(xy, names)
         ref, *_ = np.linalg.lstsq(x, xy[:, -1], rcond=None)
         assert np.linalg.norm(beta - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+# Designs of 20,000 to 30,000 rows: three or four QR blocks, the last short.
+TALL_ROWS = [20_000, 24_577, 29_999]
+
+
+@pytest.mark.parametrize("n", TALL_ROWS)
+def test_blocked_triangle_matches_one_qr_and_lstsq(n):
+    assert n > 2 * empirics._QR_BLOCK_ROWS and n % empirics._QR_BLOCK_ROWS
+    rng = np.random.default_rng(n)
+    q = 9
+    x = rng.normal(size=(n, q)) * rng.uniform(0.1, 10.0, q)
+    y = x @ rng.normal(size=q) + rng.normal(size=n)
+    xy = np.asfortranarray(np.column_stack([x, y]))
+    np.testing.assert_allclose(np.abs(np.diag(empirics._tall_triangle(xy))),
+                               np.abs(np.diag(np.linalg.qr(xy, mode="r"))), rtol=1e-12, atol=0)
+    beta = empirics._qr_solve(xy, [f"x{j}" for j in range(q)])
+    ref, *_ = np.linalg.lstsq(x, y, rcond=None)
+    assert np.linalg.norm(beta - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("n", TALL_ROWS)
+@pytest.mark.parametrize("case", ["zero", "duplicate", "near_duplicate"])
+def test_blocked_rank_decision_names_the_single_block_columns(n, case, monkeypatch):
+    """Blocks and one QR of the whole design refuse the same designs and
+    name the same columns, up to which of two copies is named."""
+    rng = np.random.default_rng(n)
+    x = rank_case_design(n, 8, case, rng)
+    xy = np.asfortranarray(np.column_stack([x, rng.normal(size=n)]))
+    names = [f"x{j}" for j in range(8)]
+    first_copy = first_copies(x)
+    named = []
+    for block_rows in (empirics._QR_BLOCK_ROWS, n):
+        monkeypatch.setattr(empirics, "_QR_BLOCK_ROWS", block_rows)
+        with pytest.raises(RankDeficiencyError) as exc:
+            empirics._qr_solve(xy, names)
+        named.append(sorted(map(first_copy.get, exc.value.columns)))
+    assert named[0] == named[1]
+    assert len(named[0]) == 1
+
+
+def test_event_study_holds_one_design_buffer():
+    """The fit's traced peak stays below 2.5 copies of its n x (k+1) design:
+    the projection, the tall QR and the cluster scores work on one buffer."""
+    panel = generate_panel(DgpConfig(n_units=2000, years=(2000, 2022), effect=0.05, seed=1))
+    tracemalloc.start()
+    try:
+        res = event_study(panel)  # periods -5..5 less the reference -1 and the dropped 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    k = 9
+    assert res.n_obs >= 40_000
+    assert peak < 2.5 * res.n_obs * (k + 1) * 8
+
+
+@pytest.mark.parametrize("method", ["within", "dummies"])
+@pytest.mark.parametrize("seed", range(3))
+def test_two_clusters_refused(seed, method):
+    """Two units' cluster scores sum to zero and so are both zero: no SE."""
+    panel = generate_panel(DgpConfig(n_units=2, share_treated=0.5, seed=seed))
+    for fit in (twfe_did, event_study):
+        with pytest.raises(DesignError, match=r"^2 clusters give no usable cluster-robust "
+                                              r"standard error; need at least 3$"):
+            fit(panel, method=method)
 
 
 def masked_loop_se(x_t, resid, clusters, n_absorbed):
