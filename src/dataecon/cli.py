@@ -14,10 +14,10 @@ when the file is parsed.  Flags override single keys (``--seed`` is
 Outputs are deterministic: JSON floats and float CSV columns serialize with
 17 significant digits (cells of an object column go through ``str``, None
 empty), keys are sorted, and SVG is assembled from fixed-format strings.
-CSV is written in blocks of columns: each column is formatted in one pass,
-the block's rows are joined into one write, and a large sweep streams one
-theta row at a time.  Every artifact carries the effective parameters and
-tool version, embedded for JSON and as a ``.meta.json`` sidecar for CSV/SVG.
+CSV is written in blocks of rows, each column of a block formatted at once
+into a byte matrix; a large sweep streams blocks of whole theta rows.
+Every artifact carries the effective parameters and tool version, embedded
+for JSON and as a ``.meta.json`` sidecar for CSV/SVG.
 """
 
 from __future__ import annotations
@@ -36,8 +36,9 @@ import numpy as np
 from . import __version__
 from .core import steady_state
 from .dynamics import phase_portrait, shock_experiment
-from .empirics import (_FLOAT_FORMAT, DgpConfig, _csv_lines, _csv_quoted, event_study,
-                       generate_panel, twfe_did, write_panel_csv)
+from .empirics import (_CSV_CHUNK_ROWS, _FLOAT_FORMAT, _PAD, DgpConfig, _float_cells,
+                       _int_cells, _text_cells, _write_rows, event_study, generate_panel,
+                       twfe_did, write_panel_csv)
 from .errors import ConfigError, ModelError, ParameterError
 from .params import BASELINE, ModelParams
 from .qtheory import firm_steady_state, investment_rate
@@ -194,31 +195,43 @@ def write_csv(path, header, blocks) -> None:
     written before the next is read.  Cells of an object column (floats
     mixed with None or str) go through ``str``, None empty.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(_csv_lines([[cell] for cell in _text_cells(header)]))
+    with open(path, "wb") as fh:
+        _write_rows(fh, [_text_cells([cell]) for cell in _str_cells(header)])
         for block in blocks:
-            fh.write(_csv_lines([_csv_column(col) for col in block]))
+            _write_rows(fh, [_csv_column(col) for col in block])
 
 
-def _csv_column(col) -> list[str]:
-    """Cells of one column: floats in 17 digits (NaN empty), integers in
-    decimal, a list or tuple of strings as given, anything else through
-    ``str`` (None empty); only string cells are quoted."""
+class _Cells:
+    """A CSV column formatted already, as a cell matrix; numpy reads it as
+    the str array of its cells."""
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array([bytes(row[row != _PAD]).decode() for row in self.matrix], dtype=str)
+
+
+def _csv_column(col) -> np.ndarray:
+    """The cell matrix of one column: floats in 17 digits (NaN empty),
+    integers in decimal, a list or tuple of strings as given, anything else
+    through ``str`` (None empty); only string cells are quoted."""
+    if isinstance(col, _Cells):
+        return col.matrix
     if isinstance(col, (list, tuple)) and all(type(v) is str for v in col):
-        return _csv_quoted(list(col))
+        return _text_cells(list(col))
     arr = np.asarray(col)
-    values = arr.tolist()
     if arr.dtype.kind == "f":
-        return [_FLOAT_FORMAT % v if v == v else "" for v in values]
+        return _float_cells(arr)
     if arr.dtype.kind in "iu":
-        return list(map(str, values))
-    return _text_cells(values)
+        return _int_cells(arr)
+    return _text_cells(_str_cells(arr.tolist()))
 
 
-def _text_cells(values) -> list[str]:
-    """Each value through ``str`` one by one (None empty), then quoted: True,
-    1 and 1.0 compare equal but print differently."""
-    return _csv_quoted(["" if v is None else str(v) for v in values])
+def _str_cells(values) -> list[str]:
+    """Each value through ``str`` one by one, None empty: True, 1 and 1.0
+    compare equal but print differently."""
+    return ["" if v is None else str(v) for v in values]
 
 
 # ---------------------------------------------------------------------------
@@ -403,12 +416,22 @@ def _surface(p: ModelParams, opt: SweepOptions, kind: str):
 
 
 def _sweep_blocks(grid):
-    """One CSV block per theta row; the theta and eta cells are formatted once."""
-    etas = _csv_column(grid.eta_axis)
-    for i, theta in enumerate(_csv_column(grid.theta_axis)):
-        mask = grid.mask[i].tolist()
-        yield ([theta] * len(etas), etas, mask, *(getattr(grid, q)[i] for q in _QUANTITIES),
-               ["true" if m == "ok" else "" for m in mask])
+    """CSV blocks of whole theta rows, at most ``_CSV_CHUNK_ROWS`` rows each
+    (or one theta row), every column formatted already.  The axes and the
+    feasible flags are formatted once and gathered per block; a block's
+    quantities are formatted in one call."""
+    n_theta, n_eta = grid.mask.shape
+    thetas, etas = _float_cells(grid.theta_axis), _float_cells(grid.eta_axis)
+    ok = grid.mask == "ok"
+    feasible = _text_cells(["", "true"])
+    step = max(1, _CSV_CHUNK_ROWS // max(n_eta, 1))
+    for i in range(0, n_theta, step):
+        rows = np.arange(i, min(i + step, n_theta))
+        values = np.stack([getattr(grid, q)[rows].ravel() for q in _QUANTITIES])
+        quantities = _float_cells(values.ravel()).reshape(len(values), values.shape[1], -1)
+        yield (_Cells(thetas[rows.repeat(n_eta)]), _Cells(np.tile(etas, (len(rows), 1))),
+               _Cells(_text_cells(grid.mask[rows].ravel().tolist())),
+               *map(_Cells, quantities), _Cells(feasible[ok[rows].ravel().astype(np.intp)]))
 
 
 _SWEEP_HEADER = ["theta", "eta", "mask", *_QUANTITIES, "feasible"]

@@ -433,6 +433,20 @@ def test_sweep_csv_matches_rowwise_writer(tmp_path):
                             (tmp_path / "ref.csv").read_bytes().decode()) is None
 
 
+@pytest.mark.parametrize("eta_n", [17, 3], ids=["row-longer-than-chunk", "rows-per-chunk"])
+def test_sweep_csv_chunk_seams_match_rowwise_writer(tmp_path, monkeypatch, eta_n):
+    # chunks of 7 rows: one 17-cell theta row per block, or two 3-cell rows
+    # per block and a last block of one
+    cfg = parse_config(None, {"out": str(tmp_path / "o"), "format": "csv"})
+    cfg = replace(cfg, sweep=replace(cfg.sweep, theta_n=23, eta_n=eta_n))
+    monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", 7)
+    run_command(cfg, "sweep")
+    grid = grid_sweep(cfg.params, np.linspace(0.05, 0.95, 23), np.linspace(0.05, 0.95, eta_n))
+    write_rowwise_csv(tmp_path / "ref.csv", cli._SWEEP_HEADER, rowwise_sweep_rows(grid))
+    assert first_difference((tmp_path / "o" / "sweep.csv").read_bytes().decode(),
+                            (tmp_path / "ref.csv").read_bytes().decode()) is None
+
+
 def write_csv_with_csv_writer(path, header, blocks):
     """The column writer write_csv was before it joined its own rows: each
     column formatted in one pass, csv.writer quoting and joining the cells."""

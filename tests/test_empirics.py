@@ -1,6 +1,7 @@
 import csv
 import math
 import tracemalloc
+import unittest.mock
 from dataclasses import replace
 
 import numpy as np
@@ -788,6 +789,105 @@ def test_panel_csv_header_schema(tmp_path):
     write_panel_csv(panel, path)
     header = path.read_text(encoding="utf-8").splitlines()[0]
     assert header == "unit,year,outcome,adoption_year,control_1"
+
+
+@pytest.mark.parametrize("column, big", [
+    *((column, big) for column in ("unit", "year", "adoption_year")
+      for big in (1e19, -1e19, 2.0 ** 63)),
+    ("unit", np.uint64(2 ** 63)), ("year", np.uint64(2 ** 64 - 1)),
+])
+def test_panel_refuses_ids_and_years_beyond_int64(column, big):
+    """The CSV writes ids and years as int64: 1e19 was written as -2**63,
+    and distinct units merged when read back."""
+    cols = {"unit": np.array([1.0, 1.0, 2.0, 2.0]), "year": np.array([2000.0, 2001.0] * 2),
+            "adoption_year": np.array([2001.0, 2001.0, math.nan, math.nan])}
+    if isinstance(big, np.uint64):
+        cols[column] = cols[column].astype(np.uint64)
+    cols[column][:2] = big
+    with pytest.raises(DomainError, match=f"^{column} values must lie in "):
+        Panel(cols["unit"], cols["year"], np.zeros(4), cols["adoption_year"],
+              np.empty((4, 0)), ())
+
+
+def test_panel_csv_round_trips_the_int64_extremes(tmp_path):
+    lo, hi = -2 ** 63, 2 ** 63 - 1
+    panel = Panel(np.array([lo, lo, hi, hi]), np.array([2000, 2001] * 2),
+                  np.array([0.5, -1e-300, 1e300, 0.0]),
+                  np.array([2001.0, 2001.0, math.nan, math.nan]), np.empty((4, 0)), ())
+    path = tmp_path / "panel.csv"
+    write_panel_csv(panel, path)
+    assert path.read_text(encoding="utf-8").splitlines()[1:4:2] == [
+        f"{lo},2000,0.5,2001", f"{hi},2000,1.0000000000000001e+300,"]
+    assert np.array_equal(read_panel_csv(path).unit, panel.unit)
+    # a float id as large as a float below 2**63 can be is accepted
+    big = float(np.nextafter(2.0 ** 63, 0))
+    Panel(np.array([big, -2.0 ** 63]), np.array([2000, 2000]), np.zeros(2),
+          np.full(2, math.nan), np.empty((2, 0)), ())
+
+
+# ---------------------------------------------------------------------------
+# CSV cell kernels: "%.17g" and str, a whole array at a time
+
+def cell_text(cells):
+    """The cells of a cell matrix as text, the pad bytes dropped."""
+    return [bytes(row[row != empirics._PAD]).decode() for row in cells]
+
+
+def neighbours_of_powers_of_ten():
+    values = []
+    for k in range(-6, 19):
+        for toward in (-math.inf, math.inf):
+            values.append(math.nextafter(10.0 ** k, toward))
+        values.append(10.0 ** k)
+    return values
+
+
+# x * 10**(16 - E) is a half-integer for x = odd * 2**(E - 17): the 17th
+# significant digit is an exact tie, which goes to the even digit
+DYADIC_TIES = [(2 ** 17 + 1) / 2 ** 17, (2 ** 17 + 3) / 2 ** 17,  # 1.00000762939453125 ...
+               1000 + 2.0 ** -14, 1000 + 3 * 2.0 ** -14, 2.0 ** 53 + 2, 0.5 + 2.0 ** -18]
+FLOAT_EDGES = [9.9999999999999999e16, 1e16, 1e-4, *neighbours_of_powers_of_ten(), *DYADIC_TIES]
+FLOAT_BITS = st.integers(0, 2 ** 64 - 1).map(
+    lambda bits: float(np.array(bits, dtype=np.uint64).view(np.float64)))
+
+
+@given(st.lists(st.floats() | FLOAT_BITS, max_size=40))
+@example(FLOAT_EDGES + [-v for v in FLOAT_EDGES])
+@example([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072014e-308,
+          1.7976931348623157e308, 1e17, 99999999999999984.0, 9.999999999999999e-05])
+def test_float_cells_match_percent_17g(values):
+    x = np.array(values, dtype=np.float64)
+    assert cell_text(empirics._float_cells(x, b"nan")) == ["%.17g" % v for v in values]
+    assert cell_text(empirics._float_cells(x)) == ["" if v != v else "%.17g" % v
+                                                   for v in values]
+
+
+@given(st.lists(st.floats(1e-4, 1e17, exclude_max=True), max_size=40))
+@example(FLOAT_EDGES[:-1])  # all but 2**53 + 2, dropped below with 1e17 as too large
+def test_float_cells_take_every_value_in_range_without_percent(values):
+    """Only zeros, infinities, NaN and magnitudes outside [1e-4, 1e17) are
+    formatted one by one: a value that needs its decade corrected is not."""
+    values = [v for v in values if 1e-4 <= v < 1e17] + [0.0, 5e-5, 1e17, math.inf]
+    x = np.concatenate([values, np.negative(values)])
+    with unittest.mock.patch.object(empirics, "_FLOAT_FORMAT", "slow %.17g"):
+        text = cell_text(empirics._float_cells(x))
+    assert text == [("slow %.17g" if v == 0 or not 1e-4 <= abs(v) < 1e17 else "%.17g") % v
+                    for v in x.tolist()]
+
+
+@given(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), max_size=40))
+@example([2 ** 63 - 1, -(2 ** 63 - 1), -2 ** 63, 0, 1, -1, 9999, 10000, -10 ** 18])
+def test_int_cells_match_str(values):
+    x = np.array(values, dtype=np.int64)
+    assert cell_text(empirics._int_cells(x)) == [str(v) for v in values]
+
+
+@pytest.mark.parametrize("values", [np.array([0, 7, 255], dtype=np.uint8),
+                                    np.array([0, 10 ** 19, 2 ** 64 - 1], dtype=np.uint64),
+                                    np.array([-128, 0, 127], dtype=np.int8)],
+                         ids=["uint8", "uint64", "int8"])
+def test_int_cells_of_narrow_and_unsigned_dtypes(values):
+    assert cell_text(empirics._int_cells(values)) == [str(v) for v in values.tolist()]
 
 
 
