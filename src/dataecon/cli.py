@@ -36,9 +36,10 @@ import numpy as np
 from . import __version__
 from .core import steady_state
 from .dynamics import phase_portrait, shock_experiment
-from .empirics import (_CSV_CHUNK_ROWS, _FLOAT_FORMAT, _PAD, DgpConfig, _float_cells,
-                       _int_cells, _text_cells, _write_rows, event_study, generate_panel,
-                       twfe_did, write_panel_csv)
+from .csvcells import (_FLOAT_FORMAT, _PAD, _float_cells, _int_cells, _run_cells, _text_cells,
+                       _write_rows)
+from .empirics import (_CSV_CHUNK_ROWS, DgpConfig, event_study, generate_panel, twfe_did,
+                       write_panel_csv)
 from .errors import ConfigError, ModelError, ParameterError
 from .params import BASELINE, ModelParams
 from .qtheory import firm_steady_state, investment_rate
@@ -418,8 +419,9 @@ def _surface(p: ModelParams, opt: SweepOptions, kind: str):
 def _sweep_blocks(grid):
     """CSV blocks of whole theta rows, at most ``_CSV_CHUNK_ROWS`` rows each
     (or one theta row), every column formatted already.  The axes and the
-    feasible flags are formatted once and gathered per block; a block's
-    quantities are formatted in one call."""
+    feasible flags are formatted once and gathered per block, the mask once
+    per run of equal cells; a block's quantities are formatted in one
+    call."""
     n_theta, n_eta = grid.mask.shape
     thetas, etas = _float_cells(grid.theta_axis), _float_cells(grid.eta_axis)
     ok = grid.mask == "ok"
@@ -430,7 +432,7 @@ def _sweep_blocks(grid):
         values = np.stack([getattr(grid, q)[rows].ravel() for q in _QUANTITIES])
         quantities = _float_cells(values.ravel()).reshape(len(values), values.shape[1], -1)
         yield (_Cells(thetas[rows.repeat(n_eta)]), _Cells(np.tile(etas, (len(rows), 1))),
-               _Cells(_text_cells(grid.mask[rows].ravel().tolist())),
+               _Cells(_run_cells(grid.mask[rows].ravel())),
                *map(_Cells, quantities), _Cells(feasible[ok[rows].ravel().astype(np.intp)]))
 
 

@@ -25,10 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvcells import _PAD, _float_cells, _int_cells, _text_cells, _write_rows
 from .errors import DesignError, DomainError, RankDeficiencyError
 
 _DUMMY_MAX_CELLS = 5e7  # doubles in the dense dummies oracle (400 MB)
-_QR_BLOCK_ROWS = 8192  # rows per block of the tall QR (720 KB at 11 columns)
+_QR_BLOCK_ROWS = 1024  # rows per block of the tall QR (90 KB at 11 columns)
 
 
 @dataclass(frozen=True)
@@ -354,8 +355,10 @@ def _tall_triangle(xy: np.ndarray) -> np.ndarray:
     numpy's QR runs on blocks of ``_QR_BLOCK_ROWS`` rows, and one more QR
     reduces their stacked triangles to the triangle of the whole (TSQR;
     Demmel, Grigori, Hoemmen & Langou 2012), so LAPACK's two copies of its
-    input are of one block, not of the design.  A design of one block is
-    factored as it is; above it, R moves by rounding only.
+    input are of one block, not of the design.  A block of 1,024 rows stays
+    in L2; a 216 x 23 panel's design of about 4,750 rows spans five.  A
+    design of one block is factored as it is; above it, R moves by
+    rounding only.
     """
     n, k1 = xy.shape
     blocks = [np.linalg.qr(xy[i:i + _QR_BLOCK_ROWS], mode="r")
@@ -478,210 +481,6 @@ def event_study(panel: Panel, window: tuple[int, int] = (-5, 5),
     pos = np.asarray(periods) - w_lo
     coefs[pos], errs[pos] = beta[:len(pos)], se[:len(pos)]
     return EventStudyResult(all_periods, coefs, errs, *sizes)
-
-
-# CSV bytes, shared with ``cli.write_csv``: rows of cells joined by commas
-# and ended by LF, a cell quoted (its quotes doubled) only when it holds a
-# comma, a quote, CR or LF (RFC 4180), and a row of one empty cell written
-# as "" so that it reads back as a row.  Floats, in CSV and JSON alike, take
-# 17 significant digits, which round-trip float64 exactly.
-#
-# A column of a block is formatted at once into a cell matrix: one row of
-# UTF-8 bytes per cell, its unused bytes _PAD, a byte UTF-8 never produces
-# (so a cell keeps its NULs).  ``_write_rows`` lays the block's matrices
-# side by side between separators and drops every _PAD in one pass.
-
-_FLOAT_FORMAT = "%.17g"
-_CSV_SPECIAL = (",", '"', "\n", "\r")
-_PAD = 0xFF
-_POW10 = 10.0 ** np.arange(23)  # exact up to 10**22
-_SPLIT = 2.0 ** 27 + 1  # Veltkamp's splitter for float64
-# Bytes of rows laid out at once.  A 200 x 200 sweep laid out in its
-# 4,000-row blocks took 7,700 page faults; in slices of 256 KB, 820.
-_ROWS_BYTES = 1 << 18
-
-
-def _byte_rows(items: list[bytes]) -> np.ndarray:
-    """Byte strings as a cell matrix, each padded to the longest."""
-    width, pad = max(map(len, items), default=0), bytes([_PAD])
-    return np.frombuffer(b"".join(b.ljust(width, pad) for b in items),
-                         np.uint8).reshape(len(items), width)
-
-
-def _digit_tables():
-    """The four-digit strings "0000".."9999" as words, the same with their
-    leading zeros _PAD (0 all _PAD), and the count of each one's trailing
-    zeros."""
-    d = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
-    digits = np.stack(np.meshgrid(d, d, d, d, indexing="ij"), axis=-1).reshape(-1, 4)
-    zero = digits == ord("0")
-    lead = np.logical_and.accumulate(zero, axis=1)
-    trail = np.logical_and.accumulate(zero[:, ::-1], axis=1)
-    return (digits.view(np.uint32).ravel(),
-            np.where(lead, np.uint8(_PAD), digits).view(np.uint32).ravel(),
-            np.count_nonzero(trail, axis=1))
-
-
-_DIGITS4, _DIGITS4_UNPADDED, _TRAILING_ZEROS4 = _digit_tables()
-# what precedes the digits at exponents -4..16: "0.000", "0.00", "0.", nothing
-_FRACTION_LEAD = _byte_rows([b"0." + b"0" * (-e - 1) if e < 0 else b"" for e in range(-4, 17)])
-
-
-def _text_cells(cells: list[str]) -> np.ndarray:
-    """String cells as CSV writes them, encoded and quoted once per distinct
-    string."""
-    index: dict[str, int] = {}
-    codes = [index.setdefault(c, len(index)) for c in cells]
-    table = _byte_rows([('"%s"' % c.replace('"', '""')
-                         if any(ch in c for ch in _CSV_SPECIAL) else c).encode()
-                        for c in index])
-    return table[np.asarray(codes, dtype=np.intp)]
-
-
-def _groups(mag: np.ndarray) -> list[np.ndarray]:
-    """The five four-digit groups of each non-negative integer in ``mag``
-    (int64 or uint64), most significant first."""
-    groups, rest = [], mag
-    for _ in range(4):
-        top = rest // 10 ** 4
-        groups.insert(0, rest - top * 10 ** 4)
-        rest = top
-    return [rest, *groups]
-
-
-def _int_cells(x: np.ndarray) -> np.ndarray:
-    """``str(v)`` for each value of the integer array ``x`` (-2**63 and
-    2**64 - 1 included): a sign column and 20 digit columns, the groups
-    before the first nonzero one _PAD and that one without its zeros."""
-    neg = x < 0
-    mag = x.astype(np.uint64)
-    np.negative(mag, out=mag, where=neg)  # |x| in two's complement, -2**63 too
-    words = np.empty((len(x), 6), np.uint32)  # word 0 holds the sign
-    started = np.zeros(len(x), bool)
-    for j, group in enumerate(_groups(mag), start=1):
-        words[:, j] = np.where(started, _DIGITS4[group], _DIGITS4_UNPADDED[group])
-        started |= group != 0
-    cells = words.view(np.uint8)[:, 3:]
-    cells[:, 0] = np.where(neg, ord("-"), _PAD)
-    cells[~started, -1] = ord("0")
-    return cells
-
-
-def _two_product(a: np.ndarray, b: np.ndarray):
-    """fl(a * b) and its exact error a * b - fl(a * b) (Dekker 1971)."""
-    p = a * b
-    c = _SPLIT * a
-    a_hi = c - (c - a)
-    c = _SPLIT * b
-    b_hi = c - (c - b)
-    a_lo, b_lo = a - a_hi, b - b_hi
-    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-
-
-def _decade_offset(p: np.ndarray, err: np.ndarray) -> np.ndarray:
-    """-1, 0 or 1 as the exact p + err (p its rounding) lies below, in or
-    above [1e16, 1e17)."""
-    low = (p < 1e16) | ((p == 1e16) & (err < 0))
-    high = (p > 1e17) | ((p == 1e17) & (err >= 0))
-    return high.astype(np.int64) - low
-
-
-def _significand(a: np.ndarray):
-    """E = floor(log10 a) and the 17 significant digits D = a 10**(16 - E),
-    rounded half to even, of each finite ``a`` in [1e-4, 1e17), exactly: E
-    from ``np.log10``, corrected once from the decade of the product, and
-    the product by a two-product.  Also which values these are; the others
-    are computed as 1.0."""
-    fast = (a >= 1e-4) & (a < 1e17)
-    a = np.where(fast, a, 1.0)
-    e10 = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.int64)
-    p, err = _two_product(a, _POW10[16 - e10])
-    off = _decade_offset(p, err)
-    fix = np.flatnonzero(off)
-    if fix.size:  # log10 rounded across a power of ten
-        e10[fix] += off[fix]
-        p[fix], err[fix] = _two_product(a[fix], _POW10[16 - e10[fix]])
-        fast[fix] &= _decade_offset(p[fix], err[fix]) == 0
-    # p is an even integer (>= 2**53): rint's ties to even are D's
-    d = p.astype(np.int64) + np.rint(err).astype(np.int64)
-    top = np.flatnonzero(d == 10 ** 17)
-    d[top] = 10 ** 16
-    e10[top] += 1
-    return d, e10, fast
-
-
-def _digit_words(d: np.ndarray):
-    """The 17 digits of each D in ``d`` as five words from ``_DIGITS4``
-    (three leading zeros first), and the place of its last nonzero digit."""
-    groups = _groups(d)
-    words = np.empty((len(d), 5), np.uint32)
-    for j, group in enumerate(groups):
-        words[:, j] = _DIGITS4[group]
-    last = 16 - _TRAILING_ZEROS4[groups[4]]
-    for j in range(3, -1, -1):  # where the groups after group j are zeros
-        rest = np.flatnonzero(last <= 4 * j)
-        last[rest] = 4 * j - _TRAILING_ZEROS4[groups[j][rest]]
-    return words, last
-
-
-def _float_cells(x: np.ndarray, nan: bytes = b"") -> np.ndarray:
-    """``"%.17g" % v`` for each value of the float array ``x``, and ``nan``
-    for NaN: a sign column, five for the "0.000" that leads |v| < 1, and
-    17 digit columns, each followed by a column for a decimal point.
-
-    A finite |v| in [1e-4, 1e17) takes its 17 significant digits at once
-    (``_significand``; README, "Numerical notes").  Trailing zeros of the
-    fraction are dropped, and the point with them.  Every other value goes
-    through ``%`` one by one.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    d, e10, fast = _significand(np.abs(x))
-    words, last = _digit_words(d)
-    digits = words.view(np.uint8)[:, 3:]
-    keep = np.maximum(e10, last)  # the last digit written
-    cells = np.full((len(x), 40), _PAD, np.uint8)
-    cells[x < 0, 0] = ord("-")
-    cells[:, 1:6] = np.take(_FRACTION_LEAD, e10 + 4, axis=0)
-    cells[:, 6::2] = digits
-    trim = np.flatnonzero((keep < 16) & fast)
-    cells[trim, 6::2] = np.where(np.arange(17) <= keep[trim, None], digits[trim], _PAD)
-    point = np.flatnonzero((e10 >= 0) & (e10 < last))
-    cells[point, 7 + 2 * e10[point]] = ord(".")
-    isnan = np.isnan(x)
-    nans = np.flatnonzero(isnan)
-    if nans.size:
-        cells[nans] = _PAD
-        cells[nans, :len(nan)] = np.frombuffer(nan, np.uint8)
-    slow = np.flatnonzero(~(fast | isnan))
-    if slow.size:  # zeros, infinities and magnitudes outside [1e-4, 1e17)
-        text = _byte_rows([(_FLOAT_FORMAT % v).encode() for v in x[slow].tolist()])
-        cells[slow] = _PAD
-        cells[slow, :text.shape[1]] = text
-    return cells
-
-
-def _write_rows(fh, fields: list[np.ndarray]) -> None:
-    """Write rows of the equally long cell matrices ``fields``, one per
-    column, to the binary file ``fh``: the cells side by side between
-    separators in a byte matrix of at most ``_ROWS_BYTES``, which drops
-    its _PAD bytes in one pass and is written at once."""
-    if not fields:
-        return
-    if len(fields) == 1:  # a row of one empty cell is written as ""
-        quotes = np.where((fields[0] == _PAD).all(axis=1), ord('"'), _PAD).astype(np.uint8)
-        fields = [np.column_stack([fields[0], quotes, quotes])]
-    n = min(map(len, fields))
-    width = sum(f.shape[1] + 1 for f in fields)
-    step = max(1, _ROWS_BYTES // width)
-    for start in range(0, n, step):
-        rows = np.empty((min(step, n - start), width), np.uint8)
-        end = 0
-        for f in fields:
-            rows[:, end:end + f.shape[1]] = f[start:start + step]
-            end += f.shape[1] + 1
-            rows[:, end - 1] = ord(",")
-        rows[:, -1] = ord("\n")
-        fh.write(rows.tobytes().translate(None, bytes([_PAD])))
 
 
 # Panel CSV schema: unit,year,outcome,adoption_year,control_1..control_m

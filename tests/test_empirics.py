@@ -3,6 +3,7 @@ import math
 import tracemalloc
 import unittest.mock
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from dataecon import (DesignError, DgpConfig, DomainError, Panel,
                       RankDeficiencyError, event_study, generate_panel,
                       read_panel_csv, twfe_did, write_panel_csv)
-from dataecon import empirics
+from dataecon import csvcells, empirics
 
 from .textdiff import first_difference
 
@@ -536,8 +537,9 @@ def test_pivoted_triangle_decides_as_scipy_does(n, k, case, seed):
         assert np.linalg.norm(beta - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-# Designs of 20,000 to 30,000 rows: three or four QR blocks, the last short.
-TALL_ROWS = [20_000, 24_577, 29_999]
+# Designs of several QR blocks, the last short: about a 216 x 23 panel's
+# 4,750 rows (five blocks) and 20,000 to 30,000 rows (20 to 30 blocks).
+TALL_ROWS = [4_750, 20_000, 24_577, 29_999]
 
 
 @pytest.mark.parametrize("n", TALL_ROWS)
@@ -830,12 +832,17 @@ def test_panel_csv_round_trips_the_int64_extremes(tmp_path):
 
 def cell_text(cells):
     """The cells of a cell matrix as text, the pad bytes dropped."""
-    return [bytes(row[row != empirics._PAD]).decode() for row in cells]
+    return [bytes(row[row != csvcells._PAD]).decode() for row in cells]
+
+
+def longest_cell(cells):
+    """The byte length of the longest cell of a cell matrix."""
+    return np.count_nonzero(cells != csvcells._PAD, axis=1).max(initial=0)
 
 
 def neighbours_of_powers_of_ten():
     values = []
-    for k in range(-6, 19):
+    for k in range(-29, 19):
         for toward in (-math.inf, math.inf):
             values.append(math.nextafter(10.0 ** k, toward))
         values.append(10.0 ** k)
@@ -846,40 +853,107 @@ def neighbours_of_powers_of_ten():
 # significant digit is an exact tie, which goes to the even digit
 DYADIC_TIES = [(2 ** 17 + 1) / 2 ** 17, (2 ** 17 + 3) / 2 ** 17,  # 1.00000762939453125 ...
                1000 + 2.0 ** -14, 1000 + 3 * 2.0 ** -14, 2.0 ** 53 + 2, 0.5 + 2.0 ** -18]
-FLOAT_EDGES = [9.9999999999999999e16, 1e16, 1e-4, *neighbours_of_powers_of_ten(), *DYADIC_TIES]
+# the same below 1e-6, where 10**s is not a double: x = m * 2**(-s - 1), m
+# odd, makes x * 10**s = m * 5**s / 2 (3 * 2**-24 * 10**23 = ...187.5)
+SMALL_TIES = [math.ldexp(m, -s - 1) for s in range(23, 26) for m in range(1, 40, 2)
+              if 2 * 10 ** 16 <= m * 5 ** s < 2 * 10 ** 17]
+# x * 10**s within 2**-52 of a half-integer, not on it: a double sum of the
+# four parts rounds such a tail to the tie; found as x = m 2**-(L + s), m
+# from m 5**s = 2**(L - 1) + r (mod 2**L) for the smallest |r| giving m < 2**53
+NEAR_TIES = [4.9102966142601843e-08, 4.95286445202696e-09, 4.974148370910348e-10,
+             6.83280278535067e-11, 6.83280278535067e-12, 5.979734131126677e-13,
+             8.839990188244671e-14, 8.839990188244671e-15, 7.548400156595142e-16]
+POWERS_OF_TWO = [2.0 ** -k for k in range(14, 94)]
+# the kernel's range is [10**-29, 1e17); the double 1e-29 lies just below it
+RANGE_EDGES = [1e-29, math.nextafter(1e-29, math.inf), 1e-28, 1e17, math.nextafter(1e17, 0)]
+FLOAT_EDGES = [9.9999999999999999e16, 1e16, 1e-4, *neighbours_of_powers_of_ten(), *DYADIC_TIES,
+               *SMALL_TIES, *NEAR_TIES, *POWERS_OF_TWO, *RANGE_EDGES]
 FLOAT_BITS = st.integers(0, 2 ** 64 - 1).map(
     lambda bits: float(np.array(bits, dtype=np.uint64).view(np.float64)))
+
+
+def in_kernel_range(v):
+    return 1e-29 < abs(v) < 1e17
+
+
+def test_small_ties_are_ties_and_near_ties_are_near():
+    assert 3 * 2.0 ** -24 in SMALL_TIES and len(SMALL_TIES) == 9
+    for x in SMALL_TIES + NEAR_TIES:
+        s = 16 - math.floor(math.log10(x))
+        off_tie = abs(Fraction(x) * 10 ** s % 1 - Fraction(1, 2))
+        assert s > 22 and (off_tie == 0) == (x in SMALL_TIES) and off_tie <= 2.0 ** -52
+
+
+def test_powers_of_ten_split_exactly():
+    for s in range(len(csvcells._POW10)):
+        assert int(csvcells._POW10[s]) + int(csvcells._POW10_LO[s]) == 10 ** s
+    assert not csvcells._POW10_LO[:23].any() and csvcells._POW10_LO[23:].all()
 
 
 @given(st.lists(st.floats() | FLOAT_BITS, max_size=40))
 @example(FLOAT_EDGES + [-v for v in FLOAT_EDGES])
 @example([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072014e-308,
           1.7976931348623157e308, 1e17, 99999999999999984.0, 9.999999999999999e-05])
+@example([0.15, 0.15, 0.15, 0.0, -0.0, -0.0, math.nan, math.nan, 3 * 2.0 ** -24, 3 * 2.0 ** -24])
 def test_float_cells_match_percent_17g(values):
     x = np.array(values, dtype=np.float64)
-    assert cell_text(empirics._float_cells(x, b"nan")) == ["%.17g" % v for v in values]
-    assert cell_text(empirics._float_cells(x)) == ["" if v != v else "%.17g" % v
+    assert cell_text(csvcells._float_cells(x, b"nan")) == ["%.17g" % v for v in values]
+    assert cell_text(csvcells._float_cells(x)) == ["" if v != v else "%.17g" % v
                                                    for v in values]
 
 
-@given(st.lists(st.floats(1e-4, 1e17, exclude_max=True), max_size=40))
-@example(FLOAT_EDGES[:-1])  # all but 2**53 + 2, dropped below with 1e17 as too large
+@given(st.lists(st.floats(1e-29, 1e17, exclude_min=True, exclude_max=True) | FLOAT_BITS,
+                max_size=40))
+@example([v for v in FLOAT_EDGES if in_kernel_range(v)])
 def test_float_cells_take_every_value_in_range_without_percent(values):
-    """Only zeros, infinities, NaN and magnitudes outside [1e-4, 1e17) are
-    formatted one by one: a value that needs its decade corrected is not."""
-    values = [v for v in values if 1e-4 <= v < 1e17] + [0.0, 5e-5, 1e17, math.inf]
+    """Only zeros, infinities, NaN and magnitudes outside [10**-29, 1e17)
+    are formatted one by one: a value that needs its decade corrected, or
+    that lies below 1e-6, where 10**(16 - E) is not a double, is not."""
+    values = [v for v in values if in_kernel_range(v)] + [0.0, 1e-29, 1e17, math.inf]
     x = np.concatenate([values, np.negative(values)])
-    with unittest.mock.patch.object(empirics, "_FLOAT_FORMAT", "slow %.17g"):
-        text = cell_text(empirics._float_cells(x))
-    assert text == [("slow %.17g" if v == 0 or not 1e-4 <= abs(v) < 1e17 else "%.17g") % v
-                    for v in x.tolist()]
+    with unittest.mock.patch.object(csvcells, "_FLOAT_FORMAT", "slow %.17g"):
+        text = cell_text(csvcells._float_cells(x))
+    assert text == [("%.17g" if in_kernel_range(v) else "slow %.17g") % v for v in x.tolist()]
+
+
+@given(st.lists(st.floats() | FLOAT_BITS, max_size=40), st.sampled_from([b"", b"nan"]))
+@example([], b"nan")
+@example([math.nan], b"")
+@example([1.5, -0.0], b"")
+@example([1e-300, 1.5], b"")
+def test_float_cells_are_as_wide_as_their_longest_cell(values, nan):
+    cells = csvcells._float_cells(np.array(values, dtype=np.float64), nan)
+    assert cells.shape == (len(values), longest_cell(cells))
+
+
+@given(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), max_size=40))
+@example([])
+@example([-5, 7])
+@example([-2 ** 63, 0])
+def test_int_cells_are_as_wide_as_their_longest_cell(values):
+    cells = csvcells._int_cells(np.array(values, dtype=np.int64))
+    assert cells.shape == (len(values), longest_cell(cells))
+
+
+@given(st.lists(st.sampled_from(["ok", "singular", "", "a,b", 'say "x"']) | st.text(max_size=6),
+                max_size=40).map(sorted))
+@example([])
+@example(["ok", "ok", "singular", "ok"])
+def test_run_cells_match_text_cells(values):
+    """Formatted once per run of equal neighbours (sorted lists make long
+    runs), quoted ones among them; as wide as the longest cell."""
+    values = np.array(values, dtype=str)  # drops trailing NULs, as a grid's mask does
+    cells = csvcells._run_cells(values)
+    assert cell_text(cells) == cell_text(csvcells._text_cells(values.tolist()))
+    assert cells.shape == (len(values), longest_cell(cells))
 
 
 @given(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), max_size=40))
 @example([2 ** 63 - 1, -(2 ** 63 - 1), -2 ** 63, 0, 1, -1, 9999, 10000, -10 ** 18])
+@example([7, 7, 7, -7, -7, 2000, 2000, 0])
 def test_int_cells_match_str(values):
     x = np.array(values, dtype=np.int64)
-    assert cell_text(empirics._int_cells(x)) == [str(v) for v in values]
+    assert cell_text(csvcells._int_cells(x)) == [str(v) for v in values]
 
 
 @pytest.mark.parametrize("values", [np.array([0, 7, 255], dtype=np.uint8),
@@ -887,7 +961,7 @@ def test_int_cells_match_str(values):
                                     np.array([-128, 0, 127], dtype=np.int8)],
                          ids=["uint8", "uint64", "int8"])
 def test_int_cells_of_narrow_and_unsigned_dtypes(values):
-    assert cell_text(empirics._int_cells(values)) == [str(v) for v in values.tolist()]
+    assert cell_text(csvcells._int_cells(values)) == [str(v) for v in values.tolist()]
 
 
 
