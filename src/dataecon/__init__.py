@@ -12,13 +12,11 @@ harness for desk-scale estimator studies.
 
 __version__ = "0.1.0"
 
-from .core import (SteadyState, data_volume, interest_rate, labor_demand,
-                   output, profit_coefficient, reduced_output, steady_state,
-                   technology)
+from .core import SteadyState, interest_rate, output, steady_state
 from .dynamics import (Classification, PhasePortrait, ShockResult, State,
                        Trajectory, classify_equilibrium,
                        integrate, jacobian, nullclines, phase_portrait, rhs,
-                       saddle_path, saddle_path_deviation, shock_experiment)
+                       saddle_path, shock_experiment)
 from .empirics import (DgpConfig, DidResult, EventStudyResult, Panel,
                        event_study, generate_panel, read_panel_csv, twfe_did,
                        write_panel_csv)

@@ -6,20 +6,23 @@ Solving the implicit fixed point gives the reduced production function
 
     y = theta^(ae/(1-ae)) * k^(alpha/(1-ae)) * l^(beta/(1-ae)),   ae = alpha*eta.
 
-Optimizing labor out at wage ``w`` leaves accounting profit
-``pi(w) * k^(alpha/den)`` with ``den = 1 - beta - ae``, whose derivative in
-capital is the endogenous interest rate
+With labor at its first-order condition, output is a power of capital and
+the endogenous interest rate (the derivative of profit in capital) is
+r(k) = alpha y / ((1 - ae) k).  The steady state pairs r(k*) = rho + delta
+with the accumulation identity c* = y* - delta k*, which is one log-linear
+formula: with den = 1 - beta - ae and kx = alpha + beta + ae - 1,
 
-    r(k) = (alpha/den) * pi(w) * k^(kx/den),   kx = alpha + beta + ae - 1.
+    log k* = [den log((rho+delta)(1-ae)/alpha) + beta log((1-ae) w/beta)
+              - ae log theta] / kx,
+    y* = k* (rho+delta)(1-ae)/alpha,   c* = k* ((rho+delta)(1-ae)/alpha - delta),
+    l* = k* beta (rho+delta)/(alpha w),  r* = rho + delta.
 
-The steady state pairs r(k*) = rho + delta with the accumulation identity
-c* = y(k*, l*(k*)) - delta*k*.  All power evaluations run in log space
-(exp of sums of logs); near the singular band the exponents behave like
-1/kx and direct powers would overflow.
-
-The algebra is written once, in ``Coefficients``; ``steady_states``
-evaluates it on (theta, eta) arrays and the scalar functions are its 0-d
-calls, so a grid cell and a scalar solve run the same float operations.
+Off the steady state r, y and l are anchored at log k* in log space.  The
+exponent 1/kx diverges at the singular band kx = 0, where closed forms are
+refused.  The algebra is written once, in ``Coefficients``;
+``steady_states`` evaluates it on (theta, eta) arrays and the scalar
+functions are its 0-d calls, so a grid cell and a scalar solve run the same
+float operations.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from .params import ModelParams
 _LOG_MAX = 709.0  # exp overflow threshold for float64
 
 # Outcomes of a closed-form solve and the grid mask category of each.
-_OK, _INFEASIBLE, _SINGULAR, _NO_DATA, _NO_PROFIT, _NO_CAPITAL = range(6)
-_MASKS = np.array(["ok", "infeasible", "singular"] + 3 * ["degenerate"])
+_OK, _INFEASIBLE, _SINGULAR, _NO_DATA, _NO_CAPITAL = range(5)
+_MASKS = np.array(["ok", "infeasible", "singular"] + 2 * ["degenerate"])
 _NO_DATA_MESSAGE = "theta must be positive when eta > 0 (no data, no output)"
 
 
@@ -47,7 +50,7 @@ def _log_power(expo, base):
 def _exp(s):
     """exp(s), saturating to inf above _LOG_MAX; callers treat non-finite
     results as infeasible."""
-    return np.exp(np.where(np.real(s) > _LOG_MAX, np.inf, s))
+    return np.exp(np.where(s > _LOG_MAX, np.inf, s))
 
 
 @dataclass(frozen=True)
@@ -64,74 +67,68 @@ class SteadyState:
 
 
 class Coefficients:
-    """Reduced-form coefficients of ``p``, whose theta and eta may be
-    replaced by arrays that broadcast.  With ae = alpha*eta, den = 1 - beta
-    - ae and kx = alpha + beta + ae - 1, the methods evaluate
+    """The steady state of ``p`` in log-linear form, with theta and eta
+    replaceable by real arrays that broadcast.  With ae = alpha*eta,
+    den = 1 - beta - ae and kx = alpha + beta + ae - 1 it holds ``den``,
+    ``kx``, ``log_k`` (log k*), ``yk`` (y*/k* = (rho + delta)(1 - ae)/alpha,
+    free of theta), ``log_yk`` and ``r_exp`` = kx/den, and anchors at log k*
 
-        l*(k) = exp(log_l + y_exp log k),  y(k, l*(k)) = exp(log_y + y_exp log k),
-        r(k) = r_coef k^r_exp,             k(r) = (r den / (alpha piw))^k_exp,
+        r(k) = (rho + delta)(k/k*)^r_exp,   y(k) = yk k (k/k*)^r_exp,
+        k(r) = k* (r/(rho + delta))^(1/r_exp).
 
-    with y_exp = alpha/den, r_coef = y_exp piw, r_exp = kx/den and
-    k_exp = den/kx.  ``refused`` holds the first failing check (_SINGULAR,
-    _NO_DATA, _NO_PROFIT) or _OK; refused cells hold meaningless numbers.
-    A complex theta or eta serves derivatives: read only imaginary parts.
+    ``refused`` holds _SINGULAR, _NO_DATA or _OK; refused cells hold
+    meaningless numbers.
     """
 
     def __init__(self, p: ModelParams, theta=None, eta=None):
         theta = p.theta if theta is None else theta
         eta = p.eta if eta is None else eta
-        theta = np.asarray(theta, dtype=complex if np.iscomplexobj(theta) else float)
-        eta = np.asarray(eta, dtype=complex if np.iscomplexobj(eta) else float)
-        alpha, beta, w = p.alpha, p.beta, p.w
+        if np.iscomplexobj(theta) or np.iscomplexobj(eta):
+            raise DomainError("theta and eta must be real")
+        theta, eta = np.asarray(theta, dtype=float), np.asarray(eta, dtype=float)
+        alpha, beta = p.alpha, p.beta
         self.p = p
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        self.rho_delta = rho_delta = p.rho + p.delta
+        with np.errstate(divide="ignore", invalid="ignore"):
             ae = alpha * eta
             om = 1.0 - ae
             self.den = den = 1.0 - beta - ae
-            kx = alpha + beta + ae - 1.0
-            # Profit at unit capital, theta^(ae/om) T^(-beta/den) - w T^(-om/den),
-            # with T = (om/beta) theta^(-ae/om) w the labor-optimum bracket.
-            log_theta_om = _log_power(ae / om, theta)
-            log_t = np.log(om / beta) + np.log(w) - log_theta_om
-            self.piw = piw = (np.exp(log_theta_om) * np.exp((-beta / den) * log_t)
-                              - w * np.exp((-om / den) * log_t))
-            log_theta = _log_power(ae / den, theta)
-            self.log_y = log_theta + (-beta / den) * np.log(om / beta * w)
-            self.log_l = (om / den) * np.log(beta / (om * w)) + log_theta
-            self.y_exp = alpha / den
-            self.r_coef = self.y_exp * piw
-            self.r_exp, self.k_exp = kx / den, den / kx
-            self.refused = np.where(
-                np.abs(np.real(kx)) < p.singular_band, _SINGULAR,
-                np.where((np.real(eta) > 0.0) & (np.real(theta) <= 0.0), _NO_DATA,
-                         np.where(np.real(piw) <= 0.0, _NO_PROFIT, _OK)))
+            self.kx = kx = alpha + beta + ae - 1.0
+            self.yk = rho_delta * om / alpha
+            self.log_yk = np.log(self.yk)
+            self.log_k = (den * self.log_yk + beta * np.log(om * p.w / beta)
+                          - _log_power(ae, theta)) / kx
+            self.r_exp = kx / den
+        self.refused = np.where(
+            np.abs(kx) < p.singular_band, _SINGULAR,
+            np.where((eta > 0.0) & (theta <= 0.0), _NO_DATA, _OK))
+
+    def _ratio(self, k):
+        """(k/k*)^r_exp = r(k)/(rho + delta)."""
+        return _exp(self.r_exp * (np.log(k) - self.log_k))
 
     def capital(self, target):
-        return _exp(self.k_exp * np.log(target * self.den / (self.p.alpha * self.piw)))
-
-    def labor(self, k):
-        return _exp(self.log_l + self.y_exp * np.log(k))
+        return _exp(self.log_k + np.log(target / self.rho_delta) / self.r_exp)
 
     def output(self, k):
-        return _exp(self.log_y + self.y_exp * np.log(k))
+        return self.yk * k * self._ratio(k)
 
     def rate(self, k):
-        return self.r_coef * _exp(self.r_exp * np.log(k))
+        return self.rho_delta * self._ratio(k)
 
     def steady(self):
         """Outcome code and SteadyState quantities (meaningful where _OK) of each cell."""
-        r_star = self.p.rho + self.p.delta
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            k = self.capital(r_star)
-            finite = np.isfinite(k)
-            l = np.where(finite, self.labor(k), np.nan)
-            y = np.where(finite, self.output(k), np.nan)
-            c = y - self.p.delta * k
-            feasible = np.isfinite(c) & np.isfinite(l) & (np.real(c) > 0.0) & (np.real(l) > 0.0)
+        p = self.p
+        with np.errstate(invalid="ignore", over="ignore"):
+            k = _exp(self.log_k)
+            c = (self.yk - p.delta) * k
+            l = (p.beta * self.rho_delta / (p.alpha * p.w)) * k
+            y = self.yk * k
+            feasible = np.isfinite(c) & np.isfinite(l) & (c > 0.0) & (l > 0.0)
         code = np.where(self.refused != _OK, self.refused,
                         np.where(k == 0.0, _NO_CAPITAL, np.where(feasible, _OK, _INFEASIBLE)))
         return code, {"k_star": k, "c_star": c, "l_star": l, "y_star": y,
-                      "r_star": np.full(np.shape(k), r_star)}
+                      "r_star": np.full(np.shape(k), self.rho_delta)}
 
 
 def _refusal(co: Coefficients, code) -> ModelError:
@@ -143,8 +140,6 @@ def _refusal(co: Coefficients, code) -> ModelError:
             "closed forms are not evaluated there")
     if code == _NO_DATA:
         return DomainError(_NO_DATA_MESSAGE)
-    if code == _NO_PROFIT:
-        return DegenerateError(f"profit coefficient is nonpositive ({float(co.piw)})")
     assert code == _NO_CAPITAL, code
     return DomainError("capital must be positive, got 0.0")
 
@@ -154,7 +149,7 @@ def _reduced(p: ModelParams, k: float | None = None) -> Coefficients:
     if k is not None and k <= 0.0:
         raise DomainError(f"capital must be positive, got {k}")
     co = Coefficients(p)
-    if co.refused in (_SINGULAR, _NO_DATA):
+    if co.refused != _OK:
         raise _refusal(co, co.refused)
     return co
 
@@ -165,31 +160,10 @@ def steady_states(p: ModelParams, theta=None, eta=None) -> tuple[np.ndarray, dic
     Returns the mask category of each cell ('ok', 'infeasible', or where
     ``steady_state`` raises, 'singular' or 'degenerate') and a dict of the
     SteadyState quantities; only 'ok' cells carry meaningful numbers.
+    A complex theta or eta raises DomainError.
     """
     code, values = Coefficients(p, theta, eta).steady()
     return _MASKS[code], values
-
-
-def data_volume(y: float, theta: float) -> float:
-    """Data produced from output: d = theta*y."""
-    if y < 0.0:
-        raise DomainError(f"output must be nonnegative, got {y}")
-    return theta * y
-
-
-def technology(d: float, eta: float) -> float:
-    """Technology level from data: z = d^eta.
-
-    d = 0 with eta = 0 is undefined (0^0); callers on the eta = 0 reduction
-    path must use z = 1 directly.
-    """
-    if d < 0.0:
-        raise DomainError(f"data volume must be nonnegative, got {d}")
-    if d == 0.0:
-        if eta == 0.0:
-            raise DomainError("0^0 is undefined; use the eta = 0 reduction (z = 1)")
-        return 0.0
-    return float(_exp(eta * np.log(d)))
 
 
 def output(k: float, l: float, p: ModelParams) -> float:
@@ -207,43 +181,13 @@ def output(k: float, l: float, p: ModelParams) -> float:
                       + (p.beta / om) * np.log(l)))
 
 
-def labor_demand(k: float, p: ModelParams) -> float:
-    """Profit-maximizing labor input at capital k and wage w.
-
-    From the first-order condition the marginal product of labor equals w:
-
-        l* = [ (beta / ((1-ae) w)) * theta^(ae/(1-ae)) * k^(alpha/(1-ae)) ]^((1-ae)/den)
-    """
-    return float(_reduced(p, k).labor(k))
-
-
-def profit_coefficient(p: ModelParams) -> float:
-    """Wage-dependent coefficient pi(w) of accounting profit pi(w)*k^(alpha/den).
-
-    Equals output(1, l*(1)) - w*l*(1), the maximized profit at unit capital.
-    For valid parameters the value is strictly positive; a nonpositive value
-    is possible only through floating-point degeneracy and is propagated by
-    callers as a degenerate steady state.
-    """
-    return float(_reduced(p).piw)
-
-
 def interest_rate(k: float, p: ModelParams) -> float:
-    """Endogenous interest rate r(k) = (alpha/den) * pi(w) * k^(kx/den).
+    """Endogenous interest rate r(k) = (rho + delta)(k/k*)^(kx/den).
 
     This is the derivative of accounting profit in capital, the firm's
     marginal value of one more unit of k.
     """
     return float(_reduced(p, k).rate(k))
-
-
-def reduced_output(k: float, p: ModelParams) -> float:
-    """Output at the firm's labor optimum, y(k, l*(k)).
-
-    Collapses to C * k^(alpha/den) with
-    C = theta^(ae/den) * [((1-ae)/beta) w]^(-beta/den).
-    """
-    return float(_reduced(p, k).output(k))
 
 
 def capital_from_marginal_value(target: float, p: ModelParams) -> float:
@@ -255,17 +199,15 @@ def capital_from_marginal_value(target: float, p: ModelParams) -> float:
     co = _reduced(p)
     if target <= 0.0:
         raise DegenerateError(f"marginal-value target must be positive, got {target}")
-    if co.refused == _NO_PROFIT:
-        raise _refusal(co, _NO_PROFIT)
     return float(co.capital(target))
 
 
 def steady_state(p: ModelParams) -> SteadyState:
     """Closed-form steady state of the consumption-capital system.
 
-    k* solves r(k*) = rho + delta; c* = y(k*, l*(k*)) - delta*k*.  The point
-    zeroes both dynamic equations.  feasible is False (not an error) when
-    c* <= 0 or the closed form overflows, so parameter sweeps can mask cells.
+    k* solves r(k*) = rho + delta; c* = y* - delta*k*.  The point zeroes
+    both dynamic equations.  feasible is False (not an error) when c* <= 0
+    or the closed form overflows, so parameter sweeps can mask cells.
     This is the 0-d case of ``steady_states``.
     """
     co = Coefficients(p)

@@ -117,16 +117,14 @@ def _unpack(s) -> tuple[float, float]:
 def _field(p: ModelParams):
     """Plain-float vector field closure on the coefficients of ``p``."""
     co = core._reduced(p)
-    rr, r_exp, lcy, y_exp = (float(v) for v in (co.r_coef, co.r_exp, co.log_y, co.y_exp))
+    log_k, r_exp, yk = (float(v) for v in (co.log_k, co.r_exp, co.yk))
     rho_delta = p.rho + p.delta
     sigma, delta, log_max = p.sigma, p.delta, core._LOG_MAX
 
     def f(c: float, k: float) -> tuple[float, float]:
-        lk = math.log(k)
-        r = rr * math.exp(min(r_exp * lk, log_max))
-        ly = lcy + y_exp * lk
-        y = math.inf if ly > log_max else math.exp(ly)
-        return c * (r - rho_delta) / sigma, y - c - delta * k
+        x = min(r_exp * (math.log(k) - log_k), log_max)  # log r(k)/(rho + delta)
+        r_gap = rho_delta * math.expm1(x)  # r(k) - (rho + delta), without cancellation
+        return c * r_gap / sigma, yk * k * math.exp(x) - c - delta * k
 
     return f
 
@@ -148,7 +146,7 @@ def jacobian(s, p: ModelParams) -> np.ndarray:
     r = float(co.rate(k))
     y = float(co.output(k))
     r_prime = float(co.r_exp) * r / k
-    y_prime = float(co.y_exp) * y / k
+    y_prime = p.alpha / float(co.den) * y / k
     return np.array([
         [(r - p.rho - p.delta) / p.sigma, c * r_prime / p.sigma],
         [-1.0, y_prime - p.delta],
@@ -173,7 +171,7 @@ def classify_equilibrium(p: ModelParams) -> Classification:
         raise DegenerateError("steady state is infeasible; nothing to classify")
     co = core.Coefficients(p)
     rho_delta, om = p.rho + p.delta, 1.0 - p.alpha * p.eta
-    a = (rho_delta * om / p.alpha - p.delta) * float(co.r_exp) * rho_delta / p.sigma
+    a = (float(co.yk) - p.delta) * float(co.r_exp) * rho_delta / p.sigma
     b = rho_delta * om / float(co.den) - p.delta
     disc = b * b - 4.0 * a
     if disc >= 0.0:
@@ -406,33 +404,6 @@ def saddle_path(p: ModelParams, k_targets: tuple[float, float],
         states = np.column_stack([cs, ks])[::-1]
         branches.append(Trajectory(t_fwd, states.astype(float), status))
     return branches[0], branches[1]
-
-
-def saddle_path_deviation(p: ModelParams, k_targets: tuple[float, float],
-                          tol: float = 1e-9, eps_scale: float = 1e-6) -> float:
-    """Self-consistency of the branch construction under eps halving.
-
-    Recomputes both branches with eps and eps/2 and returns the maximum
-    consumption gap at matched capital, relative to ||(c*, k*)||.
-    """
-    ss = steady_state(p)
-    scale = math.hypot(ss.c_star, ss.k_star)
-    worst = 0.0
-    for pair in zip(saddle_path(p, k_targets, tol, eps_scale),
-                    saddle_path(p, k_targets, tol, eps_scale / 2.0)):
-        a, b = pair
-        ka, ca = a.k, a.c
-        kb, cb = b.k, b.c
-        lo = max(ka.min(), kb.min())
-        hi = min(ka.max(), kb.max())
-        if hi <= lo:
-            continue
-        grid = np.linspace(lo, hi, 200)
-        ia = np.argsort(ka)
-        ib = np.argsort(kb)
-        gap = np.interp(grid, ka[ia], ca[ia]) - np.interp(grid, kb[ib], cb[ib])
-        worst = max(worst, float(np.max(np.abs(gap))) / scale)
-    return worst
 
 
 def phase_portrait(p: ModelParams, k_range: tuple[float, float] | None = None,

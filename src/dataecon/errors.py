@@ -22,7 +22,7 @@ class RegimeError(ModelError):
 
 
 class DegenerateError(ModelError):
-    """No meaningful solution (nonpositive profit coefficient or bracket)."""
+    """No meaningful solution (an infeasible steady state or a nonpositive bracket)."""
 
 
 class ClassificationError(ModelError):

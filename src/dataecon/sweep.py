@@ -4,7 +4,7 @@ Builds equilibrium surfaces on rectangular grids with singular / infeasible
 cells masked, locates the consumption-maximizing conversion rate eta*(theta)
 for every theta at once by a lockstep golden-section search on the array
 evaluator, extracts iso-equilibrium contours by marching squares, and
-reports local complex-step sensitivity signs.
+reports the signs of the steady state's analytic derivatives.
 """
 
 from __future__ import annotations
@@ -14,13 +14,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import SteadyState, steady_states
+from .core import Coefficients, SteadyState, steady_states
 from .errors import DomainError, SearchError
 from .params import ModelParams
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # inverse golden ratio
 _COARSE_POINTS = 65  # eta points of the threshold search's bracketing scan
-_COMPLEX_STEP = 1e-20  # sensitivity_signs' imaginary step
 _MAX_CELLS = 2_500_000  # cell bound of grid_sweep and threshold_curve's scan (~365 MB)
 _QUANTITIES = tuple(f.name for f in fields(SteadyState) if f.name != "feasible")
 
@@ -86,7 +85,6 @@ class SensitivityReport:
     dk_dtheta: Derivative
     dc_deta: Derivative
     dc_dtheta: Derivative
-    step: float
 
 
 def _check_axis(name: str, axis) -> np.ndarray:
@@ -336,17 +334,21 @@ def iso_equilibrium_contour(grid: SweepGrid, variable: str, level: float) -> Iso
 
 
 def sensitivity_signs(p: ModelParams) -> SensitivityReport:
-    """Signs of d(k*, c*)/d(eta, theta) by complex step (Squire & Trapp 1998).
+    """Signs and values of d(k*, c*)/d(eta, theta), in closed form.
 
-    One ``steady_states`` call on (theta, eta + ih) and (theta + ih, eta)
-    gives each derivative as Im(value)/h: no step choice, no cancellation,
-    no stencil leaving the domain.  A sign is 0 only where the derivative
-    is exactly 0.  Raises DomainError where the mask refuses either cell.
+    With L = log k*, A = log(y*/k*) and the notation of ``core``,
+    dL/dtheta = -ae/(kx theta) and dL/deta = -alpha(A + log theta + 1 + L)/kx;
+    c* = k* (y*/k* - delta) with d(y*/k*)/deta = -(rho + delta).  A sign is
+    0 only where the derivative is exactly 0, as d/dtheta is at eta = 0.
+    Raises DomainError where ``steady_states`` masks the cell, and at
+    theta = 0, where d/deta is infinite.
     """
-    step = np.array([0.0, 1j]) * _COMPLEX_STEP
-    mask, values = steady_states(p, p.theta + step, p.eta + step[::-1])
-    if np.any(mask != "ok"):
-        raise DomainError(f"no feasible complex-step cells around (theta={p.theta}, eta={p.eta})")
-    slopes = np.concatenate([values["k_star"].imag, values["c_star"].imag]) / _COMPLEX_STEP
-    return SensitivityReport(*(Derivative(int(np.sign(v)), v) for v in slopes.tolist()),
-                             step=_COMPLEX_STEP)
+    mask, values = steady_states(p)
+    if mask != "ok" or p.theta == 0.0:
+        raise DomainError(f"no finite sensitivities at (theta={p.theta}, eta={p.eta})")
+    co = Coefficients(p)
+    k, kx, ck = float(values["k_star"]), float(co.kx), float(co.yk) - p.delta
+    dk_dtheta = -k * p.alpha * p.eta / (kx * p.theta)
+    dk_deta = -k * p.alpha * (float(co.log_yk) + math.log(p.theta) + 1.0 + float(co.log_k)) / kx
+    slopes = (dk_deta, dk_dtheta, ck * dk_deta - (p.rho + p.delta) * k, ck * dk_dtheta)
+    return SensitivityReport(*(Derivative(int(np.sign(v)), v) for v in slopes))

@@ -1,19 +1,65 @@
+import math
+import warnings
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dataecon import (DomainError, RegimeError, baseline_params, data_volume,
-                      interest_rate, labor_demand, output, profit_coefficient,
-                      reduced_output, rhs, steady_state, technology,
+from dataecon import (DomainError, ModelParams, RegimeError, baseline_params,
+                      grid_sweep, interest_rate, output, rhs, steady_state,
                       validate_params)
+from dataecon.core import steady_states
 
+from . import decimal_oracle
 from .strategies import model_params
 
 BASE = baseline_params()
+EPS = 2.0 ** -52
 
 
 # ---------------------------------------------------------------------------
-# Independent oracles
+# Independent oracles: the paper's equations written with plain floats
+
+def data_volume(y, theta):
+    """Data produced from output: d = theta*y."""
+    if y < 0.0:
+        raise DomainError(f"output must be nonnegative, got {y}")
+    return theta * y
+
+
+def technology(d, eta):
+    """Technology level from data: z = d^eta; 0^0 is left undefined (the
+    eta = 0 reduction uses z = 1)."""
+    if d < 0.0 or (d == 0.0 and eta == 0.0):
+        raise DomainError(f"technology is undefined at d={d}, eta={eta}")
+    return d ** eta
+
+
+def fixed_point_closed_form(k, l, p):
+    """y solving y = ((theta y)^eta k)^alpha l^beta, by plain powers."""
+    om = 1.0 - p.alpha * p.eta
+    return p.theta ** (p.alpha * p.eta / om) * k ** (p.alpha / om) * l ** (p.beta / om)
+
+
+def labor_demand(k, p):
+    """Labor at the first-order condition w = dy/dl = (beta/(1-ae)) y/l of
+    the fixed-point output, solved for l."""
+    ae = p.alpha * p.eta
+    om, den = 1.0 - ae, 1.0 - p.beta - ae
+    return ((p.beta / (om * p.w)) * p.theta ** (ae / om) * k ** (p.alpha / om)) ** (om / den)
+
+
+def reduced_output(k, p):
+    """Output at the labor optimum, y(k, l*(k))."""
+    return fixed_point_closed_form(k, labor_demand(k, p), p)
+
+
+def profit_coefficient(p):
+    """Maximized profit at unit capital, y(1, l*(1)) - w l*(1)."""
+    l1 = labor_demand(1.0, p)
+    return fixed_point_closed_form(1.0, l1, p) - p.w * l1
+
 
 def textbook_eta0(alpha, beta, w, delta, rho):
     """Cobb-Douglas closed forms with eta = 0, written with plain powers."""
@@ -134,8 +180,14 @@ def test_labor_demand_eta0_closed_form():
 
 
 def test_labor_demand_singular_regime_refused():
+    # labor demand itself is regular at kx = 0; the closed forms built on it
+    # (r(k) and the steady state) are refused there
+    p = validate_params({"eta": 1.0 / 3.0})
+    assert math.isfinite(labor_demand(1.0, p))
     with pytest.raises(RegimeError):
-        labor_demand(1.0, validate_params({"eta": 1.0 / 3.0}))
+        interest_rate(1.0, p)
+    with pytest.raises(RegimeError):
+        steady_state(p)
 
 
 @given(model_params(), st.floats(0.1, 100.0))
@@ -157,18 +209,27 @@ def test_profit_coefficient_eta0_reduction():
 
 
 def test_profit_coefficient_is_unit_capital_profit():
+    # r(k) is the derivative of profit pi k^(alpha/den), so r(1) = (alpha/den) pi
     p = BASE
     l1 = labor_demand(1.0, p)
-    oracle = output(1.0, l1, p) - p.w * l1
-    assert profit_coefficient(p) == pytest.approx(oracle, rel=1e-8)
+    profit = output(1.0, l1, p) - p.w * l1
+    den = 1.0 - p.beta - p.alpha * p.eta
+    assert profit == pytest.approx(profit_coefficient(p), rel=1e-12)
+    assert interest_rate(1.0, p) == pytest.approx(p.alpha / den * profit, rel=1e-8)
 
 
 @given(model_params())
 def test_profit_coefficient_matches_unit_profit_everywhere(p):
+    # the unit-capital profit equals its closed form
+    # theta^(ae/den) ((1-ae) w/beta)^(-beta/den) den/(1-ae), positive wherever den > 0
+    ae = p.alpha * p.eta
+    om, den = 1.0 - ae, 1.0 - p.beta - ae
     l1 = labor_demand(1.0, p)
-    oracle = output(1.0, l1, p) - p.w * l1
-    assert profit_coefficient(p) == pytest.approx(oracle, rel=1e-7)
-    assert profit_coefficient(p) > 0.0
+    profit = output(1.0, l1, p) - p.w * l1
+    closed = p.theta ** (ae / den) * (om * p.w / p.beta) ** (-p.beta / den) * den / om
+    assert profit == pytest.approx(closed, rel=1e-7)
+    assert profit > 0.0
+    assert interest_rate(1.0, p) == pytest.approx(p.alpha / den * profit, rel=1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +259,7 @@ def test_interest_rate_at_k_star_is_rho_plus_delta():
 
 @given(model_params(), st.floats(0.5, 20.0))
 def test_interest_rate_is_profit_derivative(p, k):
-    den = 1.0 - p.beta - p.alpha * p.eta
-    profit = lambda kk: profit_coefficient(p) * kk ** (p.alpha / den)
+    profit = lambda kk: reduced_output(kk, p) - p.w * labor_demand(kk, p)
     fd = central_diff(profit, k, 1e-6 * k)
     assert interest_rate(k, p) == pytest.approx(fd, rel=1e-6)
 
@@ -274,7 +334,79 @@ def test_eta0_module_agreement_with_textbook_path():
         oracle = textbook_eta0(alpha, beta, w, delta, rho)
         ss = steady_state(p)
         assert profit_coefficient(p) == pytest.approx(oracle["pi"], rel=1e-8)
+        assert interest_rate(1.0, p) == pytest.approx(
+            alpha / (1.0 - beta) * oracle["pi"], rel=1e-8)
         assert ss.k_star == pytest.approx(oracle["k"], rel=1e-8)
         assert ss.c_star == pytest.approx(oracle["c"], rel=1e-8)
+        assert ss.l_star == pytest.approx(oracle["l"], rel=1e-8)
         assert labor_demand(1.0, p) == pytest.approx(
             (beta / w) ** (1.0 / (1.0 - beta)), rel=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# the log-linear kernel against the 70-digit decimal oracle
+
+def relative_bound(ss, p):
+    """Relative rounding bound of each steady-state quantity: log k* =
+    N/kx carries about eps (1 + |log k*|)/|kx| of error, and c* = k*(y*/k*
+    - delta) adds the cancellation of its ratio, eps y*/c*."""
+    k_bound = 16 * EPS * (1.0 + abs(math.log(ss.k_star))) / abs(p.k_exponent)
+    return {"k_star": k_bound, "l_star": k_bound, "y_star": k_bound,
+            "c_star": k_bound + 16 * EPS * ss.y_star / ss.c_star}
+
+
+def assert_matches_decimal(ss, p):
+    oracle = decimal_oracle.steady_state(p)
+    for name, bound in relative_bound(ss, p).items():
+        ref = float(oracle[name])
+        assert abs(getattr(ss, name) - ref) <= bound * abs(ref), (name, getattr(ss, name), ref)
+
+
+@given(model_params(feasible=True))
+def test_steady_state_matches_decimal_oracle(p):
+    assert_matches_decimal(steady_state(p), p)
+
+
+def test_eta0_textbook_values_to_1e12():
+    ss = steady_state(validate_params({"eta": 0.0}))
+    for got, want in ((ss.k_star, 51.2), (ss.c_star, 8.704), (ss.l_star, 2.56),
+                      (ss.y_star, 12.8)):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+# Cells where den = 1 - beta - alpha*eta is about 1e-3: the profit
+# coefficient, a difference of two exponentials, was subnormal or rounded to
+# 0 there, so k* overflowed ("infeasible") or the cell was refused
+# ("degenerate"), although log k* is moderate and c* > 0.
+LOST_CELLS = [
+    # infeasible before: log k* = 47.78, c*/k* = 1.10
+    dict(alpha=0.1133, beta=0.8844, w=246.9, theta=0.157, eta=0.959),
+    # degenerate before (profit coefficient not positive): k* = 2.46e5
+    dict(alpha=0.1356, beta=0.8643, w=6.156, theta=0.5, eta=0.99),
+    # infeasible before: k* = 8.74e9
+    dict(alpha=0.2081, beta=0.7918, w=316.1, theta=0.75, eta=0.97),
+]
+
+
+@pytest.mark.parametrize("cell", LOST_CELLS)
+def test_feasible_cells_near_den_zero_are_kept(cell):
+    p = ModelParams(**cell)
+    ss = steady_state(p)
+    assert ss.feasible
+    assert_matches_decimal(ss, p)
+    thetas, etas = np.linspace(0.0, p.theta, 5), np.linspace(0.0, p.eta, 5)
+    grid = grid_sweep(p, thetas, etas)
+    assert grid.mask[-1, -1] == "ok"
+    for name in ("k_star", "c_star", "l_star", "y_star", "r_star"):
+        assert getattr(grid, name)[-1, -1] == getattr(ss, name)
+
+
+@pytest.mark.parametrize("theta, eta", [(0.5 + 1e-20j, 0.2), (0.5, 0.2 + 1e-20j),
+                                        (np.array([0.5 + 0j]), 0.2)])
+def test_steady_states_refuses_complex_inputs(theta, eta):
+    # numpy would drop the imaginary part with a ComplexWarning, and a
+    # complex step would read zero derivatives
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="must be real"):
+            steady_states(BASE, theta, eta)

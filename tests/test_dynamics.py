@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from dataecon import (ClassificationError, DomainError, IntegrationError,
                       ModelParams, State, Trajectory, baseline_params,
                       classify_equilibrium, integrate, jacobian, nullclines,
-                      phase_portrait, rhs, saddle_path, saddle_path_deviation,
-                      shock_experiment, steady_state, validate_params)
+                      phase_portrait, rhs, saddle_path, shock_experiment,
+                      steady_state, validate_params)
 from dataecon.dynamics import _TINY, _as_trajectory, _field, _rk45, _unpack
 
 from .strategies import model_params, positive_state
@@ -483,6 +483,24 @@ def test_saddle_low_branch_monotone_capital():
     lo, hi = saddle_path(BASE, (0.6 * SS.k_star, 1.4 * SS.k_star))
     assert np.all(np.diff(lo.k) > 0.0)   # capital rises toward k* from below
     assert np.all(np.diff(hi.k) < 0.0)   # and falls toward k* from above
+
+
+def saddle_path_deviation(p, k_targets, tol=1e-9, eps_scale=1e-6):
+    """Self-consistency of the branch construction under eps halving: the
+    largest consumption gap at matched capital between the branches seeded
+    at eps and eps/2, relative to ||(c*, k*)||."""
+    ss = steady_state(p)
+    worst = 0.0
+    for a, b in zip(saddle_path(p, k_targets, tol, eps_scale),
+                    saddle_path(p, k_targets, tol, eps_scale / 2.0)):
+        lo, hi = max(a.k.min(), b.k.min()), min(a.k.max(), b.k.max())
+        if hi <= lo:
+            continue
+        grid = np.linspace(lo, hi, 200)
+        ia, ib = np.argsort(a.k), np.argsort(b.k)
+        gap = np.interp(grid, a.k[ia], a.c[ia]) - np.interp(grid, b.k[ib], b.c[ib])
+        worst = max(worst, float(np.max(np.abs(gap))))
+    return worst / math.hypot(ss.c_star, ss.k_star)
 
 
 def test_saddle_eps_halving_self_consistency():

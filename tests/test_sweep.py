@@ -14,9 +14,9 @@ from dataecon import (DegenerateError, DomainError, ModelError, ModelParams,
                       sensitivity_signs, steady_state, threshold_curve,
                       validate_params)
 from dataecon import sweep
-from dataecon.core import steady_states
 from dataecon.sweep import _cell_segments, _chain_segments, _crossing_segments
 
+from . import decimal_oracle
 from .strategies import model_params
 
 BASE = baseline_params()
@@ -681,7 +681,7 @@ def fd_reference(p, name, h=1e-3):
 
 
 def assert_matches_reference(rep, p, h=1e-3, rel=1e-5):
-    """Every complex-step derivative within ``rel`` of fd_reference plus its
+    """Every analytic derivative within ``rel`` of fd_reference plus its
     rounding bound, and of its sign wherever the reference resolves one."""
     (dk_deta, dc_deta), noise_eta = fd_reference(p, "eta", h)
     (dk_dtheta, dc_dtheta), noise_theta = fd_reference(p, "theta", h)
@@ -698,7 +698,6 @@ def test_sensitivity_near_eta_one_matches_reference():
     # a central stencil of relative step 1e-4 would reach eta >= 1
     p = baseline_params(eta=0.99995)
     rep = sensitivity_signs(p)
-    assert rep.step == 1e-20
     assert (rep.dk_deta.sign, rep.dk_dtheta.sign, rep.dc_deta.sign,
             rep.dc_dtheta.sign) == (1, -1, -1, -1)
     assert_matches_reference(rep, p)
@@ -733,25 +732,61 @@ def test_sensitivity_refuses_theta0(eta):
         sensitivity_signs(baseline_params(theta=0.0, eta=eta))
 
 
-def test_sensitivity_is_one_evaluator_call(monkeypatch):
-    calls, inner = [], sweep.steady_states
-    monkeypatch.setattr(sweep, "steady_states", lambda *a: calls.append(a) or inner(*a))
-    sensitivity_signs(BASE)
-    (_, thetas, etas), = calls
-    assert thetas.tolist() == [0.5, 0.5 + 1e-20j] and etas.tolist() == [0.2 + 1e-20j, 0.2]
-
-
 @given(model_params(feasible=True, margin=0.05))
 def test_sensitivity_matches_richardson_reference(p):
     assert_matches_reference(sensitivity_signs(p), p)
 
 
-def test_complex_cells_keep_the_real_mask():
-    thetas, etas = np.meshgrid(np.linspace(0.0, 1.0, 181), np.linspace(0.0, 0.9, 181),
-                               indexing="ij")
-    real = steady_states(BASE, thetas, etas)[0]
-    assert (real == "ok").sum() > 181 * 181 // 4
-    assert np.array_equal(steady_states(BASE, thetas + 1e-20j, etas)[0], real)
-    eta_step = steady_states(BASE, thetas, etas + 1e-20j)[0]
-    differ = np.argwhere(eta_step != real).tolist()
-    assert differ == [[0, 0]]  # log 0 at theta = 0 gives NaN
+# d(k*, c*)/d(eta, theta) as (dk_deta, dk_dtheta, dc_deta, dc_dtheta), read
+# from complex-step evaluations (h = 1e-20) of the steady state as it was
+# computed through the profit coefficient, before the closed form.
+COMPLEX_STEP_TABLE = {
+    (0.5, 0.2): (175525.43644146025, 10147.32997151471, 24066.194603228614, 1420.6261960120542),
+    (0.15, 0.06): (529.4065888466779, 107.25595167133255, 74.24072575800349, 17.268208219084524),
+    (0.9, 0.29): (167159862129678.5, 2097248912117.6433, 21103415986521.816, 265301987382.88016),
+    (0.5, 0.2995): (1680965645696606.5, 37161832452579.125, 209931926216141.1, 4648016194006.3),
+    (0.5, 0.8): (2.9655942230977286, -2.162409737257166, 0.053674285149885405, -0.10812048686285818),
+    (0.3, 0.6): (4.546293783770192, -3.121086933345678, 0.301281764034702, -0.24968695466765456),
+    (0.7, 0.95): (2.1349855231315393, -1.441474169446677, -0.039535742820905787, -0.03964053965978373),
+    (1.0, 0.4): (1.636798441236138e-05, -3.798565738867865e-07, 1.7909818710125908e-06,
+                 -4.17842231275467e-08),
+    (0.5, 0.0): (438.7273713201609, 0.0, 66.90365312442732, 0.0),
+}
+DERIVATIVES = ("dk_deta", "dk_dtheta", "dc_deta", "dc_dtheta")
+
+
+@pytest.mark.parametrize("theta, eta", list(COMPLEX_STEP_TABLE))
+def test_sensitivity_matches_complex_step_table(theta, eta):
+    rep = sensitivity_signs(BASE.replace(theta=theta, eta=eta))
+    for name, want in zip(DERIVATIVES, COMPLEX_STEP_TABLE[theta, eta]):
+        assert getattr(rep, name).value == pytest.approx(want, rel=1e-12, abs=0.0), name
+
+
+def derivative_bound(p):
+    """Rounding bound of each analytic derivative: the relative error of k*,
+    eps (1 + |log k*|)/|kx|, times the sum of the magnitudes of the terms
+    that make up each derivative, plus the oracle's own resolution (70
+    digits over a step of 1e-20: below 1e-45 of k* or y*)."""
+    rep = sensitivity_signs(p)
+    ss = steady_state(p)
+    k, rd, eps = ss.k_star, p.rho + p.delta, 2.0 ** -52
+    yk = rd * (1.0 - p.alpha * p.eta) / p.alpha
+    kx = abs(p.k_exponent)
+    rel = 16 * eps * (1.0 + abs(math.log(k))) / kx
+    k_eta = k * p.alpha * (abs(math.log(yk)) + abs(math.log(p.theta)) + 1.0
+                           + abs(math.log(k))) / kx
+    k_theta = abs(rep.dk_dtheta.value)
+    k_noise, c_noise = 1e-45 * k, 1e-45 * ss.y_star
+    return rep, {"dk_deta": rel * k_eta + k_noise, "dk_dtheta": rel * k_theta + k_noise,
+                 "dc_deta": rel * (yk * k_eta + rd * k) + c_noise,
+                 "dc_dtheta": rel * yk * k_theta + c_noise}
+
+
+@given(model_params(feasible=True, margin=0.05))
+def test_sensitivity_matches_decimal_central_differences(p):
+    rep, bounds = derivative_bound(p)
+    oracle = decimal_oracle.sensitivities(p)
+    for name in DERIVATIVES:
+        got, want = getattr(rep, name).value, float(oracle[name])
+        assert abs(got - want) <= bounds[name], (name, got, want, bounds[name])
+
