@@ -28,9 +28,8 @@ from .params import (BASELINE, DEFAULT_SINGULAR_BAND, ModelParams, Regime,
                      baseline_params, regime, validate_params)
 from .qtheory import QState, firm_steady_state, investment_rate, k_of_q, q_dot
 from .sweep import (Derivative, IsoContour, SensitivityReport, SweepGrid,
-                    ThresholdCurve, band_free_intervals, golden_section_max,
-                    grid_sweep, iso_equilibrium_contour, sensitivity_signs,
-                    threshold_curve)
+                    ThresholdCurve, band_free_intervals, grid_sweep,
+                    iso_equilibrium_contour, sensitivity_signs, threshold_curve)
 from .svgplot import RenderSpec, render_svg
 
 __all__ = [name for name in dir() if not name.startswith("_")]

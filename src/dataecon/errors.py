@@ -38,7 +38,7 @@ class IntegrationError(ModelError):
 
 
 class SearchError(ModelError):
-    """Scalar search failed, e.g. no feasible point in the range."""
+    """Threshold search failed: the steady state at the maximum of c* is refused."""
 
 
 class DesignError(ModelError, ValueError):

@@ -2,9 +2,9 @@
 
 Builds equilibrium surfaces on rectangular grids with singular / infeasible
 cells masked, locates the consumption-maximizing conversion rate eta*(theta)
-for every theta at once by a lockstep golden-section search on the array
-evaluator, extracts iso-equilibrium contours by marching squares, and
-reports the signs of the steady state's analytic derivatives.
+for every theta at once by a lockstep bisection on the sign of the analytic
+dc*/deta, extracts iso-equilibrium contours by marching squares, and reports
+the signs of the steady state's analytic derivatives.
 """
 
 from __future__ import annotations
@@ -18,9 +18,7 @@ from .core import Coefficients, SteadyState, steady_states
 from .errors import DomainError, SearchError
 from .params import ModelParams
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # inverse golden ratio
-_COARSE_POINTS = 65  # eta points of the threshold search's bracketing scan
-_MAX_CELLS = 2_500_000  # cell bound of grid_sweep and threshold_curve's scan (~365 MB)
+_MAX_CELLS = 2_500_000  # cells of grid_sweep (~365 MB), and thetas of threshold_curve
 _QUANTITIES = tuple(f.name for f in fields(SteadyState) if f.name != "feasible")
 
 
@@ -124,37 +122,6 @@ def grid_sweep(p_base: ModelParams, theta_axis, eta_axis) -> SweepGrid:
                      **{name: np.where(ok, v, np.nan) for name, v in values.items()})
 
 
-def golden_section_max(f, lo, hi, tol: float):
-    """Golden-section maximization of a unimodal f on each bracket [lo, hi].
-
-    ``lo`` and ``hi`` broadcast; ``f`` maps an array of points, one per
-    bracket, to their values.  All brackets step in lockstep, one f call per
-    step, each frozen once its width is at most tol.  Returns (argmax, max)
-    arrays, 0-d for a scalar bracket.  A tol below a bracket's rounding scale
-    raises SearchError once a step leaves that bracket no narrower.
-    """
-    a, b = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    if np.any(empty := ~(b > a)):
-        raise DomainError(f"empty search interval [{a[empty][0]}, {b[empty][0]}]")
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
-    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while np.any(live := b - a > tol):
-        up = fc >= fd  # the maximum lies in [a, d], else in [c, b]
-        na, nb = np.where(up, a, c), np.where(up, d, b)
-        x = np.where(up, nb - _GOLDEN * (nb - na), na + _GOLDEN * (nb - na))
-        fx = f(x)
-        if np.any(stalled := live & ~(nb - na < b - a)):
-            raise SearchError(f"golden section stalled at bracket width "
-                              f"{(nb - na)[stalled][0]:.3g} above tol={tol}")
-        a, b, c, d, fc, fd = (np.where(live, new, old) for new, old in (
-            (na, a), (nb, b), (np.where(up, x, d), c), (np.where(up, c, x), d),
-            (np.where(up, fx, fd), fc), (np.where(up, fc, fx), fd)))
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 def band_free_intervals(p: ModelParams, eta_range: tuple[float, float]) -> list[tuple[float, float]]:
     """Split an eta range around the singular band of p."""
     lo, hi = float(eta_range[0]), float(eta_range[1])
@@ -166,6 +133,16 @@ def band_free_intervals(p: ModelParams, eta_range: tuple[float, float]) -> list[
     return [(a, b) for a, b in parts if a < b]
 
 
+def _eta_slopes(co: Coefficients, theta, k):
+    """(dk*/deta, dc*/deta) at every cell of ``co`` for k* = ``k``, from
+    dL/deta = -alpha(log(y*/k*) + log theta + 1 + L)/kx (L = log k*) and
+    d(y*/k*)/deta = -(rho + delta).  At k = 1 they are dL/deta and
+    dc*/deta / k*, whose signs hold where k* over- or underflows."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dk = -k * co.p.alpha * (co.log_yk + np.log(theta) + 1.0 + co.log_k) / co.kx
+        return dk, (co.yk - co.p.delta) * dk - co.rho_delta * k
+
+
 def threshold_curve(p_base: ModelParams, thetas,
                     eta_range: tuple[float, float] | None = None,
                     tol: float = 1e-4) -> ThresholdCurve:
@@ -175,12 +152,15 @@ def threshold_curve(p_base: ModelParams, thetas,
     inside the singular band is cut at the band's edge, and ``None`` searches
     the widest band-free part of [0.05, 0.95].
 
-    One ``steady_states`` scan of the range brackets the maximum at every
-    theta, and one lockstep golden-section search on ``steady_states``
-    refines all brackets (cells its mask refuses count as -inf), so the
-    number of evaluator calls does not grow with the number of thetas.  The
-    scan holds ``_COARSE_POINTS`` cells per theta, so more thetas than fit in
-    ``grid_sweep``'s ``_MAX_CELLS`` raise DomainError before any evaluation.
+    Where c* > 0 it has one peak in eta above the band and its maximum at
+    an end of the range below it (README, "Numerical notes").  One lockstep
+    bisection of the range, cut where c* reaches 0, follows the sign of
+    ``_eta_slopes`` above the band and heads for the higher end below it,
+    in ceil(log2(width/tol)) steps; eta* is the midpoint of its final
+    bracket, or the low end at theta = 0.  ``steady_states`` runs once, at
+    eta*, and a cell refused there raises SearchError.  The search peaks at
+    about 320 bytes per theta (tracemalloc, 10^3 to 10^5 thetas), so more
+    than 2.5e6 thetas (``_MAX_CELLS``) raise DomainError before any is checked.
     """
     if eta_range is None:
         eta_range = max(band_free_intervals(p_base, (0.05, 0.95)), key=lambda ab: ab[1] - ab[0])
@@ -192,28 +172,40 @@ def threshold_curve(p_base: ModelParams, thetas,
     thetas = np.asarray(list(thetas), dtype=float)
     if len(thetas) == 0:
         raise DomainError("thetas must be a nonempty list")
-    if len(thetas) * _COARSE_POINTS > _MAX_CELLS:
-        raise DomainError(f"{len(thetas)} thetas x {_COARSE_POINTS} scan points exceeds "
-                          f"{_MAX_CELLS} cells")
+    if len(thetas) > _MAX_CELLS:
+        raise DomainError(f"{len(thetas)} thetas exceed the bound of {_MAX_CELLS}")
     for theta in thetas.tolist():
         p_base.replace(theta=theta)  # a theta outside the model raises ParameterError
+    if not tol > 0.0:
+        raise DomainError(f"tol must be positive, got {tol}")
+    top = min(hi, 1.0 / p_base.alpha - p_base.delta / (p_base.rho + p_base.delta))  # c* = 0
 
-    def c_at(theta, eta):
-        mask, values = steady_states(p_base, theta, eta)
-        return np.where(mask == "ok", values["c_star"], -np.inf)
+    def refusal(theta):
+        return SearchError(f"no feasible steady state for theta={float(theta)} "
+                           f"on eta in [{lo}, {hi}]")
 
-    xs = np.linspace(lo, hi, _COARSE_POINTS)
-    scan = c_at(thetas[:, None], xs)
-    if np.any(empty := ~np.isfinite(scan).any(axis=1)):
-        raise SearchError(f"no feasible steady state for theta={float(thetas[empty][0])} "
-                          f"on eta in [{lo}, {hi}]")
-    i = np.argmax(scan, axis=1)  # the bracket is the best scanned eta's two neighbours
-    b_lo, b_hi = xs[np.clip([i - 1, i + 1], 0, len(xs) - 1)]
-    eta_star, c_max = golden_section_max(lambda eta: c_at(thetas, eta), b_lo, b_hi, tol)
+    if not lo < top:
+        raise refusal(thetas[0])
+    above = p_base.replace(eta=lo).k_exponent > 0.0
+    if not above:  # compare log c* = log k* + log(y*/k* - delta) at the two ends
+        ends = Coefficients(p_base, thetas[:, None], [lo, top])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_c = ends.log_k + np.log(ends.yk - p_base.delta)
+        up = log_c[:, 1] > log_c[:, 0]
+    a, b, width = np.full(len(thetas), lo), np.full(len(thetas), top), top - lo
+    while width > tol:
+        mid = 0.5 * (a + b)
+        if above:
+            up = _eta_slopes(Coefficients(p_base, thetas, mid), thetas, 1.0)[1] > 0.0
+        a, b, width = np.where(up, mid, a), np.where(up, b, mid), 0.5 * width
+    eta_star = np.where(thetas == 0.0, lo, 0.5 * (a + b))
+    mask, values = steady_states(p_base, thetas, eta_star)
+    if np.any(refused := mask != "ok"):
+        raise refusal(thetas[refused][0])
     edge = max(2.0 * tol, 1e-6 * (hi - lo))
     shapes = np.where((eta_star - lo <= edge) | (hi - eta_star <= edge),
                       "monotone-on-range", "interior-peak")
-    return ThresholdCurve(thetas, eta_star, c_max, tuple(shapes.tolist()), (lo, hi))
+    return ThresholdCurve(thetas, eta_star, values["c_star"], tuple(shapes.tolist()), (lo, hi))
 
 
 # Marching squares: segment endpoints are keyed by grid edge so that
@@ -336,9 +328,8 @@ def iso_equilibrium_contour(grid: SweepGrid, variable: str, level: float) -> Iso
 def sensitivity_signs(p: ModelParams) -> SensitivityReport:
     """Signs and values of d(k*, c*)/d(eta, theta), in closed form.
 
-    With L = log k*, A = log(y*/k*) and the notation of ``core``,
-    dL/dtheta = -ae/(kx theta) and dL/deta = -alpha(A + log theta + 1 + L)/kx;
-    c* = k* (y*/k* - delta) with d(y*/k*)/deta = -(rho + delta).  A sign is
+    With L = log k* and the notation of ``core``, dL/dtheta = -ae/(kx theta)
+    and c* = k* (y*/k* - delta); the eta slopes are ``_eta_slopes``.  A sign is
     0 only where the derivative is exactly 0, as d/dtheta is at eta = 0.
     Raises DomainError where ``steady_states`` masks the cell, and at
     theta = 0, where d/deta is infinite.
@@ -349,6 +340,6 @@ def sensitivity_signs(p: ModelParams) -> SensitivityReport:
     co = Coefficients(p)
     k, kx, ck = float(values["k_star"]), float(co.kx), float(co.yk) - p.delta
     dk_dtheta = -k * p.alpha * p.eta / (kx * p.theta)
-    dk_deta = -k * p.alpha * (float(co.log_yk) + math.log(p.theta) + 1.0 + float(co.log_k)) / kx
-    slopes = (dk_deta, dk_dtheta, ck * dk_deta - (p.rho + p.delta) * k, ck * dk_dtheta)
+    dk_deta, dc_deta = map(float, _eta_slopes(co, p.theta, k))
+    slopes = (dk_deta, dk_dtheta, dc_deta, ck * dk_dtheta)
     return SensitivityReport(*(Derivative(int(np.sign(v)), v) for v in slopes))

@@ -139,12 +139,13 @@ def test_oversized_surface_refused_before_building_its_axes(tmp_path, capsys, mo
 
 
 def test_oversized_threshold_exits_1_before_evaluating(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sweep, "_MAX_CELLS", 2)
     monkeypatch.setattr(sweep, "steady_states", None)
+    monkeypatch.setattr(sweep, "Coefficients", None)
     cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({"threshold": {"thetas": [0.5] * 38_462}}))
+    cfg_file.write_text(json.dumps({"threshold": {"thetas": [0.5] * 3}}))
     assert main(["threshold", "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err == ("error: 38462 thetas x 65 scan points exceeds "
-                                       "2500000 cells\n")
+    assert capsys.readouterr().err == "error: 3 thetas exceed the bound of 2\n"
     assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["effective_config.json"]
 
 
@@ -746,7 +747,7 @@ def test_qsteady_matches_household_side(tmp_path):
 
 @pytest.mark.parametrize("command, section, message", [
     ("threshold", {"threshold": {"tol": 0, "thetas": [0.5]}}, "tol must be positive"),
-    ("threshold", {"threshold": {"tol": 1e-20, "thetas": [0.5]}}, "golden section stalled"),
+    ("threshold", {"threshold": {"tol": -1e-20, "thetas": [0.5]}}, "tol must be positive"),
     ("phase", {"phase": {"tol": 0}}, "tol must lie in [1e-12, 1e-3], got 0.0"),
     ("phase", {"phase": {"tol": 0, "include_saddle": False}},
      "tol must lie in [1e-12, 1e-3], got 0.0"),
@@ -760,6 +761,32 @@ def test_unusable_solver_tol_exits_1(tmp_path, command, section, message):
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"error: {message}")
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+
+
+def test_threshold_tol_below_rounding_scale_exits_0(tmp_path):
+    """tol sets the number of bisection steps, so a tol finer than the
+    rounding scale of eta ends, at the eta* of a tol at that scale."""
+    stars = []
+    for tol in (1e-20, 1e-15):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"threshold": {"tol": tol, "thetas": [0.5]}}))
+        out = tmp_path / str(tol)
+        assert main(["threshold", "--config", str(cfg_file), "--out", str(out)]) == 0
+        stars.append(json.loads((out / "threshold.json").read_text())["result"]["eta_star"][0])
+    assert abs(stars[0] - stars[1]) <= 1e-15
+
+
+def test_threshold_at_theta0_writes_the_no_data_steady_state(tmp_path):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"threshold": {"thetas": [0.0, 0.5], "eta_lo": 0.0,
+                                                  "eta_hi": 0.3}}))
+    assert main(["threshold", "--config", str(cfg_file), "--out", str(tmp_path)]) == 0
+    result = json.loads((tmp_path / "threshold.json").read_text())["result"]
+    assert result["eta_star"][0] == 0.0
+    assert result["c_star_max"][0] == steady_state(baseline_params(theta=0.0, eta=0.0)).c_star
+    row = (tmp_path / "threshold.csv").read_text().splitlines()[1].split(",")
+    assert row[:2] == ["0", "0"] and float(row[2]) == result["c_star_max"][0]
+    assert "inf" not in (tmp_path / "threshold.csv").read_text()
 
 
 def test_threshold_command(tmp_path):

@@ -9,11 +9,11 @@ from scipy import stats
 from dataecon import (DegenerateError, DomainError, ModelError, ModelParams,
                       ParameterError, RegimeError, SearchError, SteadyState,
                       SweepGrid, ThresholdCurve, band_free_intervals,
-                      baseline_params, golden_section_max, grid_sweep,
-                      interest_rate, iso_equilibrium_contour, regime, rhs,
-                      sensitivity_signs, steady_state, threshold_curve,
-                      validate_params)
+                      baseline_params, grid_sweep, interest_rate,
+                      iso_equilibrium_contour, regime, rhs, sensitivity_signs,
+                      steady_state, threshold_curve, validate_params)
 from dataecon import sweep
+from dataecon.core import Coefficients, steady_states
 from dataecon.sweep import _cell_segments, _chain_segments, _crossing_segments
 
 from . import decimal_oracle
@@ -182,30 +182,6 @@ def test_oversized_grid_refused_before_allocating(monkeypatch):
 # ---------------------------------------------------------------------------
 # threshold search
 
-def test_golden_section_on_parabola():
-    for peak in (0.21, 0.5, 0.777):
-        x, fx = golden_section_max(lambda x: -(x - peak) ** 2, 0.0, 1.0, 1e-6)
-        assert abs(x - peak) < 1e-6
-        assert fx <= 0.0
-
-
-def test_golden_section_empty_interval():
-    with pytest.raises(DomainError):
-        golden_section_max(lambda x: x, 1.0, 1.0, 1e-6)
-
-
-def test_golden_section_refuses_nonpositive_tol():
-    for tol in (0.0, -1.0, math.nan):
-        with pytest.raises(DomainError, match="tol must be positive"):
-            golden_section_max(lambda x: -(x - 0.3) ** 2, 0.0, 1.0, tol)
-
-
-def test_golden_section_below_rounding_scale_raises_instead_of_hanging():
-    # the bracket around 0.3 cannot shrink below a few ulps (about 5.6e-17)
-    with pytest.raises(SearchError, match=r"bracket width .* above tol=1e-20"):
-        golden_section_max(lambda x: -(x - 0.3) ** 2, 0.0, 1.0, 1e-20)
-
-
 def test_threshold_matches_brute_force():
     tol = 1e-4
     lo, hi = 0.4, 0.95
@@ -292,19 +268,15 @@ def test_threshold_curve_refuses_empty_thetas():
 
 
 def test_oversized_threshold_curve_refused_before_evaluating(monkeypatch):
-    """The scan's 65 cells per theta share grid_sweep's cell bound; the
-    refusal comes before any theta is checked (1.5 is outside the model) or
-    evaluated."""
-    thetas = [0.5] * 38_461 + [1.5]  # 38,462 x 65 = 2,500,030 cells
+    """More thetas than grid_sweep's cell bound are refused before any theta
+    is checked (1.5 is outside the model) or evaluated."""
+    monkeypatch.setattr(sweep, "_MAX_CELLS", 2)
     with monkeypatch.context() as m:
         m.setattr(sweep, "steady_states", None)
-        with pytest.raises(DomainError, match=r"^38462 thetas x 65 scan points exceeds "
-                                              r"2500000 cells$"):
-            threshold_curve(BASE, thetas, (0.4, 0.95))
-    monkeypatch.setattr(sweep, "_MAX_CELLS", 130)
+        m.setattr(sweep, "Coefficients", None)
+        with pytest.raises(DomainError, match=r"^3 thetas exceed the bound of 2$"):
+            threshold_curve(BASE, [0.5, 0.5, 1.5], (0.4, 0.95))
     assert len(threshold_curve(BASE, [0.3, 0.5], (0.4, 0.95)).eta_star) == 2
-    with pytest.raises(DomainError, match="3 thetas x 65 scan points"):
-        threshold_curve(BASE, [0.3, 0.5, 0.7], (0.4, 0.95))
 
 
 def test_threshold_refuses_theta_outside_model():
@@ -312,8 +284,8 @@ def test_threshold_refuses_theta_outside_model():
         threshold_curve(BASE, [0.5, 1.5], (0.4, 0.95))
 
 
-# The per-theta search the lockstep one replaced: a scalar golden section on
-# the scalar solver, refusals and infeasible points valued at -inf.
+# The oracle: a 65-point scan and a scalar golden section on the scalar
+# solver, refusals and infeasible points valued at -inf.
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -395,87 +367,133 @@ def threshold_case(draw):
     return base, thetas, (lo, hi), draw(st.floats(1e-6, 1e-2))
 
 
+BAND_EDGE = ModelParams(alpha=0.6181792148933334, beta=0.10217667176097185,
+                        delta=0.3312019125531727, rho=0.007135683614915034)
+
+
 @settings(max_examples=150, deadline=None)
 @given(threshold_case())
-@example((BASE, [0.5], (0.1, math.nextafter(0.1, 1.0)), 1e-3))  # a one-ulp range: empty bracket
+@example((BAND_EDGE, [0.2801851018685939], (0.0, 0.42001430505957127), 1e-4))
+@example((BASE, [0.5], (0.1, math.nextafter(0.1, 1.0)), 1e-3))  # a one-ulp range
 def test_threshold_curve_matches_per_theta_scalar_search(case):
+    """Each theta against the oracle.  Bisection leaves eta* within tol/2 of
+    the peak and the oracle within about tol of it, so eta* agrees within
+    2 tol wherever the oracle's scan met no refused cell, and c* is never
+    below the oracle's by more than rounding unless eta* lies that close to
+    the oracle's (an interior peak's c* then differs by O(c'' tol^2)).
+    The shape tags agree unless the oracle's eta* lies within 2 tol of the
+    tags' margin.  Refusals equal the oracle's, except on a range too narrow
+    for its scan to bracket, where eta* is a point of the range, and where
+    c* under- or overflows on the range: there the cell at eta* can be
+    refused, while the oracle reports a refused cell (c* = -inf) or the last
+    representable one."""
     base, thetas, (lo, hi), tol = case
     assert band_free_intervals(base, (lo, hi)) == [(lo, hi)]
-    rows = [outcome(reference_threshold, base, t, lo, hi, tol) for t in thetas]
-    for theta, row in zip(thetas, rows):  # one theta: every value and refusal exact
-        one = outcome(threshold_curve, base, [theta], (lo, hi), tol)
-        if isinstance(one, ThresholdCurve):
-            assert one.eta_range == (lo, hi)
-            one = (one.eta_star[0], one.c_star_max[0], one.shapes[0])
-        assert one == row
     got = outcome(threshold_curve, base, thetas, (lo, hi), tol)
-    refusals = [row for row in rows if len(row) == 2]
-    if refusals:
-        # The per-theta search raised the first refused theta's error.  The
-        # lockstep one raises refusals of its scan before those of its
-        # search, so with several refused thetas it may name another one.
-        assert got == refusals[0] if len(refusals) == 1 else got in refusals
-        return
-    eta_star, c_max, shapes = zip(*rows)
-    assert np.array_equal(got.eta_star, eta_star)
-    assert np.array_equal(got.c_star_max, c_max)
-    assert got.shapes == shapes
-    assert got.eta_range == (lo, hi)
+    ones = [outcome(threshold_curve, base, [t], (lo, hi), tol) for t in thetas]
+    refusals = [one for one in ones if not isinstance(one, ThresholdCurve)]
+    if refusals:  # the first refused theta's error
+        assert got == refusals[0]
+    else:  # lockstep: each theta as if alone
+        for i, one in enumerate(ones):
+            assert (one.eta_star[0], one.c_star_max[0], one.shapes[0]) == \
+                (got.eta_star[i], got.c_star_max[i], got.shapes[i])
+            assert one.eta_range == (lo, hi)
+    scan = np.linspace(lo, hi, 65)
+    for theta, one in zip(thetas, ones):
+        row = outcome(reference_threshold, base, theta, lo, hi, tol)
+        mask, values = steady_states(base, theta, scan)
+        if row[0] is DomainError:
+            assert row[1].startswith("empty search interval")
+            assert lo <= one.eta_star[0] <= hi
+            continue
+        if len(row) == 2:
+            assert one == row
+            continue
+        if not isinstance(one, ThresholdCurve):
+            assert np.any((values["c_star"] == np.inf) | (values["k_star"] == 0.0))
+            assert one == (SearchError, f"no feasible steady state for theta={theta} "
+                                        f"on eta in [{lo}, {hi}]")
+            continue
+        (eta, c), (eta_ref, c_ref, shape) = (one.eta_star[0], one.c_star_max[0]), row
+        assert c >= c_ref * (1.0 - 1e-12) or abs(eta - eta_ref) <= 2.0 * tol, theta
+        if np.all(mask == "ok"):
+            assert abs(eta - eta_ref) <= 2.0 * tol, theta
+        margin = max(2.0 * tol, 1e-6 * (hi - lo))  # the shape tag's distance to an end
+        assert one.shapes[0] == shape or abs(min(eta_ref - lo, hi - eta_ref) - margin) <= 2.0 * tol
+
+
+@settings(max_examples=150, deadline=None)
+@given(threshold_case())
+def test_dc_deta_changes_sign_at_most_once_on_each_side_of_the_band(case):
+    """Where y*/k* > delta, the sign of dc*/deta goes at most once from + to
+    - above the band (one peak) and from - to + below it (the maximum at an
+    end), on a 2,001-point grid of each band-free part."""
+    base, thetas, _, _ = case
+    center = (1.0 - base.alpha - base.beta) / base.alpha
+    for lo, hi in band_free_intervals(base, (0.0, 0.99)):
+        etas = np.linspace(lo, hi, 2001)
+        for theta in (t for t in thetas if t > 0.0):
+            co = Coefficients(base, theta, etas)
+            signs = np.sign(sweep._eta_slopes(co, theta, 1.0)[1][co.yk > base.delta])
+            steps = np.diff(signs[signs != 0.0])
+            assert np.all(steps <= 0.0 if lo > center else steps >= 0.0), (theta, lo, hi)
+
+
+def test_threshold_at_the_band_edge_finds_the_cell_rounding_puts_inside_it():
+    """The range ends where kx = -0.0199999999999999, inside the band only
+    by rounding; c* keeps rising up to that cell."""
+    theta, tol = 0.2801851018685939, 1e-4
+    lo, hi = band_free_intervals(BAND_EDGE, (0.0, 0.99))[0]
+    assert (lo, hi) == (0.0, 0.42001430505957127)
+    assert regime(BAND_EDGE.replace(eta=hi)).singular
+    curve = threshold_curve(BAND_EDGE, [theta], (lo, hi), tol)
+    etas = np.linspace(lo, hi, 10_000)
+    grid = grid_sweep(BAND_EDGE, [theta], etas)
+    brute = etas[int(np.nanargmax(grid.c_star[0]))]
+    assert brute == pytest.approx(0.41997, abs=1e-5)
+    assert abs(curve.eta_star[0] - brute) <= 2.0 * tol
+    assert curve.c_star_max[0] >= 0.6606
+
+
+def test_threshold_at_theta0_is_the_no_data_steady_state():
+    """At theta = 0 only eta = 0 has data, so a range starting there finds
+    eta* = 0, and one starting above it finds no feasible steady state."""
+    curve = threshold_curve(BASE, [0.0, 0.5], (0.0, 0.3), 1e-4)
+    assert curve.eta_star[0] == 0.0
+    assert curve.c_star_max[0] == steady_state(BASE.replace(theta=0.0, eta=0.0)).c_star
+    assert curve.c_star_max[0] == pytest.approx(8.704)
+    with pytest.raises(SearchError, match=r"^no feasible steady state for theta=0.0 "
+                                          r"on eta in \[0.1, 0.3\]$"):
+        threshold_curve(BASE, [0.0, 0.5], (0.1, 0.3), 1e-4)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_threshold_refuses_tol_that_is_not_positive(tol):
+    with pytest.raises(DomainError, match="tol must be positive"):
+        threshold_curve(BASE, [0.5], None, tol)
+
+
+def test_threshold_tol_below_rounding_scale_ends():
+    """tol sets the number of bisection steps, so a tol finer than the
+    rounding scale of eta ends, at the eta* of a tol at that scale."""
+    fine = threshold_curve(BASE, [0.5], None, 1e-15).eta_star[0]
+    assert abs(threshold_curve(BASE, [0.5], None, 1e-20).eta_star[0] - fine) <= 1e-15
+
+
+def test_threshold_infinite_tol_takes_no_step():
+    lo, hi = band_free_intervals(BASE, (0.05, 0.95))[1]
+    assert threshold_curve(BASE, [0.5], None, math.inf).eta_star[0] == 0.5 * (lo + hi)
 
 
 def test_threshold_evaluator_calls_do_not_grow_with_thetas(monkeypatch):
     calls, inner = [], sweep.steady_states
     monkeypatch.setattr(sweep, "steady_states", lambda *a: calls.append(1) or inner(*a))
     thetas = np.linspace(0.05, 0.95, 37)
-    threshold_curve(BASE, thetas, None, 1e-4)
-    n_all = len(calls)
-    for theta in thetas:
+    for ts in [thetas] + [[theta] for theta in thetas]:
         calls.clear()
-        threshold_curve(BASE, [theta], None, 1e-4)
-        assert len(calls) == n_all, theta
-    assert n_all < 20
-
-
-def parabola(peak):
-    """-(x - peak)^2 as one product, the same float operations on arrays and scalars."""
-    return lambda x: -(x - peak) * (x - peak)
-
-
-def test_golden_section_vector_of_parabolas_in_lockstep():
-    peaks = np.array([0.21, 0.5, 0.777, 0.05, 0.93])
-    lo = np.array([0.0, 0.4, 0.7, 0.0, 0.5])
-    hi = np.array([1.0, 0.6, 0.8, 0.1, 1.0])  # unequal widths: brackets freeze apart
-    calls = []
-
-    def f(x):
-        calls.append(x.shape)
-        return parabola(peaks)(x)
-
-    x, fx = golden_section_max(f, lo, hi, 1e-6)
-    assert np.all(np.abs(x - peaks) < 1e-6)
-    assert set(calls) == {peaks.shape}
-    assert len(calls) == 3 + math.ceil(math.log(1e-6) / math.log(GOLDEN))
-    for j, peak in enumerate(peaks.tolist()):
-        assert (x[j], fx[j]) == scalar_golden(parabola(peak), lo[j], hi[j], 1e-6)
-    x0, fx0 = golden_section_max(parabola(0.3), 0.0, 1.0, 1e-6)
-    assert np.shape(x0) == np.shape(fx0) == ()
-    assert (x0, fx0) == scalar_golden(parabola(0.3), 0.0, 1.0, 1e-6)
-
-
-def test_golden_section_frozen_bracket_takes_no_step():
-    # the bracket at 1e6 reaches tol=2e-10 at its rounding scale, where one
-    # more step would not narrow it, while the wider bracket keeps stepping
-    peaks, lo, hi = np.array([1e6 + 0.3, 0.3]), [1e6, 0.0], [1e6 + 1.0, 100.0]
-    x, fx = golden_section_max(parabola(peaks), lo, hi, 2e-10)
-    for j, peak in enumerate(peaks.tolist()):
-        assert (x[j], fx[j]) == scalar_golden(parabola(peak), lo[j], hi[j], 2e-10)
-
-
-def test_golden_section_one_stalled_bracket_raises():
-    # [0, 1] reaches 1e-12; the bracket at 1e6 cannot shrink below its ulp
-    peaks = np.array([0.3, 1e6 + 0.3])
-    with pytest.raises(SearchError, match=r"bracket width .* above tol=1e-12"):
-        golden_section_max(parabola(peaks), [0.0, 1e6], [1.0, 1e6 + 1.0], 1e-12)
+        threshold_curve(BASE, ts, None, 1e-4)
+        assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
