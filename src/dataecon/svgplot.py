@@ -231,7 +231,10 @@ def render_contour(contour: IsoContour, spec: RenderSpec) -> str:
                  f"iso-{contour.variable} contours", "theta", "eta")
     color = _color(0.15)
     for comp in contour.components:
-        cv.polyline(comp[:, 0], comp[:, 1], color, width=1.8)
+        if len(comp) == 1:  # a lone crossing row; a one-point polyline draws nothing
+            cv.marker(comp[0, 0], comp[0, 1], color, r=2.0)
+        else:
+            cv.polyline(comp[:, 0], comp[:, 1], color, width=1.8)
     if len(contour.points):
         mid = contour.points[len(contour.points) // 2]
         cv.parts.append(f'<text x="{_fmt(cv.px(mid[0]) + 4)}" y="{_fmt(cv.py(mid[1]) - 4)}" '
@@ -253,7 +256,7 @@ def _portrait_layers(cv: _Canvas, portrait: PhasePortrait, accent: str,
             if m == 0.0:
                 continue
             g = min(m / ref, 1.0) * 0.035
-            cv.arrow(k, c, dk / m * g * span_x, dc / m * g * span_y)
+            cv.arrow(k, c, (dk / span_x) / m * g * span_x, (dc / span_y) / m * g * span_y)
     cv.polyline(portrait.k_nullcline[:, 0], portrait.k_nullcline[:, 1],
                 accent, width=2.0)
     cv.polyline(portrait.c_nullcline[:, 0], portrait.c_nullcline[:, 1],

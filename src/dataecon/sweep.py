@@ -3,8 +3,8 @@
 Builds equilibrium surfaces on rectangular grids with singular / infeasible
 cells masked, locates the consumption-maximizing conversion rate eta*(theta)
 for every theta at once by a lockstep bisection on the sign of the analytic
-dc*/deta, extracts iso-equilibrium contours by marching squares, and reports
-the signs of the steady state's analytic derivatives.
+dc*/deta, extracts iso-equilibrium contours as one exact crossing per eta
+row, and reports the signs of the steady state's analytic derivatives.
 """
 
 from __future__ import annotations
@@ -61,8 +61,10 @@ class ThresholdCurve:
 class IsoContour:
     """An iso-level polyline of one equilibrium variable in (theta, eta).
 
-    ``points`` is the longest connected component; all components are kept
-    in ``components``.  An empty contour (level never crossed) has zero rows.
+    Each component is a run of consecutive crossing eta rows, one (theta,
+    eta) vertex per row; ``components`` holds them longest first and
+    ``points`` is the longest.  An empty contour (level never crossed) has
+    zero rows.
     """
 
     level: float
@@ -174,8 +176,8 @@ def threshold_curve(p_base: ModelParams, thetas,
         raise DomainError("thetas must be a nonempty list")
     if len(thetas) > _MAX_CELLS:
         raise DomainError(f"{len(thetas)} thetas exceed the bound of {_MAX_CELLS}")
-    for theta in thetas.tolist():
-        p_base.replace(theta=theta)  # a theta outside the model raises ParameterError
+    if np.any(bad := ~((thetas >= 0.0) & (thetas <= 1.0))):
+        p_base.replace(theta=float(thetas[np.argmax(bad)]))  # raises ParameterError
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
     top = min(hi, 1.0 / p_base.alpha - p_base.delta / (p_base.rho + p_base.delta))  # c* = 0
@@ -208,121 +210,39 @@ def threshold_curve(p_base: ModelParams, thetas,
     return ThresholdCurve(thetas, eta_star, values["c_star"], tuple(shapes.tolist()), (lo, hi))
 
 
-# Marching squares: segment endpoints are keyed by grid edge so that
-# adjacent cells connect exactly.
-
-def _interp(x0, x1, v0, v1, level):
-    t = (level - v0) / (v1 - v0)
-    return x0 + t * (x1 - x0)
-
-
-def _cell_segments(i, j, x, y, z, level):
-    """Level-crossing segments of one grid cell, as ((edge_key, point), ...)."""
-    v00, v10 = z[i, j], z[i + 1, j]
-    v01, v11 = z[i, j + 1], z[i + 1, j + 1]
-    corners = (v00 > level, v10 > level, v11 > level, v01 > level)
-    case = sum(b << n for n, b in enumerate(corners))
-    if case in (0, 15):
-        return ()
-
-    def bottom():
-        return (("h", i, j), (_interp(x[i], x[i + 1], v00, v10, level), y[j]))
-
-    def top():
-        return (("h", i, j + 1), (_interp(x[i], x[i + 1], v01, v11, level), y[j + 1]))
-
-    def left():
-        return (("v", i, j), (x[i], _interp(y[j], y[j + 1], v00, v01, level)))
-
-    def right():
-        return (("v", i + 1, j), (x[i + 1], _interp(y[j], y[j + 1], v10, v11, level)))
-
-    pairs = {
-        1: (left, bottom), 2: (bottom, right), 3: (left, right),
-        4: (right, top), 6: (bottom, top), 7: (left, top),
-        8: (top, left), 9: (bottom, top), 11: (right, top),
-        12: (left, right), 13: (bottom, right), 14: (bottom, left),
-    }
-    if case in (5, 10):  # ambiguous saddle cell: split by the center value
-        center = 0.25 * (v00 + v10 + v01 + v11)
-        if case == 5:
-            segs = ((left(), top()), (right(), bottom())) if center > level else \
-                   ((left(), bottom()), (right(), top()))
-        else:
-            segs = ((bottom(), left()), (top(), right())) if center > level else \
-                   ((bottom(), right()), (top(), left()))
-        return segs
-    a, b = pairs[case]
-    return ((a(), b()),)
-
-
-def _chain_segments(segments):
-    """Join edge-keyed segments into ordered polylines."""
-    adj: dict = {}
-    seg_pts = []
-    for (ka, pa), (kb, pb) in segments:
-        idx = len(seg_pts)
-        seg_pts.append(((ka, pa), (kb, pb)))
-        adj.setdefault(ka, []).append(idx)
-        adj.setdefault(kb, []).append(idx)
-    used = [False] * len(seg_pts)
-    chains = []
-    order = sorted(adj, key=lambda k: (len(adj[k]), k))
-    for start_key in [k for k in order if len(adj[k]) == 1] + list(order):
-        for idx in adj[start_key]:
-            if used[idx]:
-                continue
-            pts = []
-
-            def push(pt):
-                if not pts or pts[-1] != pt:  # node crossings duplicate coords
-                    pts.append(pt)
-
-            key = start_key
-            cur = idx
-            while cur is not None and not used[cur]:
-                used[cur] = True
-                (ka, pa), (kb, pb) = seg_pts[cur]
-                if ka == key:
-                    push(pa)
-                    push(pb)
-                    key = kb
-                else:
-                    push(pb)
-                    push(pa)
-                    key = ka
-                cur = next((n for n in adj.get(key, []) if not used[n]), None)
-            if len(pts) >= 2:
-                chains.append(np.asarray(pts))
-    return chains
-
-
-def _crossing_segments(x, y, z, level):
-    """Segments of every cell whose four corners are non-NaN and one to
-    three of them above the level, in row-major cell order."""
-    corners = (np.s_[:-1, :-1], np.s_[1:, :-1], np.s_[:-1, 1:], np.s_[1:, 1:])
-    finite = np.logical_and.reduce([~np.isnan(z[c]) for c in corners])
-    above = sum((z[c] > level).astype(int) for c in corners)
-    keep = finite & (above > 0) & (above < 4)
-    segments = []
-    for i, j in zip(*(idx.tolist() for idx in np.nonzero(keep))):
-        segments.extend(_cell_segments(i, j, x, y, z, level))
-    return segments
-
-
 def iso_equilibrium_contour(grid: SweepGrid, variable: str, level: float) -> IsoContour:
-    """Marching-squares contour of one variable over the unmasked cells.
+    """The level set of one variable, one vertex per eta row that crosses it.
 
-    Cells touching a masked corner are skipped; a finite level outside the
-    value range yields an empty contour rather than an error.
+    A row crosses between neighbouring theta cells on opposite sides of the
+    level (``z > level`` is above); both cells must hold a finite, positive
+    value at theta > 0, so masked cells and the theta = 0 column never
+    bracket a crossing.  The vertex interpolates log z linearly in log theta,
+    clipped to its bracket, which is exact on a model grid: along a row log X*
+    is linear in log theta (README, "Numerical notes").  A component is a run of consecutive
+    crossing rows, ordered by eta; ``points`` is the longest.  A row that
+    crosses twice cannot come from the model and raises DomainError; a
+    finite level that no row crosses, or one <= 0, gives an empty contour.
     """
     if not math.isfinite(level):
         raise DomainError(f"contour level must be finite, got {level}")
-    chains = _chain_segments(_crossing_segments(
-        grid.theta_axis, grid.eta_axis, grid.values(variable), level))
+    z, theta_axis = grid.values(variable), grid.theta_axis
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_t, log_z = np.log(theta_axis), np.log(z)
+        usable = np.isfinite(log_z) & np.isfinite(log_t)[:, None]
+        above = z > level
+        rows, i = np.nonzero((usable[:-1] & usable[1:] & (above[:-1] != above[1:])).T)
+        if np.any(twice := np.diff(rows) == 0):
+            raise DomainError(f"{variable} crosses {level} more than once on the eta = "
+                              f"{grid.eta_axis[rows[np.argmax(twice)]]} row")
+        lo, hi = log_z[i, rows], log_z[i + 1, rows]
+        frac = np.where(hi == lo, 0.0, (np.log(level) - lo) / (hi - lo))
+    theta = np.exp(log_t[i] + frac * (log_t[i + 1] - log_t[i]))
+    points = np.column_stack([np.clip(theta, theta_axis[i], theta_axis[i + 1]),
+                              grid.eta_axis[rows]])
+    chains = np.split(points, np.flatnonzero(np.diff(rows) != 1) + 1) if len(rows) else []
     chains.sort(key=len, reverse=True)
-    points = chains[0] if chains else np.empty((0, 2))
-    return IsoContour(float(level), variable, points, tuple(chains))
+    return IsoContour(float(level), variable, chains[0] if chains else np.empty((0, 2)),
+                      tuple(chains))
 
 
 def sensitivity_signs(p: ModelParams) -> SensitivityReport:

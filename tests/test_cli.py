@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from dataecon.cli import (RunConfig, ThresholdOptions, dumps_json, effective_con
 from dataecon.svgplot import render_phase
 
 from .test_empirics import rowwise_panel_csv
+from .test_svgplot import DEFECT_PARAMS, svg_numbers_finite
 from .textdiff import first_difference
 
 BASE = baseline_params()
@@ -933,6 +935,29 @@ def test_empty_contour_has_axes_but_no_paths():
     svg = render_svg(cont, RenderSpec(kind="contour"))
     assert "<rect" in svg and "<text" in svg
     assert "<polyline" not in svg
+
+
+@pytest.mark.parametrize("command", ["phase", "shock"])
+def test_phase_figures_finite_near_the_top_of_float64(tmp_path, command):
+    # k* = 1.76e164 here; the quiver arrows once overflowed to inf
+    flags = {name: getattr(DEFECT_PARAMS, name) for name in
+             ("alpha", "beta", "eta", "theta", "w", "delta", "rho", "sigma", "a")}
+    cfg = parse_config(None, {**flags, "out": str(tmp_path),
+                              "eta_before": DEFECT_PARAMS.eta, "eta_after": 0.7})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_command(cfg, command) == 0
+    svg = (tmp_path / f"{command}.svg").read_text()
+    assert svg_numbers_finite(svg)
+
+
+def test_one_row_contour_component_drawn_as_a_dot():
+    grid = grid_sweep(BASE, np.linspace(0.1, 0.9, 9), np.linspace(0.05, 0.95, 19))
+    cont = iso_equilibrium_contour(grid, "k_star", 100.0)
+    assert [len(c) for c in cont.components] == [1]
+    svg = render_svg(cont, RenderSpec(kind="contour"))
+    assert "<polyline" not in svg
+    assert len(re.findall(r'<circle cx="[0-9.]+" cy="[0-9.]+" r="2.0"', svg)) == 1
 
 
 def test_phase_marker_within_one_pixel():

@@ -2,15 +2,18 @@ import base64
 import math
 import re
 import struct
+import warnings
 import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dataecon import DomainError, RenderSpec, baseline_params, grid_sweep
-from dataecon.svgplot import _VIRIDIS, _Canvas, _color, _fmt, _ramp, render_heatmap
+from dataecon import (DomainError, ModelError, ModelParams, RenderSpec, baseline_params,
+                      grid_sweep, phase_portrait)
+from dataecon.svgplot import (_VIRIDIS, _Canvas, _color, _fmt, _ramp, render_heatmap,
+                              render_phase)
 
 
 def scalar_color(t):
@@ -176,3 +179,52 @@ def test_one_point_axis_refused(shape, ranges):
     spec = RenderSpec(kind="surface-heatmap", x_range=ranges[0], y_range=ranges[1])
     with pytest.raises(DomainError, match=re.escape("empty axis range (0.3, 0.3)")):
         render_heatmap(grid, "c_star", spec)
+
+
+# ---------------------------------------------------------------------------
+# phase portraits
+
+def svg_numbers_finite(svg: str) -> bool:
+    return re.search(r"\b(inf|nan)\b", svg) is None
+
+
+DEFECT_PARAMS = ModelParams(
+    alpha=0.5984136672205659, beta=0.024055319144110278, eta=0.6892686400451568,
+    theta=6.4525043437412066e-15, w=0.8855241513953401, delta=0.2644982097297149,
+    rho=0.2941821805230764, sigma=3.647495921428746, a=9.46214474228424)
+
+
+@st.composite
+def any_model_params(draw):
+    alpha = draw(st.floats(0.15, 0.9))
+    beta = draw(st.floats(0.05, min(0.9, 1.0 - alpha)))
+    return ModelParams(
+        alpha=alpha, beta=beta, eta=draw(st.floats(0.0, 0.95)),
+        theta=draw(st.one_of(st.floats(0.0, 1.0), st.floats(1e-30, 1e-10))),
+        w=draw(st.floats(0.1, 10.0)), delta=draw(st.floats(0.01, 0.5)),
+        rho=draw(st.floats(0.01, 0.5)), sigma=draw(st.floats(1.01, 10.0)),
+        a=draw(st.floats(0.1, 10.0)))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@example(DEFECT_PARAMS)
+@given(any_model_params())
+def test_phase_svg_coordinates_finite(p):
+    # The quiver arrows are scaled in plot units, at most 3.5% of the frame
+    # on each axis; a steady state near the top of float64 (k* = 1.76e164
+    # in the example) once drew them at inf.
+    try:
+        portrait = phase_portrait(p)
+    except ModelError:
+        return  # a typed refusal is an allowed outcome
+    spec = RenderSpec(kind="phase")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        svg = render_phase(portrait, spec)
+    assert svg_numbers_finite(svg)
+    arrows = re.findall(r'<line x1="([-0-9.]+)" y1="([-0-9.]+)" x2="([-0-9.]+)" '
+                        r'y2="([-0-9.]+)" stroke="#777777"', svg)
+    frame_w, frame_h = spec.width - 18.0 - 56.0, spec.height - 56.0 - 30.0
+    for x1, y1, x2, y2 in arrows[::3]:  # each shaft, then its two head strokes
+        assert abs(float(x2) - float(x1)) <= 0.035 * frame_w + 0.01
+        assert abs(float(y2) - float(y1)) <= 0.035 * frame_h + 0.01

@@ -14,9 +14,8 @@ from dataecon import (DegenerateError, DomainError, ModelError, ModelParams,
                       steady_state, threshold_curve, validate_params)
 from dataecon import sweep
 from dataecon.core import Coefficients, steady_states
-from dataecon.sweep import _cell_segments, _chain_segments, _crossing_segments
 
-from . import decimal_oracle
+from . import decimal_oracle, marching_squares
 from .strategies import model_params
 
 BASE = baseline_params()
@@ -284,6 +283,24 @@ def test_threshold_refuses_theta_outside_model():
         threshold_curve(BASE, [0.5, 1.5], (0.4, 0.95))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1, 1.5])
+def test_threshold_refuses_first_bad_theta_with_the_replace_message(monkeypatch, bad):
+    thetas = np.linspace(0.01, 0.99, 10_001)
+    thetas[6_000], thetas[7_000] = bad, 2.0
+    with pytest.raises(ParameterError) as expected:
+        BASE.replace(theta=bad)
+    calls, inner = [], ModelParams.replace
+    monkeypatch.setattr(ModelParams, "replace", lambda *a, **k: calls.append(k) or inner(*a, **k))
+    with pytest.raises(ParameterError) as refused:
+        threshold_curve(BASE, thetas, (0.4, 0.95))
+    assert str(refused.value) == str(expected.value)
+    assert refused.value.violations == expected.value.violations
+    assert len([k for k in calls if "theta" in k]) == 1  # not one call per theta
+    calls.clear()
+    threshold_curve(BASE, thetas[:5_000], (0.4, 0.95))
+    assert [k for k in calls if "theta" in k] == []
+
+
 # The oracle: a 65-point scan and a scalar golden section on the scalar
 # solver, refusals and infeasible points valued at -inf.
 
@@ -509,16 +526,17 @@ def test_contour_constant_field_empty():
 
 
 def test_contour_linear_field_antidiagonal():
-    grid = synthetic_grid(lambda t, e: t + e, np.linspace(0.0, 0.9, 10),
+    # z = theta * eta is log-linear in log theta on every row, so the level
+    # set theta * eta = 0.2 is met exactly; z = 0 on the theta = 0 column
+    # and the eta = 0 row, which never bracket a crossing.
+    grid = synthetic_grid(lambda t, e: t * e, np.linspace(0.0, 0.9, 10),
                           np.linspace(0.0, 0.9, 10))
-    cont = iso_equilibrium_contour(grid, "c_star", 1.0)
+    cont = iso_equilibrium_contour(grid, "c_star", 0.2)
     assert len(cont.components) == 1
     pts = cont.points
-    assert len(pts) >= 9
-    assert np.allclose(pts[:, 0] + pts[:, 1], 1.0, atol=1e-12)
-    # ordered along the curve: theta strictly monotone
-    d = np.diff(pts[:, 0])
-    assert np.all(d > 0) or np.all(d < 0)
+    assert pts[:, 1].tolist() == grid.eta_axis[3:].tolist()  # 0.2/eta <= 0.9
+    assert np.allclose(pts[:, 0] * pts[:, 1], 0.2, rtol=1e-15, atol=0.0)
+    assert np.all(np.diff(pts[:, 0]) < 0)
 
 
 def test_contour_skips_masked_cells():
@@ -534,22 +552,16 @@ def test_contour_fidelity_at_vertices():
     grid = grid_sweep(BASE, np.linspace(0.05, 0.95, 46), np.linspace(0.60, 0.95, 36))
     level = 0.02
     cont = iso_equilibrium_contour(grid, "c_star", level)
-    assert len(cont.points) >= 10
-    z = grid.values("c_star")
-    tx, ey = grid.theta_axis, grid.eta_axis
-    for th, et in cont.points:
-        # every vertex sits on a cell edge; linear interpolation along that
-        # edge must reproduce the level
-        on_x = np.isclose(tx, th, atol=1e-12).any()
-        if on_x:
-            i = int(np.argmin(np.abs(tx - th)))
-            j = int(np.clip(np.searchsorted(ey, et) - 1, 0, len(ey) - 2))
-            v = np.interp(et, [ey[j], ey[j + 1]], [z[i, j], z[i, j + 1]])
-        else:
-            j = int(np.argmin(np.abs(ey - et)))
-            i = int(np.clip(np.searchsorted(tx, th) - 1, 0, len(tx) - 2))
-            v = np.interp(th, [tx[i], tx[i + 1]], [z[i, j], z[i + 1, j]])
-        assert abs(v - level) <= 1e-3 * level
+    assert len(cont.points) == 36
+    # one vertex on every eta row, at the closed-form crossing, where the
+    # steady state reproduces the level
+    assert cont.points[:, 1].tolist() == grid.eta_axis.tolist()
+    theta, eta = cont.points.T
+    assert np.allclose(theta, closed_form_crossing(BASE, "c_star", level, eta),
+                       rtol=1e-12, atol=0.0)
+    mask, values = steady_states(BASE, theta, eta)
+    assert np.all(mask == "ok")
+    assert np.allclose(values["c_star"], level, rtol=1e-12, atol=0.0)
 
 
 def test_contour_positive_comovement_high_eta():
@@ -584,47 +596,130 @@ def test_contour_non_finite_level_refused(level):
         iso_equilibrium_contour(grid, "c_star", level)
 
 
-def loop_segments(x, y, z, level):
-    """The cell-by-cell scan the vectorized one replaced."""
-    segments = []
-    for i in range(len(x) - 1):
-        for j in range(len(y) - 1):
-            block = z[i:i + 2, j:j + 2]
-            if np.any(np.isnan(block)):
-                continue
-            segments.extend(_cell_segments(i, j, x, y, z, level))
-    return segments
+def closed_form_crossing(p, variable, level, eta):
+    """theta_L(eta) = exp((log L - g_X(eta))/eps(eta)): where the eta row
+    of X* = exp(eps log theta + g_X) meets the level L, with
+    eps = -alpha eta/kx and g_X = log X* at theta = 1."""
+    co = Coefficients(p, 1.0, eta)
+    log_ratio = {"k_star": 0.0, "c_star": np.log(co.yk - p.delta), "y_star": co.log_yk,
+                 "l_star": math.log(p.beta * co.rho_delta / (p.alpha * p.w))}[variable]
+    return np.exp((math.log(level) - co.log_k - log_ratio) / (-p.alpha * eta / co.kx))
 
 
 @st.composite
-def holed_field(draw):
-    """Axes, a field of few distinct values with NaN holes, and a level that
-    is often exactly a corner value, so the ``>`` ties are exercised."""
-    nx, ny = draw(st.integers(1, 9)), draw(st.integers(1, 9))
-    x = np.cumsum([draw(st.floats(0.01, 1.0)) for _ in range(nx)])
-    y = np.cumsum([draw(st.floats(0.01, 1.0)) for _ in range(ny)])
-    cell = st.one_of(st.sampled_from([0.0, 1.0, 2.0, math.nan]),
-                     st.floats(-3.0, 3.0))
-    z = np.array(draw(st.lists(cell, min_size=nx * ny, max_size=nx * ny)),
-                 dtype=float).reshape(nx, ny)
-    finite = z[~np.isnan(z)].tolist()
-    level = draw(st.one_of(st.sampled_from(finite or [1.0]), st.floats(-3.0, 3.0)))
-    return x, y, z, level
+def model_contour(draw, side):
+    """A model grid on the ``side`` ('below' or 'above') of the singular
+    band, one of the four positive quantities, and a level between its
+    smallest and largest value on the grid.  The theta axis may start at 0
+    and reach down to 1e-30; the eta axis may start at 0."""
+    p = draw(model_params(nonsingular=False))
+    parts = [(a, b) for a, b in band_free_intervals(p, (0.0, 0.95))
+             if (p.replace(eta=a).k_exponent > 0.0) == (side == "above")]
+    assume(parts)
+    (lo, hi), = parts
+    etas = draw(st.lists(st.floats(lo, hi, exclude_max=True), min_size=2, max_size=12))
+    etas += draw(st.sampled_from([[], [lo]]))
+    unit = {"max_value": 1.0, "exclude_max": True}
+    thetas = draw(st.lists(st.one_of(st.floats(1e-30, **unit), st.floats(0.01, **unit)),
+                           min_size=2, max_size=12))
+    thetas += draw(st.sampled_from([[], [0.0]]))
+    etas, thetas = np.unique(etas), np.unique(thetas)
+    assume(len(etas) >= 2 and len(thetas) >= 2)
+    grid = grid_sweep(p, thetas, etas)
+    variable = draw(st.sampled_from(["k_star", "c_star", "l_star", "y_star"]))
+    log_z = np.log(grid.values(variable)[grid.mask == "ok"])
+    assume(len(log_z))
+    level = math.exp(log_z.min() + draw(st.floats(0.0, 1.0)) * (log_z.max() - log_z.min()))
+    assume(0.0 < level < math.inf)
+    return p, grid, variable, level
 
 
-@settings(max_examples=300, deadline=None)
-@given(holed_field())
-def test_contour_scan_matches_cell_loop(case):
-    x, y, z, level = case
-    segments = _crossing_segments(x, y, z, level)
-    expected = loop_segments(x, y, z, level)
-    assert segments == expected
-    grid = SweepGrid(x, y, k_star=z, c_star=z, l_star=z, y_star=z, r_star=z,
-                     mask=np.full(z.shape, "ok"))
-    chains = sorted(_chain_segments(expected), key=len, reverse=True)
-    components = iso_equilibrium_contour(grid, "c_star", level).components
-    assert len(components) == len(chains)
-    assert all(np.array_equal(a, b) for a, b in zip(components, chains))
+@pytest.mark.parametrize("side", ["below", "above"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_contour_vertices_at_the_closed_form_crossing(side, data):
+    p, grid, variable, level = data.draw(model_contour(side))
+    cont = iso_equilibrium_contour(grid, variable, level)
+    for comp in cont.components:
+        theta, eta = comp.T
+        assert np.all(np.diff(eta) > 0) and np.all(np.isin(eta, grid.eta_axis))
+        assert np.all(theta > 0.0)
+        # A rounding u of log X* moves log theta_L by u/eps, so on a row
+        # flatter than eps = 1 the bound holds in log X*, not in theta.
+        eps = np.abs(p.alpha * eta / Coefficients(p, 1.0, eta).kx)
+        miss = np.abs(np.log(theta / closed_form_crossing(p, variable, level, eta)))
+        assert np.all(miss <= 1e-12 * np.maximum(1.0, 1.0 / eps))
+    assert sum(len(c) for c in cont.components) == len(np.unique(
+        np.concatenate([c[:, 1] for c in cont.components] or [[]])))
+
+
+@pytest.mark.parametrize("side", ["below", "above"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_contour_row_vertices_within_the_marching_squares_bracket(side, data):
+    # Marching squares puts a vertex on every grid edge the level crosses,
+    # interpolating z linearly; on an eta row that edge is the row's bracket
+    # [theta_i, theta_i+1], and the exact row vertex must lie in it too.
+    _, grid, variable, level = data.draw(model_contour(side))
+    x, y = grid.theta_axis, grid.eta_axis
+    rows = {float(eta): theta for theta, eta in
+            np.concatenate(iso_equilibrium_contour(grid, variable, level).components
+                           or [np.empty((0, 2))])}
+    for (kind, i, j), (theta, _) in (end for seg in marching_squares.crossing_segments(
+            x, y, grid.values(variable), level) for end in seg):
+        if kind == "h":
+            assert x[i] <= rows[float(y[j])] <= x[i + 1]
+            assert abs(rows[float(y[j])] - theta) <= x[i + 1] - x[i]
+
+
+def test_contour_theta_zero_axis_never_brackets_a_crossing():
+    grid = grid_sweep(BASE, np.linspace(0.0, 0.9, 10), np.linspace(0.6, 0.9, 7))
+    assert np.all(grid.mask[0, :] == "degenerate")
+    cont = iso_equilibrium_contour(grid, "c_star", 0.02)
+    assert np.all(cont.points[:, 0] > 0.0)
+    assert np.allclose(cont.points[:, 0], closed_form_crossing(BASE, "c_star", 0.02,
+                                                               cont.points[:, 1]),
+                       rtol=1e-12, atol=0.0)
+    # a value at theta = 0 that straddles the level is not a crossing
+    step = synthetic_grid(lambda t, e: 2.0 if t > 0 else 0.5, [0.0, 0.5, 0.9], [0.1, 0.2])
+    assert iso_equilibrium_contour(step, "c_star", 1.0).components == ()
+
+
+def test_contour_eta_zero_row_has_no_vertex():
+    grid = grid_sweep(BASE, np.linspace(0.0, 0.9, 10), [0.0, 0.05, 0.1, 0.15])
+    assert grid.mask[0, 0] == "ok"  # theta = 0 is a steady state at eta = 0
+    level = float(grid.c_star[5, 2])
+    cont = iso_equilibrium_contour(grid, "c_star", level)
+    assert 0.0 not in cont.points[:, 1]
+    assert len(cont.points) >= 2
+    row0 = iso_equilibrium_contour(grid, "c_star", float(grid.c_star[0, 0]))
+    assert 0.0 not in np.concatenate([c[:, 1] for c in row0.components] or [[]])
+
+
+def test_contour_constant_r_star_and_nonpositive_levels_empty():
+    grid = grid_sweep(BASE, np.linspace(0.05, 0.95, 10), np.linspace(0.0, 0.3, 7))
+    r = float(grid.r_star[0, 0])
+    for variable, level in [("r_star", r), ("r_star", 0.5 * r), ("r_star", 2.0 * r),
+                            ("c_star", 0.0), ("c_star", -1.0), ("k_star", -0.0)]:
+        cont = iso_equilibrium_contour(grid, variable, level)
+        assert cont.components == ()
+        assert cont.points.shape == (0, 2)
+
+
+def test_contour_crossing_between_values_of_equal_log_is_the_lower_cell():
+    # log(1e300) == log(nextafter(1e300)): the row still crosses, at its
+    # lower cell, and not at a NaN vertex
+    top = np.nextafter(1e300, np.inf)
+    grid = synthetic_grid(lambda t, e: top if t > 0.3 else 1e300, [0.2, 0.4], [0.1, 0.2])
+    assert iso_equilibrium_contour(grid, "c_star", 1e300).points.tolist() == [[0.2, 0.1],
+                                                                             [0.2, 0.2]]
+
+
+def test_contour_row_crossing_twice_refused():
+    grid = synthetic_grid(lambda t, e: 3.0 if t == 0.5 and e == 0.2 else 1.0,
+                          [0.1, 0.5, 0.9], [0.1, 0.2, 0.3])
+    with pytest.raises(DomainError, match="crosses 2.0 more than once on the eta = 0.2 row"):
+        iso_equilibrium_contour(grid, "c_star", 2.0)
 
 
 # ---------------------------------------------------------------------------
