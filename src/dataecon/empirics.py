@@ -7,9 +7,10 @@ profile.  The estimator absorbs unit and year fixed effects by an exact
 projection (within-unit demeaning, then one small solve for the year
 effects), tests the rank of the projected design and solves it with one
 pivoted QR (explicit dummies refit it by least squares as a cross-check),
-and reports unit-clustered standard errors (CR1 small-sample scaling).  The
-design, the controls and the outcome share one column-major buffer that the
-projection overwrites, and the tall QR runs on row blocks of it.
+and reports unit-clustered standard errors (CR1 small-sample scaling) from
+that QR's triangle.  The design, the controls and the outcome share one
+column-major buffer that the projection overwrites, and the tall QR runs on
+row blocks of it.
 
 Rows at relative period 0 (the adoption year itself) are excluded by
 default, mirroring designs that drop the implementation period; the plain
@@ -118,7 +119,9 @@ def _in_int64(values: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class Panel:
-    """City-year rows with optional staggered adoption and controls."""
+    """City-year rows with optional staggered adoption and controls.
+    ``outcome`` and ``controls`` must be finite, and ``unit``, ``year`` and
+    ``adoption_year`` (NaN: never treated) whole numbers in int64's range."""
 
     unit: np.ndarray
     year: np.ndarray
@@ -137,6 +140,9 @@ class Panel:
                               f"one column per name ({len(self.control_names)} names)")
         if n == 0:
             raise DomainError("panel has no rows")
+        for name, values in (("outcome", self.outcome), ("control", self.controls)):
+            if not np.all(np.isfinite(values)):
+                raise DomainError(f"{name} values must be finite")
         adopt = self.adoption_year[~np.isnan(self.adoption_year)]
         for name, values in (("unit", self.unit), ("year", self.year), ("adoption_year", adopt)):
             if not _whole(values):
@@ -219,9 +225,10 @@ def generate_panel(cfg: DgpConfig) -> Panel:
     controls = rng.normal(0.0, 1.0, (n_units * n_years, m)) if m else np.empty((n_units * n_years, 0))
     noise = rng.normal(0.0, 1.0, n_units * n_years) * cfg.noise_scale
 
-    outcome = (unit_fx[unit_col] + year_fx[year_col - y0]
-               + controls @ np.asarray(cfg.control_coefs, dtype=float)
-               + cfg._effect_at(year_col - adopt_col) + noise)
+    with np.errstate(over="ignore", invalid="ignore"):  # Panel refuses what overflows
+        outcome = (unit_fx[unit_col] + year_fx[year_col - y0]
+                   + controls @ np.asarray(cfg.control_coefs, dtype=float)
+                   + cfg._effect_at(year_col - adopt_col) + noise)
     names = tuple(f"control_{i + 1}" for i in range(m))
     return Panel(unit_col, year_col, outcome, adopt_col, controls, names)
 
@@ -293,29 +300,30 @@ def _dummy_design(x: np.ndarray, unit_idx: np.ndarray, year_idx: np.ndarray):
 
 
 def _clustered_se(x_t: np.ndarray, resid: np.ndarray, clusters: np.ndarray,
-                  n_absorbed: int) -> np.ndarray:
+                  n_absorbed: int, r_inv: np.ndarray) -> np.ndarray:
     """CR1 cluster-robust standard errors of the leading coefficients.
 
-    The scores ``x_j * resid`` are summed per cluster one column at a time,
-    so no n x q score matrix is formed.  Fewer than three clusters raise
-    DesignError: two clusters' scores sum to zero, so both are zero up to
-    rounding and the standard error with them.
+    The scores ``x_j * resid`` are summed per cluster one column at a time
+    into the n_c x q S, so no n x q score matrix is formed.  The bread
+    (x'x)^-1 is ``r_inv @ r_inv.T``, from the fit's own triangle
+    (``_qr_solve``), and the covariance is dof B'B with B = S (x'x)^-1:
+    neither x'x, which squares the condition number, nor S'S is formed.
+    Fewer than three clusters raise DesignError: two clusters' scores sum
+    to zero, so both are zero up to rounding and the standard error with
+    them.
     """
     n, q = x_t.shape
     n_c = int(clusters.max()) + 1
     if n_c < 3:
         raise DesignError(f"{n_c} clusters give no usable cluster-robust standard "
                           f"error; need at least 3")
-    bread = np.linalg.pinv(x_t.T @ x_t)
     cluster_scores = np.empty((n_c, q))
     for j in range(q):
         cluster_scores[:, j] = np.bincount(clusters, weights=x_t[:, j] * resid,
                                            minlength=n_c)
-    meat = cluster_scores.T @ cluster_scores
-    k_total = q + n_absorbed
-    dof = (n_c / (n_c - 1)) * ((n - 1) / max(n - k_total, 1))
-    cov = dof * bread @ meat @ bread
-    return np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    b = cluster_scores @ (r_inv @ r_inv.T)
+    dof = (n_c / (n_c - 1)) * ((n - 1) / max(n - q - n_absorbed, 1))
+    return np.sqrt(dof * (b * b).sum(axis=0))
 
 
 def _pivoted_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -326,7 +334,10 @@ def _pivoted_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
     reduced rows (the lowest index on a tie), recomputing the norms where
     LAPACK's dgeqp3 downdates them: one small product, and no cancellation
     to guard against.  A pivoted column stays in place, zero below its
-    step, so later reflectors leave it as it is.
+    step, so later reflectors leave it as it is.  A column is reflected
+    whenever a value below its step is nonzero: a tail below
+    sqrt(eps)|alpha| leaves the squared norm at alpha^2 yet holds the last
+    pivot of a near copy.
     """
     a = a.copy()
     k = a.shape[0]
@@ -338,7 +349,7 @@ def _pivoted_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
         piv.append(p)
         u = a[i:, p]
         alpha = beta = a.item(i, p)
-        if sq[p] != alpha * alpha:  # else the column is already reduced
+        if sq[p] and u[1:].any():  # else reduced, or too small to square
             beta = -math.copysign(math.sqrt(sq[p]), alpha)
             u[0] = alpha - beta  # u is now the reflector's vector
             # H = I - 2 u u' / u'u, and u'u = 2 beta (beta - alpha)
@@ -369,10 +380,12 @@ def _tall_triangle(xy: np.ndarray) -> np.ndarray:
     return r_aug
 
 
-def _qr_solve(xy: np.ndarray, names: list[str]) -> np.ndarray:
+def _qr_solve(xy: np.ndarray, names: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """Least squares of the last column y of ``xy = [x y]`` on the others x
     by a column-pivoted QR of x; RankDeficiencyError names the columns
-    whose pivots fall below 1e-10 of the largest.
+    whose pivots fall below 1e-10 of the largest.  Returns the coefficients
+    and R^-1 of the pivoted triangle with its rows in x's column order:
+    x = Q R P', so (x'x)^-1 = (P R^-1)(P R^-1)', and ``r_inv`` is P R^-1.
 
     The unpivoted QR of ``[x y]`` (``_tall_triangle``) does the tall
     O(n k^2) work and yields the (k+1) x (k+1) triangle ``[R Q'y]``; R has
@@ -394,7 +407,9 @@ def _qr_solve(xy: np.ndarray, names: list[str]) -> np.ndarray:
             f"offending columns: {', '.join(sorted(set(bad)))}", columns=bad)
     beta = np.empty(k)
     beta[piv] = np.linalg.solve(r, qty)  # r is its own LU: back substitution
-    return beta
+    r_inv = np.empty((k, k))
+    r_inv[piv] = np.linalg.inv(r)
+    return beta, r_inv
 
 
 def _estimation_sample(panel: Panel, drop_adoption_period: bool):
@@ -427,14 +442,14 @@ def _estimate(panel: Panel, drop_adoption_period: bool, regressors, method: str)
     raw = xy.copy(order="F") if method == "dummies" else None
     xy = _two_way_demean(xy, unit_idx, year_idx)
     x_t, y_t = xy[:, :-1], xy[:, -1]
-    beta = _qr_solve(xy, names + list(panel.control_names))
+    beta, r_inv = _qr_solve(xy, names + list(panel.control_names))
     resid = y_t - x_t @ beta
     if raw is not None:
         # oracle: refit on the explicit dummy design instead of the projection
         full = _dummy_design(raw[:, :-1], unit_idx, year_idx)
         beta_full, *_ = np.linalg.lstsq(full, raw[:, -1], rcond=None)
         beta, resid = beta_full[:len(beta)], raw[:, -1] - full @ beta_full
-    se = _clustered_se(x_t, resid, unit_idx, n_u + n_y - 1)
+    se = _clustered_se(x_t, resid, unit_idx, n_u + n_y - 1, r_inv)
     return beta, se, len(rel), n_u, n_y
 
 
@@ -491,7 +506,7 @@ _CSV_CHUNK_ROWS = 4096
 
 def write_panel_csv(panel: Panel, path) -> None:
     """Write the panel in blocks of ``_CSV_CHUNK_ROWS`` rows, each column of
-    a block formatted at once (17-digit floats, NaN as ``nan``)."""
+    a block formatted at once (17-digit floats)."""
     header = ["unit", "year", "outcome", "adoption_year", *panel.control_names]
     with open(path, "wb") as fh:
         _write_rows(fh, [_text_cells([name]) for name in header])
@@ -504,9 +519,9 @@ def write_panel_csv(panel: Panel, path) -> None:
             _write_rows(fh, [
                 _int_cells(panel.unit[rows].astype(np.int64)),
                 _int_cells(panel.year[rows].astype(np.int64)),
-                _float_cells(panel.outcome[rows], b"nan"),
+                _float_cells(panel.outcome[rows]),
                 adopt_cells,
-                *(_float_cells(col, b"nan") for col in panel.controls[rows].T)])
+                *(_float_cells(col) for col in panel.controls[rows].T)])
 
 
 def read_panel_csv(path) -> Panel:

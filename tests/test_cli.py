@@ -624,6 +624,21 @@ def test_did_sim_on_two_units_exits_1(tmp_path, capsys):
                                        "standard error; need at least 3\n")
 
 
+def test_did_sim_outcome_overflow_exits_1_before_writing_the_panel(tmp_path, capsys):
+    """Effects of scale 1e308 overflow the outcome: the panel is refused
+    before panel.csv is written, with no RuntimeWarning, where the fit had
+    named rank-deficient columns."""
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"dgp": {"n_units": 10, "years": [2000, 2005],
+                                            "unit_effect_scale": 1e308,
+                                            "year_effect_scale": 1e308, "seed": 1}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["did-sim", "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: outcome values must be finite\n"
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["effective_config.json"]
+
+
 def test_empty_thetas_and_axis_counts_below_one_refused_by_the_options():
     with pytest.raises(ConfigError, match="thetas must be a nonempty list"):
         ThresholdOptions(thetas=())

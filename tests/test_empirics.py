@@ -1,5 +1,6 @@
 import csv
 import math
+import operator
 import tracemalloc
 import unittest.mock
 from dataclasses import replace
@@ -8,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dataecon import (DesignError, DgpConfig, DomainError, Panel,
@@ -147,6 +148,21 @@ def test_controls_without_rows_refused():
     with pytest.raises(DomainError, match="^panel columns must have equal length$"):
         Panel(np.repeat(np.arange(4), 4), np.tile(np.arange(2000, 2004), 4),
               np.zeros(16), np.full(16, np.nan), np.empty((0, 0)), ())
+
+
+@pytest.mark.parametrize("column, value", [
+    ("outcome", math.nan), ("outcome", math.inf), ("control", math.nan)])
+def test_non_finite_outcome_and_controls_refused(column, value):
+    """A NaN outcome gave all-NaN estimates and an infinite one let a
+    RuntimeWarning escape, with nothing raised; a NaN control reached the
+    covariance unchecked."""
+    panel = generate_panel(DgpConfig(n_units=50, years=(2000, 2010), effect=0.05, seed=1,
+                                     control_coefs=(0.5,)))
+    outcome, controls = panel.outcome.copy(), panel.controls.copy()
+    (outcome if column == "outcome" else controls[:, 0])[5] = value
+    with pytest.raises(DomainError, match=f"^{column} values must be finite$"):
+        Panel(panel.unit, panel.year, outcome, panel.adoption_year, controls,
+              panel.control_names)
 
 
 @pytest.mark.parametrize("controls, names", [
@@ -447,7 +463,7 @@ def test_qr_solve_matches_lstsq(seed):
     n, q = int(rng.integers(20, 400)), int(rng.integers(1, 12))
     x = rng.normal(size=(n, q)) * rng.uniform(0.1, 10.0, q)
     y = x @ rng.normal(size=q) + rng.normal(size=n)
-    beta = empirics._qr_solve(np.column_stack([x, y]), [f"x{j}" for j in range(q)])
+    beta, _ = empirics._qr_solve(np.column_stack([x, y]), [f"x{j}" for j in range(q)])
     ref, *_ = np.linalg.lstsq(x, y, rcond=None)
     assert np.linalg.norm(beta - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -532,7 +548,7 @@ def test_pivoted_triangle_decides_as_scipy_does(n, k, case, seed):
         assert sorted(map(first_copy.get, exc.value.columns)) == \
             sorted(map(first_copy.get, expected))
     else:
-        beta = empirics._qr_solve(xy, names)
+        beta, _ = empirics._qr_solve(xy, names)
         ref, *_ = np.linalg.lstsq(x, xy[:, -1], rcond=None)
         assert np.linalg.norm(beta - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -552,7 +568,7 @@ def test_blocked_triangle_matches_one_qr_and_lstsq(n):
     xy = np.asfortranarray(np.column_stack([x, y]))
     np.testing.assert_allclose(np.abs(np.diag(empirics._tall_triangle(xy))),
                                np.abs(np.diag(np.linalg.qr(xy, mode="r"))), rtol=1e-12, atol=0)
-    beta = empirics._qr_solve(xy, [f"x{j}" for j in range(q)])
+    beta, _ = empirics._qr_solve(xy, [f"x{j}" for j in range(q)])
     ref, *_ = np.linalg.lstsq(x, y, rcond=None)
     assert np.linalg.norm(beta - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -628,9 +644,93 @@ def test_clustered_se_matches_masked_loop(seed):
     n, q = len(clusters), int(rng.integers(1, 8))
     x_t = rng.normal(size=(n, q))
     resid = rng.normal(size=n)
-    se = empirics._clustered_se(x_t, resid, clusters, 40)
+    r_inv = np.linalg.inv(np.linalg.qr(x_t, mode="r"))
+    se = empirics._clustered_se(x_t, resid, clusters, 40, r_inv)
     ref = masked_loop_se(x_t, resid, clusters, 40)
     assert np.all(np.abs(se - ref) <= 1e-12 * np.abs(ref))
+
+
+def rational_cr1_variances(x_t, resid, clusters, n_absorbed):
+    """CR1 variances dof * diag(M S'S M), M = (x'x)^-1 and S the cluster
+    scores, in exact rational arithmetic on the float inputs."""
+    n, k = x_t.shape
+
+    def scaled(col):  # integer numerators over one power-of-two denominator
+        fr = [Fraction(v) for v in col.tolist()]
+        den = max(f.denominator for f in fr)
+        return [f.numerator * (den // f.denominator) for f in fr], den
+
+    cols = [scaled(x_t[:, j]) for j in range(k)]
+    res, res_den = scaled(resid)
+    aug = [[Fraction(sum(map(operator.mul, cols[i][0], cols[j][0])), cols[i][1] * cols[j][1])
+            for j in range(k)] + [Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+    for c in range(k):  # Gauss-Jordan: [x'x I] becomes [I M]
+        p = next(i for i in range(c, k) if aug[i][c])
+        aug[c], aug[p] = aug[p], aug[c]
+        aug[c] = [v / aug[c][c] for v in aug[c]]
+        for i in range(k):
+            if i != c:
+                aug[i] = [v - aug[i][c] * w for v, w in zip(aug[i], aug[c])]
+    n_c = int(clusters.max()) + 1
+    sums = [[0] * k for _ in range(n_c)]
+    for i, g in enumerate(clusters.tolist()):
+        for j in range(k):
+            sums[g][j] += cols[j][0][i] * res[i]
+    dof = Fraction(n_c, n_c - 1) * Fraction(n - 1, max(n - k - n_absorbed, 1))
+    var = [Fraction(0)] * k
+    for row in sums:
+        score = [Fraction(v, cols[j][1] * res_den) for j, v in enumerate(row)]
+        b = [sum(score[i] * aug[i][k + j] for i in range(k)) for j in range(k)]
+        var = [v + bj * bj for v, bj in zip(var, b)]
+    return [dof * v for v in var]
+
+
+@settings(max_examples=50, derandomize=True)
+@given(st.integers(60, 300), st.integers(2, 4), st.integers(20, 40),
+       st.floats(-9.5, -2.0), st.integers(0, 2**32 - 1))
+@example(62, 2, 30, -8.9, 6)  # the pivoting takes the near copy first
+def test_clustered_se_matches_rational_cr1_at_the_rank_edge(n, k, n_c, log_dist, seed):
+    """The CR1 standard errors from the fit's triangle agree with the exact
+    formula to 10 cond(x) eps relative.  One column is a near copy of
+    another at relative distance 10**log_dist, so the pivot ratios span
+    the range the rank test accepts: the Gram matrix squared the condition
+    number there, and pinv dropped the near-null direction."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, k))
+    i, j = rng.choice(k, 2, replace=False)
+    u = rng.normal(size=n)
+    x[:, j] = x[:, i] + 10.0 ** log_dist * np.linalg.norm(x[:, i]) / np.linalg.norm(u) * u
+    y = x @ rng.normal(size=k) + rng.normal(size=n)
+    clusters = rng.integers(0, n_c, n)
+    beta, r_inv = empirics._qr_solve(np.column_stack([x, y]), [f"x{c}" for c in range(k)])
+    resid = y - x @ beta
+    se = empirics._clustered_se(x, resid, clusters, 10, r_inv)
+    exact = np.sqrt([float(v) for v in rational_cr1_variances(x, resid, clusters, 10)])
+    bound = 10 * np.linalg.cond(x) * np.finfo(float).eps
+    assert np.all(np.abs(se - exact) <= bound * exact)
+
+
+def rank_edge_panel(regressor):
+    """The seed-3 216 x 23 panel with one control, ``regressor(rel)`` of the
+    relative periods plus 1e-8 N(0, 1) noise."""
+    panel = generate_panel(DgpConfig(n_units=216, years=(2000, 2022), share_treated=0.5,
+                                     noise_scale=0.1, effect=0.05, seed=3))
+    noise = np.random.default_rng(7).normal(size=len(panel.unit))
+    control = regressor(panel.relative_period()) + 1e-8 * noise
+    return Panel(panel.unit, panel.year, panel.outcome, panel.adoption_year,
+                 control[:, None], ("near_copy",))
+
+
+def test_standard_errors_at_the_rank_edge():
+    """A control within 1e-8 N(0, 1) of a regressor passes the rank test
+    (pivot ratio 3.7e-8), and the regressor's coefficient is barely
+    identified.  Its SE is that of the exact CR1 formula on the projected
+    design (rational arithmetic, computed once), where the Gram matrix and
+    pinv read 0.002941 (TWFE) and 0.00739 (rel_2)."""
+    did = twfe_did(rank_edge_panel(lambda rel: rel >= 0))
+    assert did.se == pytest.approx(154_469.391072, rel=1e-6)
+    es = event_study(rank_edge_panel(lambda rel: np.clip(rel, -5, 5) == 2))
+    assert es.std_errors[list(es.periods).index(2)] == pytest.approx(153_393.935584, rel=1e-6)
 
 
 def test_dummies_oracle_refuses_oversized_design(monkeypatch):
@@ -766,7 +866,8 @@ def test_panel_csv_quotes_control_names_and_round_trips(tmp_path):
     names = ("gdp, real", 'the "index"', "line\nbreak", "plain")
     rng = np.random.default_rng(0)
     controls = rng.normal(size=(6, 4))
-    controls[0] = [-0.0, 5e-324, math.inf, -1e300]
+    controls[0] = [-0.0, 5e-324, 1.7976931348623157e308, -1e300]
+    controls[1, 2] = -1.7976931348623157e308  # the finite extremes
     panel = Panel(np.repeat([0, 1], 3), np.tile([2000, 2001, 2002], 2),
                   np.array([0.1, -2.5, 1e-300, 0.0, 7.0, -0.0]),
                   np.array([np.nan] * 3 + [2001.0] * 3), controls, names)
@@ -783,6 +884,14 @@ def test_panel_csv_quotes_control_names_and_round_trips(tmp_path):
     assert np.array_equal(np.signbit(back.outcome), np.signbit(panel.outcome))
     assert np.array_equal(back.adoption_year, panel.adoption_year, equal_nan=True)
     assert np.array_equal(back.controls, panel.controls)
+
+
+def test_panel_csv_nan_outcome_refused(tmp_path):
+    path = tmp_path / "panel.csv"
+    path.write_text("unit,year,outcome,adoption_year\n0,2000,nan,\n1,2000,0.5,\n",
+                    encoding="utf-8")
+    with pytest.raises(DomainError, match="^outcome values must be finite$"):
+        read_panel_csv(path)
 
 
 def test_panel_csv_header_schema(tmp_path):
