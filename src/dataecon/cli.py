@@ -459,11 +459,7 @@ def _cmd_threshold(cfg: RunConfig, w: _Writer):
                                RenderSpec(kind="contour"),
                                "consumption-maximizing eta by theta", "theta", "eta*"),
           {"eta_range": list(curve.eta_range)})
-    w.json("threshold.json", {
-        "thetas": curve.thetas, "eta_star": curve.eta_star,
-        "c_star_max": curve.c_star_max, "shapes": list(curve.shapes),
-        "eta_range": list(curve.eta_range),
-    })
+    w.json("threshold.json", asdict(curve))
 
 
 def _cmd_contour(cfg: RunConfig, w: _Writer):
@@ -540,10 +536,7 @@ def _cmd_did_sim(cfg: RunConfig, w: _Writer):
     es = event_study(panel, drop_adoption_period=cfg.did.drop_adoption_period)
     window = [int(es.periods[0]), int(es.periods[-1])]
     w.json("did.json", {
-        "att": did.att, "se": did.se, "n_obs": did.n_obs,
-        "n_units_absorbed": did.n_units_absorbed,
-        "n_years_absorbed": did.n_years_absorbed,
-        "true_effect": cfg.dgp.true_att(panel, cfg.did.drop_adoption_period),
+        **asdict(did), "true_effect": cfg.dgp.true_att(panel, cfg.did.drop_adoption_period),
     }, dgp)
     w.csv("event_study.csv", ["period", "coefficient", "std_error"],
           [(es.periods, es.coefficients, es.std_errors)],

@@ -290,9 +290,9 @@ def _digit_words(d: np.ndarray):
     return words, last
 
 
-def _float_cells(x: np.ndarray, nan: bytes = b"") -> np.ndarray:
-    """``"%.17g" % v`` for each value of the float array ``x``, and ``nan``
-    for NaN, in a matrix as wide as its longest cell.
+def _float_cells(x: np.ndarray) -> np.ndarray:
+    """``"%.17g" % v`` for each value of the float array ``x``, and an
+    empty cell for NaN, in a matrix as wide as its longest cell.
 
     A finite |v| in [10**-29, 1e17) takes its 17 significant digits at once
     (``_significand``; README, "Numerical notes"), and its cell is gathered
@@ -304,7 +304,7 @@ def _float_cells(x: np.ndarray, nan: bytes = b"") -> np.ndarray:
     x = np.ascontiguousarray(x, dtype=np.float64)
     starts = _run_starts(x.view(np.uint64))  # equal bits, equal cells
     if len(starts) < len(x):
-        return _repeat_runs(_float_cells(x[starts], nan), starts, len(x))
+        return _repeat_runs(_float_cells(x[starts]), starts, len(x))
     d, code, fast = _significand(np.abs(x))
     words, last = _digit_words(d)
     del d
@@ -314,7 +314,6 @@ def _float_cells(x: np.ndarray, nan: bytes = b"") -> np.ndarray:
     code += last
     del last
     isnan = np.isnan(x)
-    nans = np.flatnonzero(isnan)
     slow = np.flatnonzero(~(fast | isnan))  # zeros, infinities, the rest
     text = _byte_rows([(_FLOAT_FORMAT % v).encode() for v in x[slow].tolist()])
     width = np.max(_CELL_LENGTH[code], where=fast, initial=0)
@@ -324,12 +323,9 @@ def _float_cells(x: np.ndarray, nan: bytes = b"") -> np.ndarray:
         source = np.take(_CELL_SOURCE[:, :width], code[rows], axis=0).astype(np.int32)
         source += np.arange(0, words[rows].nbytes, 36, dtype=np.int32)[:, None]
         words[rows].view(np.uint8).ravel().take(source, out=cells[rows], mode="clip")
-    wider = max(text.shape[1], len(nan) if nans.size else 0) - width
-    if wider > 0:
-        cells = np.pad(cells, ((0, 0), (0, wider)), constant_values=_PAD)
-    if nans.size:
-        cells[nans] = _PAD
-        cells[nans, :len(nan)] = np.frombuffer(nan, np.uint8)
+    if text.shape[1] > width:
+        cells = np.pad(cells, ((0, 0), (0, text.shape[1] - width)), constant_values=_PAD)
+    cells[isnan] = _PAD
     if slow.size:
         cells[slow] = _PAD
         cells[slow, :text.shape[1]] = text

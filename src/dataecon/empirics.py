@@ -399,8 +399,6 @@ def _qr_solve(xy: np.ndarray, names: list[str]) -> tuple[np.ndarray, np.ndarray]
     ref = diag[0] if diag.size else 0.0
     bad = [names[piv[i]] for i in range(len(diag))
            if diag[i] <= 1e-10 * max(ref, 1.0)]
-    if ref == 0.0:
-        bad = list(names)
     if bad:
         raise RankDeficiencyError(
             f"design is rank deficient after absorbing fixed effects; "
@@ -439,6 +437,12 @@ def _estimate(panel: Panel, drop_adoption_period: bool, regressors, method: str)
     xy = np.empty((len(rel), len(columns)), order="F")  # the one design buffer
     for j, col in enumerate(columns):
         xy[:, j] = col
+    # Every fitted number is linear in y, and a power of two scales it
+    # exactly: y at most 1 in magnitude keeps the squares of its cluster
+    # scores in range.  The pivots and the rank test read only x.
+    y = xy[:, -1]
+    e = int(np.frexp(max(y.max(), -y.min()))[1])
+    np.ldexp(y, -e, out=y)
     raw = xy.copy(order="F") if method == "dummies" else None
     xy = _two_way_demean(xy, unit_idx, year_idx)
     x_t, y_t = xy[:, :-1], xy[:, -1]
@@ -450,7 +454,7 @@ def _estimate(panel: Panel, drop_adoption_period: bool, regressors, method: str)
         beta_full, *_ = np.linalg.lstsq(full, raw[:, -1], rcond=None)
         beta, resid = beta_full[:len(beta)], raw[:, -1] - full @ beta_full
     se = _clustered_se(x_t, resid, unit_idx, n_u + n_y - 1, r_inv)
-    return beta, se, len(rel), n_u, n_y
+    return np.ldexp(beta, e), np.ldexp(se, e), len(rel), n_u, n_y
 
 
 def twfe_did(panel: Panel, drop_adoption_period: bool = True,

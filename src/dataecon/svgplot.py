@@ -197,9 +197,7 @@ def render_heatmap(grid: SweepGrid, variable: str, spec: RenderSpec) -> str:
     finite = vals[ok]
     log_scale = (finite.size > 0 and np.all(finite > 0)
                  and finite.max() / max(finite.min(), 1e-300) > 1e3)
-    # libm's log10, not numpy's: a vectorized log10 may differ by an ulp
-    # on some CPUs, and an ulp of t can flip a rounded colour channel
-    norm = np.array([math.log10(v) for v in finite.tolist()]) if log_scale else finite
+    norm = np.log10(finite) if log_scale else finite
     lo = float(norm.min()) if norm.size else 0.0
     hi = float(norm.max()) if norm.size else 1.0
     span = (hi - lo) or 1.0

@@ -160,9 +160,11 @@ def threshold_curve(p_base: ModelParams, thetas,
     ``_eta_slopes`` above the band and heads for the higher end below it,
     in ceil(log2(width/tol)) steps; eta* is the midpoint of its final
     bracket, or the low end at theta = 0.  ``steady_states`` runs once, at
-    eta*, and a cell refused there raises SearchError.  The search peaks at
-    about 320 bytes per theta (tracemalloc, 10^3 to 10^5 thetas), so more
-    than 2.5e6 thetas (``_MAX_CELLS``) raise DomainError before any is checked.
+    eta*, and a cell refused there raises SearchError naming eta* and the
+    cell's mask category ('infeasible' where c* overflows).  The search
+    peaks at about 320 bytes per theta (tracemalloc, 10^3 to 10^5 thetas),
+    so more than 2.5e6 thetas (``_MAX_CELLS``) raise DomainError before any
+    is checked.
     """
     if eta_range is None:
         eta_range = max(band_free_intervals(p_base, (0.05, 0.95)), key=lambda ab: ab[1] - ab[0])
@@ -182,9 +184,9 @@ def threshold_curve(p_base: ModelParams, thetas,
         raise DomainError(f"tol must be positive, got {tol}")
     top = min(hi, 1.0 / p_base.alpha - p_base.delta / (p_base.rho + p_base.delta))  # c* = 0
 
-    def refusal(theta):
+    def refusal(theta, why=""):
         return SearchError(f"no feasible steady state for theta={float(theta)} "
-                           f"on eta in [{lo}, {hi}]")
+                           f"on eta in [{lo}, {hi}]{why}")
 
     if not lo < top:
         raise refusal(thetas[0])
@@ -203,7 +205,8 @@ def threshold_curve(p_base: ModelParams, thetas,
     eta_star = np.where(thetas == 0.0, lo, 0.5 * (a + b))
     mask, values = steady_states(p_base, thetas, eta_star)
     if np.any(refused := mask != "ok"):
-        raise refusal(thetas[refused][0])
+        i = np.argmax(refused)
+        raise refusal(thetas[i], f": {str(mask[i])!r} at eta*={float(eta_star[i])}")
     edge = max(2.0 * tol, 1e-6 * (hi - lo))
     shapes = np.where((eta_star - lo <= edge) | (hi - eta_star <= edge),
                       "monotone-on-range", "interior-peak")
@@ -214,21 +217,24 @@ def iso_equilibrium_contour(grid: SweepGrid, variable: str, level: float) -> Iso
     """The level set of one variable, one vertex per eta row that crosses it.
 
     A row crosses between neighbouring theta cells on opposite sides of the
-    level (``z > level`` is above); both cells must hold a finite, positive
-    value at theta > 0, so masked cells and the theta = 0 column never
-    bracket a crossing.  The vertex interpolates log z linearly in log theta,
-    clipped to its bracket, which is exact on a model grid: along a row log X*
-    is linear in log theta (README, "Numerical notes").  A component is a run of consecutive
-    crossing rows, ordered by eta; ``points`` is the longest.  A row that
-    crosses twice cannot come from the model and raises DomainError; a
-    finite level that no row crosses, or one <= 0, gives an empty contour.
+    level (``z > level`` is above); both cells must hold a finite value of
+    at least the smallest normal float at theta > 0, so masked cells, the
+    theta = 0 column and subnormal values, which keep fewer than 53
+    significant bits, never bracket a crossing.  The vertex interpolates
+    log z linearly in log theta, clipped to its bracket, which is exact on a
+    model grid: along a row log X* is linear in log theta (README,
+    "Numerical notes").  A component is a run of consecutive crossing rows,
+    ordered by eta; ``points`` is the longest.  A row that crosses twice
+    cannot come from the model and raises DomainError; a finite level that
+    no row crosses, or one <= 0, gives an empty contour.
     """
     if not math.isfinite(level):
         raise DomainError(f"contour level must be finite, got {level}")
     z, theta_axis = grid.values(variable), grid.theta_axis
     with np.errstate(divide="ignore", invalid="ignore"):
         log_t, log_z = np.log(theta_axis), np.log(z)
-        usable = np.isfinite(log_z) & np.isfinite(log_t)[:, None]
+        usable = (np.isfinite(log_z) & (z >= np.finfo(float).tiny)
+                  & np.isfinite(log_t)[:, None])
         above = z > level
         rows, i = np.nonzero((usable[:-1] & usable[1:] & (above[:-1] != above[1:])).T)
         if np.any(twice := np.diff(rows) == 0):

@@ -639,6 +639,23 @@ def test_did_sim_outcome_overflow_exits_1_before_writing_the_panel(tmp_path, cap
     assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["effective_config.json"]
 
 
+def test_did_sim_on_huge_outcomes_writes_finite_standard_errors(tmp_path):
+    """Unit effects of scale 1e300 leave the outcome finite, but the squares
+    of its cluster scores overflowed: RuntimeWarnings escaped, did.json read
+    "se": null and event_study.svg held nan and inf coordinates."""
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"dgp": {"n_units": 20, "years": [2000, 2010],
+                                            "unit_effect_scale": 1e300, "effect": 0.05,
+                                            "seed": 1}}))
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["did-sim", "--config", str(cfg_file), "--out", str(out)]) == 0
+    assert json.loads((out / "did.json").read_text())["result"]["se"] == 1.1821162397778899e+282
+    for path in out.iterdir():
+        assert not re.search(r"(?i)\b(nan|-?inf|-?infinity)\b", path.read_text()), path.name
+
+
 def test_empty_thetas_and_axis_counts_below_one_refused_by_the_options():
     with pytest.raises(ConfigError, match="thetas must be a nonempty list"):
         ThresholdOptions(thetas=())

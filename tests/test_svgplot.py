@@ -117,6 +117,10 @@ def cellwise_colours(grid, variable):
     ((0.05, 0.95, 50), (0.05, 0.95, 50)),  # log10 scale, singular band masked
     ((0.0, 0.99, 23), (0.0, 0.99, 17)),    # degenerate theta = 0 row
     ((0.1, 0.9, 30), (0.0, 0.2, 40)),      # linear scale
+    # perfbench surface-fine's seed-1 sweep grid
+    ((0.05060767748593548, 0.9506076774859354, 200),
+     (0.053832614890670906, 0.9538326148906708, 200)),
+    ((0.05, 0.95, 60), (0.6, 0.95, 60)),   # log10 scale, above the band
 ])
 def test_heatmap_matches_cellwise_loop(axes):
     grid = grid_sweep(baseline_params(), *(np.linspace(*a) for a in axes))

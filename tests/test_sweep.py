@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -364,6 +365,13 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def assert_names_the_mask_at_eta_star(base, theta, why):
+    """``why``, the end of a threshold refusal, names eta* and the mask
+    category that ``steady_states`` gives there."""
+    named = re.fullmatch(r": '(\w+)' at eta\*=(\S+)", why)
+    assert named and steady_states(base, theta, float(named[2]))[0] == named[1] != "ok"
+
+
 @st.composite
 def threshold_case(draw):
     """A base (infeasible on part of the plane at times), thetas (now and
@@ -399,7 +407,8 @@ def test_threshold_curve_matches_per_theta_scalar_search(case):
     below the oracle's by more than rounding unless eta* lies that close to
     the oracle's (an interior peak's c* then differs by O(c'' tol^2)).
     The shape tags agree unless the oracle's eta* lies within 2 tol of the
-    tags' margin.  Refusals equal the oracle's, except on a range too narrow
+    tags' margin.  Refusals equal the oracle's, up to the eta* and mask
+    category a SearchError names at its end, except on a range too narrow
     for its scan to bracket, where eta* is a point of the range, and where
     c* under- or overflows on the range: there the cell at eta* can be
     refused, while the oracle reports a refused cell (c* = -inf) or the last
@@ -425,12 +434,15 @@ def test_threshold_curve_matches_per_theta_scalar_search(case):
             assert lo <= one.eta_star[0] <= hi
             continue
         if len(row) == 2:
-            assert one == row
+            assert one[0] is row[0] and one[1].startswith(row[1])
+            if one != row:
+                assert_names_the_mask_at_eta_star(base, theta, one[1][len(row[1]):])
             continue
         if not isinstance(one, ThresholdCurve):
             assert np.any((values["c_star"] == np.inf) | (values["k_star"] == 0.0))
-            assert one == (SearchError, f"no feasible steady state for theta={theta} "
-                                        f"on eta in [{lo}, {hi}]")
+            prefix = f"no feasible steady state for theta={theta} on eta in [{lo}, {hi}]"
+            assert one[0] is SearchError and one[1].startswith(prefix)
+            assert_names_the_mask_at_eta_star(base, theta, one[1][len(prefix):])
             continue
         (eta, c), (eta_ref, c_ref, shape) = (one.eta_star[0], one.c_star_max[0]), row
         assert c >= c_ref * (1.0 - 1e-12) or abs(eta - eta_ref) <= 2.0 * tol, theta
@@ -481,8 +493,21 @@ def test_threshold_at_theta0_is_the_no_data_steady_state():
     assert curve.c_star_max[0] == steady_state(BASE.replace(theta=0.0, eta=0.0)).c_star
     assert curve.c_star_max[0] == pytest.approx(8.704)
     with pytest.raises(SearchError, match=r"^no feasible steady state for theta=0.0 "
-                                          r"on eta in \[0.1, 0.3\]$"):
+                                          r"on eta in \[0.1, 0.3\]: 'degenerate' at eta\*=0.1$"):
         threshold_curve(BASE, [0.0, 0.5], (0.1, 0.3), 1e-4)
+
+
+@pytest.mark.parametrize("theta, eta_range, mask, eta_star", [
+    (1e-30, None, "infeasible", 0.3667022705078125),  # c* overflows above the band
+    (1e-100, (0.28, 0.3), "degenerate", 0.2800390625),  # k* underflows to 0 below it
+])
+def test_threshold_refusal_names_the_mask_at_eta_star(theta, eta_range, mask, eta_star):
+    lo, hi = eta_range or (0.3666666666666667, 0.95)
+    with pytest.raises(SearchError) as err:
+        threshold_curve(BASE, [theta, 0.5], eta_range)
+    assert str(err.value) == (f"no feasible steady state for theta={theta} on eta in "
+                              f"[{lo}, {hi}]: '{mask}' at eta*={eta_star}")
+    assert steady_states(BASE, theta, eta_star)[0] == mask
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
@@ -634,11 +659,22 @@ def model_contour(draw, side):
     return p, grid, variable, level
 
 
+def subnormal_level_case():
+    """A below-band grid whose k* at (1e-30, 0.84) is the subnormal
+    3.9e-314, drawn as the level: no crossing through it is exact to 1e-12
+    in log theta (it missed by 5.2e-12 with eps = 10.26)."""
+    p = ModelParams(alpha=0.40644119180411004, beta=0.21894105397795988,
+                    w=2.475751442906592, delta=0.07610907202728427, rho=0.5282976474771383)
+    grid = grid_sweep(p, [1e-30, 0.5], [0.0, 0.83984375])
+    return p, grid, "k_star", float(grid.k_star[0, 1])
+
+
 @pytest.mark.parametrize("side", ["below", "above"])
 @settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_contour_vertices_at_the_closed_form_crossing(side, data):
-    p, grid, variable, level = data.draw(model_contour(side))
+@example(data=None, case=subnormal_level_case())
+@given(data=st.data(), case=st.none())
+def test_contour_vertices_at_the_closed_form_crossing(side, data, case):
+    p, grid, variable, level = case or data.draw(model_contour(side))
     cont = iso_equilibrium_contour(grid, variable, level)
     for comp in cont.components:
         theta, eta = comp.T
