@@ -691,18 +691,22 @@ def test_contour_vertices_at_the_closed_form_crossing(side, data, case):
 
 @pytest.mark.parametrize("side", ["below", "above"])
 @settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_contour_row_vertices_within_the_marching_squares_bracket(side, data):
+@example(data=None, case=subnormal_level_case())
+@given(data=st.data(), case=st.none())
+def test_contour_row_vertices_within_the_marching_squares_bracket(side, data, case):
     # Marching squares puts a vertex on every grid edge the level crosses,
     # interpolating z linearly; on an eta row that edge is the row's bracket
     # [theta_i, theta_i+1], and the exact row vertex must lie in it too.
-    _, grid, variable, level = data.draw(model_contour(side))
-    x, y = grid.theta_axis, grid.eta_axis
+    # Subnormal cells bracket no row crossing, so, like masked cells, they
+    # reach marching squares as NaN.
+    _, grid, variable, level = case or data.draw(model_contour(side))
+    x, y, z = grid.theta_axis, grid.eta_axis, grid.values(variable)
     rows = {float(eta): theta for theta, eta in
             np.concatenate(iso_equilibrium_contour(grid, variable, level).components
                            or [np.empty((0, 2))])}
+    z = np.where((z > 0.0) & (z < np.finfo(float).tiny), np.nan, z)
     for (kind, i, j), (theta, _) in (end for seg in marching_squares.crossing_segments(
-            x, y, grid.values(variable), level) for end in seg):
+            x, y, z, level) for end in seg):
         if kind == "h":
             assert x[i] <= rows[float(y[j])] <= x[i + 1]
             assert abs(rows[float(y[j])] - theta) <= x[i + 1] - x[i]
