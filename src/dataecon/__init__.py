@@ -17,7 +17,7 @@ from .dynamics import (Classification, PhasePortrait, ShockResult, State,
                        Trajectory, classify_equilibrium,
                        integrate, jacobian, nullclines, phase_portrait, rhs,
                        saddle_path, shock_experiment)
-from .empirics import (DgpConfig, DidResult, EventStudyResult, Panel,
+from .empirics import (DgpConfig, DidResult, EventStudyResult, Panel, did_fits,
                        event_study, generate_panel, read_panel_csv, twfe_did,
                        write_panel_csv)
 from .errors import (ClassificationError, ConfigError, DegenerateError,

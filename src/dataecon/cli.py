@@ -38,7 +38,7 @@ from .core import steady_state
 from .dynamics import phase_portrait, shock_experiment
 from .csvcells import (_FLOAT_FORMAT, _PAD, _float_cells, _int_cells, _run_cells, _text_cells,
                        _write_rows)
-from .empirics import (_CSV_CHUNK_ROWS, DgpConfig, event_study, generate_panel, twfe_did,
+from .empirics import (_CSV_CHUNK_ROWS, DgpConfig, did_fits, generate_panel,
                        write_panel_csv)
 from .errors import ConfigError, ModelError, ParameterError
 from .params import BASELINE, ModelParams
@@ -532,8 +532,7 @@ def _cmd_did_sim(cfg: RunConfig, w: _Writer):
     if "csv" in cfg.formats:
         write_panel_csv(panel, w.path("panel.csv"))
         w.sidecar("panel.csv", dgp)
-    did = twfe_did(panel, drop_adoption_period=cfg.did.drop_adoption_period)
-    es = event_study(panel, drop_adoption_period=cfg.did.drop_adoption_period)
+    did, es = did_fits(panel, drop_adoption_period=cfg.did.drop_adoption_period)
     window = [int(es.periods[0]), int(es.periods[-1])]
     w.json("did.json", {
         **asdict(did), "true_effect": cfg.dgp.true_att(panel, cfg.did.drop_adoption_period),

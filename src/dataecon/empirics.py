@@ -10,7 +10,8 @@ pivoted QR (explicit dummies refit it by least squares as a cross-check),
 and reports unit-clustered standard errors (CR1 small-sample scaling) from
 that QR's triangle.  The design, the controls and the outcome share one
 column-major buffer that the projection overwrites, and the tall QR runs on
-row blocks of it.
+row blocks of it.  ``did_fits`` reads TWFE off the event study's projected
+design and triangle, so one projection and one tall QR serve both fits.
 
 Rows at relative period 0 (the adoption year itself) are excluded by
 default, mirroring designs that drop the implementation period; the plain
@@ -306,7 +307,7 @@ def _clustered_se(x_t: np.ndarray, resid: np.ndarray, clusters: np.ndarray,
     The scores ``x_j * resid`` are summed per cluster one column at a time
     into the n_c x q S, so no n x q score matrix is formed.  The bread
     (x'x)^-1 is ``r_inv @ r_inv.T``, from the fit's own triangle
-    (``_qr_solve``), and the covariance is dof B'B with B = S (x'x)^-1:
+    (``_triangle_solve``), and the covariance is dof B'B with B = S (x'x)^-1:
     neither x'x, which squares the condition number, nor S'S is formed.
     Fewer than three clusters raise DesignError: two clusters' scores sum
     to zero, so both are zero up to rounding and the standard error with
@@ -380,20 +381,18 @@ def _tall_triangle(xy: np.ndarray) -> np.ndarray:
     return r_aug
 
 
-def _qr_solve(xy: np.ndarray, names: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Least squares of the last column y of ``xy = [x y]`` on the others x
-    by a column-pivoted QR of x; RankDeficiencyError names the columns
-    whose pivots fall below 1e-10 of the largest.  Returns the coefficients
-    and R^-1 of the pivoted triangle with its rows in x's column order:
-    x = Q R P', so (x'x)^-1 = (P R^-1)(P R^-1)', and ``r_inv`` is P R^-1.
+def _triangle_solve(r_aug: np.ndarray, names: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Least squares of y on x from the (k+1) x (k+1) triangle ``[R Q'y]``
+    of an unpivoted QR of ``[x y]``, by a column-pivoted QR of R;
+    RankDeficiencyError names the columns whose pivots fall below 1e-10 of
+    the largest.  Returns the coefficients and R^-1 of the pivoted triangle
+    with its rows in x's column order: x = Q R P', so (x'x)^-1 =
+    (P R^-1)(P R^-1)', and ``r_inv`` is P R^-1.
 
-    The unpivoted QR of ``[x y]`` (``_tall_triangle``) does the tall
-    O(n k^2) work and yields the (k+1) x (k+1) triangle ``[R Q'y]``; R has
-    x's Gram matrix and so x's pivots, and ``_pivoted_qr`` pivots only R,
-    a loop of k small steps.  Column-major ``xy`` is factored fastest.
+    R has x's Gram matrix and so x's pivots, and ``_pivoted_qr`` pivots
+    only R, a loop of k small steps.
     """
-    k = xy.shape[1] - 1
-    r_aug = _tall_triangle(xy)
+    k = r_aug.shape[1] - 1
     r, qty, piv = _pivoted_qr(r_aug[:k])
     diag = np.abs(np.diag(r))
     ref = diag[0] if diag.size else 0.0
@@ -421,40 +420,92 @@ def _estimation_sample(panel: Panel, drop_adoption_period: bool):
     return keep, rel
 
 
-def _estimate(panel: Panel, drop_adoption_period: bool, regressors, method: str):
-    """The one DID fit, on the columns and names ``regressors(rel)`` builds
-    from the sample's relative periods, then the controls.  Returns the
-    coefficients, their CR1 standard errors, the row count and the absorbed
-    unit and year counts."""
-    if method not in ("within", "dummies"):
-        raise DomainError(f"unknown method {method!r}; use 'within' or 'dummies'")
+def _design(panel: Panel, drop_adoption_period: bool, regressors):
+    """The one DID design: the estimation sample's column-major buffer
+    ``[x y]``, x the columns ``regressors(rel)`` builds from the sample's
+    relative periods and then the controls, with its unit and year codes.
+
+    Each control and y is scaled by 2^-e once the buffer is filled, e the
+    binary exponent of the column's largest magnitude (0 for an all-zero
+    column).  A power of two scales exactly, every fitted number is linear
+    in y, and a control's scale moves only its own coefficient: y at most
+    1 in magnitude keeps the squares of its cluster scores in range, and
+    the pivots and the rank test see no column above 1 in magnitude.
+    Returns the buffer, x's column names, each column's e (0 for the
+    regressors) and the codes.
+    """
     keep, rel = _estimation_sample(panel, drop_adoption_period)
-    unit_codes, unit_idx = np.unique(panel.unit[keep], return_inverse=True)
-    year_codes, year_idx = np.unique(panel.year[keep], return_inverse=True)
-    n_u, n_y = len(unit_codes), len(year_codes)
+    unit_idx = np.unique(panel.unit[keep], return_inverse=True)[1]
+    year_idx = np.unique(panel.year[keep], return_inverse=True)[1]
     cols, names = regressors(rel)
     columns = [*cols, *panel.controls[keep].T, panel.outcome[keep]]
     xy = np.empty((len(rel), len(columns)), order="F")  # the one design buffer
     for j, col in enumerate(columns):
         xy[:, j] = col
-    # Every fitted number is linear in y, and a power of two scales it
-    # exactly: y at most 1 in magnitude keeps the squares of its cluster
-    # scores in range.  The pivots and the rank test read only x.
-    y = xy[:, -1]
-    e = int(np.frexp(max(y.max(), -y.min()))[1])
-    np.ldexp(y, -e, out=y)
+    exps = np.zeros(len(columns), dtype=int)
+    for j in range(len(cols), len(columns)):
+        col = xy[:, j]
+        exps[j] = np.frexp(max(col.max(), -col.min()))[1]
+        np.ldexp(col, -exps[j], out=col)
+    return xy, names + list(panel.control_names), exps, unit_idx, year_idx
+
+
+def _estimate(panel: Panel, drop_adoption_period: bool, regressors, method: str):
+    """The one DID fit of ``_design``'s buffer.  Returns the coefficients,
+    their CR1 standard errors, the row count and the absorbed unit and
+    year counts."""
+    if method not in ("within", "dummies"):
+        raise DomainError(f"unknown method {method!r}; use 'within' or 'dummies'")
+    xy, names, exps, unit_idx, year_idx = _design(panel, drop_adoption_period, regressors)
     raw = xy.copy(order="F") if method == "dummies" else None
     xy = _two_way_demean(xy, unit_idx, year_idx)
     x_t, y_t = xy[:, :-1], xy[:, -1]
-    beta, r_inv = _qr_solve(xy, names + list(panel.control_names))
+    beta, r_inv = _triangle_solve(_tall_triangle(xy), names)
     resid = y_t - x_t @ beta
     if raw is not None:
         # oracle: refit on the explicit dummy design instead of the projection
         full = _dummy_design(raw[:, :-1], unit_idx, year_idx)
         beta_full, *_ = np.linalg.lstsq(full, raw[:, -1], rcond=None)
         beta, resid = beta_full[:len(beta)], raw[:, -1] - full @ beta_full
+    n_u, n_y = int(unit_idx.max()) + 1, int(year_idx.max()) + 1
     se = _clustered_se(x_t, resid, unit_idx, n_u + n_y - 1, r_inv)
-    return np.ldexp(beta, e), np.ldexp(se, e), len(rel), n_u, n_y
+    shift = exps[-1] - exps[:-1]  # back to the panel's units
+    return np.ldexp(beta, shift), np.ldexp(se, shift), len(xy), n_u, n_y
+
+
+def _treated_post(rel: np.ndarray):
+    """TWFE's regressor: treated and at or after adoption (False on
+    never-treated NaN rows); DesignError when every row is."""
+    treated = rel >= 0
+    if treated.all():
+        raise DesignError("no untreated observations in the estimation sample")
+    return [treated], ["treated_post"]
+
+
+def _event_design(window: tuple[int, int], drop_adoption_period: bool):
+    """The event study's periods with a dummy (all in the window but the
+    reference -1, and 0 when the adoption year is dropped), its regressors,
+    and its result from the fitted coefficients and standard errors."""
+    w_lo, w_hi = int(window[0]), int(window[1])
+    if w_lo > -2 or w_hi < 2:
+        raise DomainError(f"window must cover periods -2..+2, got {window}")
+    periods = [t for t in range(w_lo, w_hi + 1)
+               if t != -1 and not (drop_adoption_period and t == 0)]
+
+    def regressors(rel):
+        binned = np.clip(rel, w_lo, w_hi)  # NaN stays NaN: no dummy is set
+        return [binned == t for t in periods], [f"rel_{t}" for t in periods]
+
+    def result(beta, se, sizes):
+        all_periods = np.arange(w_lo, w_hi + 1)
+        coefs = np.full(len(all_periods), np.nan)
+        errs = np.full(len(all_periods), np.nan)
+        coefs[-1 - w_lo] = errs[-1 - w_lo] = 0.0
+        pos = np.asarray(periods) - w_lo
+        coefs[pos], errs[pos] = beta[:len(pos)], se[:len(pos)]
+        return EventStudyResult(all_periods, coefs, errs, *sizes)
+
+    return periods, regressors, result
 
 
 def twfe_did(panel: Panel, drop_adoption_period: bool = True,
@@ -464,13 +515,7 @@ def twfe_did(panel: Panel, drop_adoption_period: bool = True,
     Absorbs unit and year fixed effects, estimates by least squares on the
     projected design, and clusters standard errors by unit.
     """
-    def regressors(rel):
-        treated = rel >= 0  # False on never-treated (NaN) rows
-        if treated.all():
-            raise DesignError("no untreated observations in the estimation sample")
-        return [treated], ["treated_post"]
-
-    beta, se, *sizes = _estimate(panel, drop_adoption_period, regressors, method)
+    beta, se, *sizes = _estimate(panel, drop_adoption_period, _treated_post, method)
     return DidResult(float(beta[0]), float(se[0]), *sizes)
 
 
@@ -482,24 +527,62 @@ def event_study(panel: Panel, window: tuple[int, int] = (-5, 5),
     Periods beyond the window endpoints are binned into the endpoints.  The
     window must cover at least -2..+2.
     """
-    w_lo, w_hi = int(window[0]), int(window[1])
-    if w_lo > -2 or w_hi < 2:
-        raise DomainError(f"window must cover periods -2..+2, got {window}")
-    periods = [t for t in range(w_lo, w_hi + 1)
-               if t != -1 and not (drop_adoption_period and t == 0)]
+    _, regressors, result = _event_design(window, drop_adoption_period)
+    beta, se, *sizes = _estimate(panel, drop_adoption_period, regressors, method)
+    return result(beta, se, sizes)
+
+
+def did_fits(panel: Panel, window: tuple[int, int] = (-5, 5),
+             drop_adoption_period: bool = True) -> tuple[DidResult, EventStudyResult]:
+    """``twfe_did`` and ``event_study`` (method 'within') from one design.
+
+    TWFE's ``treated_post`` is the sum of the event study's post-period
+    dummies, as binning at the window's end covers every later period,
+    and the projection is linear.  So TWFE's projected ``[x y]`` is the
+    event study's times M, M summing the post-period columns and passing
+    the controls and y, and its triangle that of R M, R the event study's
+    (Demmel, Grigori, Hoemmen & Langou 2012).  The event study is bit for
+    bit ``event_study``'s, and TWFE moves from ``twfe_did``'s by rounding.
+    Errors are those of ``twfe_did`` followed by ``event_study``: where
+    only the event study refuses (its window or its rank), ``twfe_did``
+    runs first, so that its own refusal wins.
+    """
+    try:
+        periods, event_regressors, result = _event_design(window, drop_adoption_period)
+    except DomainError:
+        twfe_did(panel, drop_adoption_period)
+        raise
 
     def regressors(rel):
-        binned = np.clip(rel, w_lo, w_hi)  # NaN stays NaN: no dummy is set
-        return [binned == t for t in periods], [f"rel_{t}" for t in periods]
+        _treated_post(rel)  # TWFE's refusal of a sample without untreated rows
+        return event_regressors(rel)
 
-    beta, se, *sizes = _estimate(panel, drop_adoption_period, regressors, method)
-    all_periods = np.arange(w_lo, w_hi + 1)
-    coefs = np.full(len(all_periods), np.nan)
-    errs = np.full(len(all_periods), np.nan)
-    coefs[-1 - w_lo] = errs[-1 - w_lo] = 0.0
-    pos = np.asarray(periods) - w_lo
-    coefs[pos], errs[pos] = beta[:len(pos)], se[:len(pos)]
-    return EventStudyResult(all_periods, coefs, errs, *sizes)
+    xy, names, exps, unit_idx, year_idx = _design(panel, drop_adoption_period, regressors)
+    xy = _two_way_demean(xy, unit_idx, year_idx)
+    r_aug = _tall_triangle(xy)
+    try:
+        beta, r_inv = _triangle_solve(r_aug, names)
+    except RankDeficiencyError:
+        twfe_did(panel, drop_adoption_period)
+        raise
+    p = len(periods)
+    m = np.zeros((xy.shape[1], xy.shape[1] - p + 1))
+    m[:p, 0] = np.asarray(periods) >= 0
+    m[p:, 1:] = np.eye(xy.shape[1] - p)
+    tw_beta, tw_r_inv = _triangle_solve(np.linalg.qr(r_aug @ m, mode="r"),
+                                        ["treated_post", *names[p:]])
+    n_u, n_y = int(unit_idx.max()) + 1, int(year_idx.max()) + 1
+    y_t = xy[:, -1]
+    x_tw = xy[:, :-1] @ m[:-1, :-1]  # formed once the projection's temporaries are gone
+    tw_se = _clustered_se(x_tw, y_t - x_tw @ tw_beta, unit_idx, n_u + n_y - 1, tw_r_inv)
+    del x_tw
+    x_t = xy[:, :-1]
+    se = _clustered_se(x_t, y_t - x_t @ beta, unit_idx, n_u + n_y - 1, r_inv)
+    shift = exps[-1] - exps[:-1]  # back to the panel's units; treated_post's is y's
+    sizes = len(xy), n_u, n_y
+    did = DidResult(float(np.ldexp(tw_beta[0], shift[0])),
+                    float(np.ldexp(tw_se[0], shift[0])), *sizes)
+    return did, result(np.ldexp(beta, shift), np.ldexp(se, shift), sizes)
 
 
 # Panel CSV schema: unit,year,outcome,adoption_year,control_1..control_m

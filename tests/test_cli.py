@@ -5,13 +5,14 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dataecon import (ConfigError, RenderSpec, baseline_params, grid_sweep,
@@ -651,9 +652,67 @@ def test_did_sim_on_huge_outcomes_writes_finite_standard_errors(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["did-sim", "--config", str(cfg_file), "--out", str(out)]) == 0
-    assert json.loads((out / "did.json").read_text())["result"]["se"] == 1.1821162397778899e+282
+    # did_fits' TWFE; twfe_did alone reads 1.1821162397778899e+282, 3e-15 away
+    assert json.loads((out / "did.json").read_text())["result"]["se"] == 1.1821162397778935e+282
     for path in out.iterdir():
         assert not re.search(r"(?i)\b(nan|-?inf|-?infinity)\b", path.read_text()), path.name
+
+
+@st.composite
+def did_sim_docs(draw):
+    """did-sim config documents: up to 40 units and 23 years, any share,
+    adoption years inside and past the span, and unit, year and noise
+    scales, effects, profiles and control coefficients of magnitude
+    10^-3 to 10^300."""
+    scale = st.floats(-3, 300).map(lambda e: 10.0 ** e)
+    signed = st.tuples(st.sampled_from([-1.0, 1.0]), scale).map(lambda t: t[0] * t[1])
+    y0 = draw(st.integers(1990, 2010))
+    y1 = y0 + draw(st.integers(0, 22))
+    dgp = {"n_units": draw(st.integers(2, 40)), "years": [y0, y1],
+           "share_treated": draw(st.floats(0, 1)), "unit_effect_scale": draw(scale),
+           "year_effect_scale": draw(scale), "noise_scale": draw(scale),
+           "effect": draw(signed), "control_coefs": draw(st.lists(signed, max_size=2)),
+           "seed": draw(st.integers(0, 2 ** 16))}
+    if draw(st.booleans()):
+        dgp["adoption_years"] = draw(st.lists(st.integers(y0, y1 + 3), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        dgp["dynamic_profile"] = draw(st.lists(signed, min_size=1, max_size=5))
+    return {"dgp": dgp, "did": {"drop_adoption_period": draw(st.booleans())}}
+
+
+def refuse_constant(name):
+    raise ValueError(f"non-finite JSON value {name}")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(doc=did_sim_docs(), rerun=st.booleans())
+@example(doc={"dgp": {"n_units": 30, "years": [2000, 2010], "effect": 0.05, "seed": 1,
+                      "control_coefs": [1e300]}}, rerun=True)
+@example(doc={"dgp": {"n_units": 30, "years": [2000, 2010], "effect": 0.05, "seed": 1,
+                      "control_coefs": [0.5, -1e154], "unit_effect_scale": 1e300}},
+         rerun=False)
+def test_did_sim_writes_finite_artifacts_or_exits_with_a_typed_error(doc, rerun):
+    """Under warnings as errors, every did-sim config exits 0, 1 or 2 with
+    no other exception; a run that exits 0 writes JSON with no non-finite
+    value and SVG with no inf or nan coordinate, and reruns byte for byte."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_file = Path(tmp) / "cfg.json"
+        cfg_file.write_text(json.dumps(doc))
+        runs = [Path(tmp) / "first", Path(tmp) / "second"][:1 + rerun]
+        for out in runs:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["did-sim", "--config", str(cfg_file), "--out", str(out)])
+            assert code in (0, 1, 2)
+        if code != 0:
+            return
+        for path in runs[0].iterdir():
+            if path.suffix == ".json":
+                json.loads(path.read_text(), parse_constant=refuse_constant)
+            elif path.suffix == ".svg":
+                assert svg_numbers_finite(path.read_text()), path.name
+        if rerun:
+            assert_same_files(*runs)
 
 
 def test_empty_thetas_and_axis_counts_below_one_refused_by_the_options():

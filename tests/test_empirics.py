@@ -3,6 +3,7 @@ import math
 import operator
 import tracemalloc
 import unittest.mock
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -12,8 +13,8 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dataecon import (DesignError, DgpConfig, DomainError, Panel,
-                      RankDeficiencyError, event_study, generate_panel,
+from dataecon import (DesignError, DgpConfig, DomainError, ModelError, Panel,
+                      RankDeficiencyError, did_fits, event_study, generate_panel,
                       read_panel_csv, twfe_did, write_panel_csv)
 from dataecon import csvcells, empirics
 
@@ -453,8 +454,13 @@ def test_rank_deficiency_names_columns():
         assert str(exc.value) == ("design is rank deficient after absorbing fixed "
                                   "effects; offending columns: control_dup")
     with pytest.raises(RankDeficiencyError) as exc:
-        empirics._qr_solve(np.zeros((10, 3)), ["a", "b"])
+        qr_solve(np.zeros((10, 3)), ["a", "b"])
     assert exc.value.columns == ("a", "b")
+
+
+def qr_solve(xy, names):
+    """The fit of the last column of ``xy`` on the others, from its tall QR."""
+    return empirics._triangle_solve(empirics._tall_triangle(xy), names)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -463,7 +469,7 @@ def test_qr_solve_matches_lstsq(seed):
     n, q = int(rng.integers(20, 400)), int(rng.integers(1, 12))
     x = rng.normal(size=(n, q)) * rng.uniform(0.1, 10.0, q)
     y = x @ rng.normal(size=q) + rng.normal(size=n)
-    beta, _ = empirics._qr_solve(np.column_stack([x, y]), [f"x{j}" for j in range(q)])
+    beta, _ = qr_solve(np.column_stack([x, y]), [f"x{j}" for j in range(q)])
     ref, *_ = np.linalg.lstsq(x, y, rcond=None)
     assert np.linalg.norm(beta - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -482,14 +488,14 @@ def test_qr_solve_names_the_columns_a_pivoted_qr_of_x_names(seed):
     expected = [names[piv[i]] for i in range(q) if diag[i] <= 1e-10 * max(diag[0], 1.0)]
     assert len(expected) == 1
     with pytest.raises(RankDeficiencyError) as exc:
-        empirics._qr_solve(np.column_stack([x, rng.normal(size=n)]), names)
+        qr_solve(np.column_stack([x, rng.normal(size=n)]), names)
     assert exc.value.columns == tuple(expected)
 
 
 def test_qr_solve_with_fewer_rows_than_columns_raises():
     x = np.random.default_rng(0).normal(size=(3, 5))
     with pytest.raises(RankDeficiencyError) as exc:
-        empirics._qr_solve(np.column_stack([x, np.ones(3)]), list("abcde"))
+        qr_solve(np.column_stack([x, np.ones(3)]), list("abcde"))
     assert len(exc.value.columns) == 2
 
 
@@ -544,11 +550,11 @@ def test_pivoted_triangle_decides_as_scipy_does(n, k, case, seed):
     first_copy = first_copies(x)
     if expected:
         with pytest.raises(RankDeficiencyError) as exc:
-            empirics._qr_solve(xy, names)
+            qr_solve(xy, names)
         assert sorted(map(first_copy.get, exc.value.columns)) == \
             sorted(map(first_copy.get, expected))
     else:
-        beta, _ = empirics._qr_solve(xy, names)
+        beta, _ = qr_solve(xy, names)
         ref, *_ = np.linalg.lstsq(x, xy[:, -1], rcond=None)
         assert np.linalg.norm(beta - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -568,7 +574,7 @@ def test_blocked_triangle_matches_one_qr_and_lstsq(n):
     xy = np.asfortranarray(np.column_stack([x, y]))
     np.testing.assert_allclose(np.abs(np.diag(empirics._tall_triangle(xy))),
                                np.abs(np.diag(np.linalg.qr(xy, mode="r"))), rtol=1e-12, atol=0)
-    beta, _ = empirics._qr_solve(xy, [f"x{j}" for j in range(q)])
+    beta, _ = qr_solve(xy, [f"x{j}" for j in range(q)])
     ref, *_ = np.linalg.lstsq(x, y, rcond=None)
     assert np.linalg.norm(beta - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -587,7 +593,7 @@ def test_blocked_rank_decision_names_the_single_block_columns(n, case, monkeypat
     for block_rows in (empirics._QR_BLOCK_ROWS, n):
         monkeypatch.setattr(empirics, "_QR_BLOCK_ROWS", block_rows)
         with pytest.raises(RankDeficiencyError) as exc:
-            empirics._qr_solve(xy, names)
+            qr_solve(xy, names)
         named.append(sorted(map(first_copy.get, exc.value.columns)))
     assert named[0] == named[1]
     assert len(named[0]) == 1
@@ -702,7 +708,7 @@ def test_clustered_se_matches_rational_cr1_at_the_rank_edge(n, k, n_c, log_dist,
     x[:, j] = x[:, i] + 10.0 ** log_dist * np.linalg.norm(x[:, i]) / np.linalg.norm(u) * u
     y = x @ rng.normal(size=k) + rng.normal(size=n)
     clusters = rng.integers(0, n_c, n)
-    beta, r_inv = empirics._qr_solve(np.column_stack([x, y]), [f"x{c}" for c in range(k)])
+    beta, r_inv = qr_solve(np.column_stack([x, y]), [f"x{c}" for c in range(k)])
     resid = y - x @ beta
     se = empirics._clustered_se(x, resid, clusters, 10, r_inv)
     exact = np.sqrt([float(v) for v in rational_cr1_variances(x, resid, clusters, 10)])
@@ -765,6 +771,173 @@ def test_fits_are_bitwise_equivariant_under_outcome_scaling(n_units, n_years, n_
         assert (did_k.att, did_k.se) == (math.ldexp(did.att, k), math.ldexp(did.se, k))
         for got, want in ((es_k.coefficients, es.coefficients), (es_k.std_errors, es.std_errors)):
             assert np.array_equal(got, np.ldexp(want, k), equal_nan=True)
+
+
+def twfe_fit(panel, method="within"):
+    """Every TWFE coefficient (treated_post, then the controls) and its
+    standard error, in the panel's units."""
+    beta, se, *_ = empirics._estimate(panel, True, empirics._treated_post, method)
+    return beta, se
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n_units=st.integers(8, 30), n_years=st.integers(7, 11), n_controls=st.integers(1, 2),
+       method=st.sampled_from(["within", "dummies"]), seed=st.integers(0, 2 ** 16),
+       log_factor=st.floats(-300, 300), k_at=st.floats(0, 1))
+@example(30, 11, 1, "within", 1, 10.0, 0.5)  # was named rank deficient from about 2.9e9 up
+@example(30, 11, 1, "within", 1, 154.0, 0.5)  # a RuntimeWarning escaped the pivoting
+def test_fits_are_bitwise_equivariant_under_control_scaling(n_units, n_years, n_controls,
+                                                            method, seed, log_factor, k_at):
+    """Controls times 10**log_factor fit as the drawn ones do: no rank
+    refusal and no RuntimeWarning, the same ATT to rounding.  Those
+    controls times 2**k, for every k at which they and their coefficients
+    stay normal, finite doubles, scale their coefficients and standard
+    errors by exactly 2**-k and leave the ATT, its SE and the event study
+    bit for bit as they are."""
+    panel = generate_panel(DgpConfig(n_units=n_units, years=(2000, 1999 + n_years),
+                                     effect=0.05, control_coefs=(0.5,) * n_controls,
+                                     seed=seed))
+    base = replace(panel, controls=panel.controls * 10.0 ** log_factor)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        beta0, se0 = twfe_fit(panel, method)
+        beta, se = twfe_fit(base, method)
+        es = event_study(base, window=(-2, 2), method=method)
+    assert beta[0] == pytest.approx(beta0[0], rel=1e-12, abs=1e-12 * se0[0])
+    assert se[0] == pytest.approx(se0[0], rel=1e-12)
+    lo, hi = exponent_bounds(base.controls)
+    lo_c, hi_c = exponent_bounds(np.concatenate([beta[1:], se[1:]]))
+    lo, hi = max(lo, -hi_c), min(hi, -lo_c)
+    for k in (lo, hi, lo + round(k_at * (hi - lo))):
+        scaled = replace(base, controls=np.ldexp(base.controls, k))
+        beta_k, se_k = twfe_fit(scaled, method)
+        es_k = event_study(scaled, window=(-2, 2), method=method)
+        assert (beta_k[0], se_k[0]) == (beta[0], se[0])
+        assert np.array_equal(beta_k[1:], np.ldexp(beta[1:], -k))
+        assert np.array_equal(se_k[1:], np.ldexp(se[1:], -k))
+        for got, want in ((es_k.coefficients, es.coefficients), (es_k.std_errors, es.std_errors)):
+            assert np.array_equal(got, want, equal_nan=True)
+
+
+def separate_fits(panel, window=(-5, 5), drop_adoption_period=True):
+    """``twfe_did`` then ``event_study``, or the first error they raise."""
+    try:
+        return (twfe_did(panel, drop_adoption_period),
+                event_study(panel, window, drop_adoption_period))
+    except ModelError as exc:
+        return exc
+
+
+def joint_fits(panel, window=(-5, 5), drop_adoption_period=True):
+    try:
+        return did_fits(panel, window, drop_adoption_period)
+    except ModelError as exc:
+        return exc
+
+
+def assert_same_error(got, want):
+    assert isinstance(want, ModelError)
+    assert (type(got), str(got)) == (type(want), str(want))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n_units=st.integers(6, 40), n_years=st.integers(10, 23), n_controls=st.integers(0, 2),
+       dynamic=st.booleans(), drop=st.booleans(),
+       window=st.sampled_from([(-3, 3), (-5, 5), (-2, 8)]), seed=st.integers(0, 2 ** 16))
+def test_did_fits_match_the_separate_fits(n_units, n_years, n_controls, dynamic, drop,
+                                          window, seed):
+    """The event study bit for bit ``event_study``'s, TWFE within 1e-12 of
+    ``twfe_did``'s, and where they refuse, the same error first.  The ATT
+    moves by rounding relative to the larger of it and its SE: an ATT far
+    inside its SE is the difference of larger numbers."""
+    panel = generate_panel(small_cfg(
+        n_units=n_units, years=(2000, 1999 + n_years), noise_scale=0.3,
+        control_coefs=(0.5, -0.2)[:n_controls], seed=seed,
+        dynamic_profile=(0.0, 0.05, 0.1, 0.15) if dynamic else None))
+    want, got = separate_fits(panel, window, drop), joint_fits(panel, window, drop)
+    if isinstance(want, ModelError):
+        assert_same_error(got, want)
+        return
+    (did, es), (did_ref, es_ref) = got, want
+    assert abs(did.att - did_ref.att) <= 1e-12 * max(abs(did_ref.att), did_ref.se)
+    assert did.se == pytest.approx(did_ref.se, rel=1e-12, abs=0)
+    assert ((did.n_obs, did.n_units_absorbed, did.n_years_absorbed)
+            == (did_ref.n_obs, did_ref.n_units_absorbed, did_ref.n_years_absorbed))
+    for field in ("periods", "coefficients", "std_errors"):
+        assert np.array_equal(getattr(es, field), getattr(es_ref, field), equal_nan=True)
+    assert ((es.n_obs, es.n_units_absorbed, es.n_years_absorbed)
+            == (es_ref.n_obs, es_ref.n_units_absorbed, es_ref.n_years_absorbed))
+
+
+def with_controls(panel, *columns):
+    return replace(panel, controls=np.column_stack(columns),
+                   control_names=tuple(f"control_{j + 1}" for j in range(len(columns))))
+
+
+def error_case(case):
+    """A panel on which ``twfe_did`` or ``event_study`` refuses, the
+    window, and the class of the first refusal."""
+    panel = generate_panel(small_cfg(noise_scale=0.3, control_coefs=(0.5,)))
+    rel = np.clip(panel.relative_period(), -5, 5)
+    unit_constant = np.random.default_rng(1).normal(size=panel.n_units)[panel.unit]
+    all_treated = generate_panel(small_cfg(share_treated=1.0, adoption_years=(2000,)))
+    two = generate_panel(small_cfg(n_units=2, noise_scale=0.3))
+    two_rel_2 = (np.clip(two.relative_period(), -5, 5) == 2).astype(float)
+    return {
+        "no untreated rows": (all_treated, (-5, 5), DesignError),
+        "no untreated rows, bad window": (all_treated, (-1, 5), DesignError),
+        "bad window": (panel, (-5, 1), DomainError),
+        "TWFE rank deficiency: a control equal to treated_post":
+            (with_controls(panel, (rel >= 0).astype(float)), (-5, 5), RankDeficiencyError),
+        "TWFE rank deficiency: an absorbed control":
+            (with_controls(panel, panel.controls[:, 0], unit_constant), (-5, 5),
+             RankDeficiencyError),
+        "event-study rank deficiency: a control equal to rel_2":
+            (with_controls(panel, (rel == 2).astype(float)), (-5, 5), RankDeficiencyError),
+        "two clusters": (two, (-5, 5), DesignError),
+        "two clusters and an event-study rank deficiency":
+            (with_controls(two, two_rel_2), (-5, 5), DesignError),
+    }[case]
+
+
+ERROR_CASES = ["no untreated rows", "no untreated rows, bad window", "bad window",
+               "TWFE rank deficiency: a control equal to treated_post",
+               "TWFE rank deficiency: an absorbed control",
+               "event-study rank deficiency: a control equal to rel_2", "two clusters",
+               "two clusters and an event-study rank deficiency"]
+
+
+@pytest.mark.parametrize("case", ERROR_CASES)
+def test_did_fits_refuse_as_the_separate_fits_do(case):
+    panel, window, cls = error_case(case)
+    want = separate_fits(panel, window)
+    assert type(want) is cls
+    assert_same_error(joint_fits(panel, window), want)
+
+
+def test_did_fits_refuse_at_the_count_table_bound(monkeypatch):
+    panel = generate_panel(small_cfg(noise_scale=0.2))  # 60 units x 12 years
+    monkeypatch.setattr(empirics, "_DUMMY_MAX_CELLS", 60 * 12 - 1)
+    want = separate_fits(panel)
+    assert str(want) == "two-way count table would hold 720 cells (limit 719)"
+    monkeypatch.setattr(empirics.np, "bincount", None)  # nothing may be counted first
+    assert_same_error(joint_fits(panel), want)
+
+
+def test_did_fits_hold_one_design_buffer():
+    """Both fits together peak where the event study alone does, to within
+    1 KiB of Python objects: far below one boolean column of the 45,000-row
+    design."""
+    panel = generate_panel(DgpConfig(n_units=2000, years=(2000, 2022), effect=0.05, seed=1))
+    peaks = []
+    for fit in (event_study, did_fits):
+        tracemalloc.start()
+        try:
+            fit(panel)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 1024
 
 
 def test_dummies_oracle_refuses_oversized_design(monkeypatch):
