@@ -300,9 +300,10 @@ def _dummy_design(x: np.ndarray, unit_idx: np.ndarray, year_idx: np.ndarray):
     return np.hstack([x, d_unit, d_year])
 
 
-def _clustered_se(x_t: np.ndarray, resid: np.ndarray, clusters: np.ndarray,
+def _clustered_se(x_cols, resid: np.ndarray, clusters: np.ndarray,
                   n_absorbed: int, r_inv: np.ndarray) -> np.ndarray:
-    """CR1 cluster-robust standard errors of the leading coefficients.
+    """CR1 cluster-robust standard errors of the coefficients on the
+    columns ``x_cols`` (an n x q array's transpose, or a list of n-vectors).
 
     The scores ``x_j * resid`` are summed per cluster one column at a time
     into the n_c x q S, so no n x q score matrix is formed.  The bread
@@ -313,15 +314,14 @@ def _clustered_se(x_t: np.ndarray, resid: np.ndarray, clusters: np.ndarray,
     to zero, so both are zero up to rounding and the standard error with
     them.
     """
-    n, q = x_t.shape
+    n, q = len(resid), len(x_cols)
     n_c = int(clusters.max()) + 1
     if n_c < 3:
         raise DesignError(f"{n_c} clusters give no usable cluster-robust standard "
                           f"error; need at least 3")
     cluster_scores = np.empty((n_c, q))
-    for j in range(q):
-        cluster_scores[:, j] = np.bincount(clusters, weights=x_t[:, j] * resid,
-                                           minlength=n_c)
+    for j, col in enumerate(x_cols):
+        cluster_scores[:, j] = np.bincount(clusters, weights=col * resid, minlength=n_c)
     b = cluster_scores @ (r_inv @ r_inv.T)
     dof = (n_c / (n_c - 1)) * ((n - 1) / max(n - q - n_absorbed, 1))
     return np.sqrt(dof * (b * b).sum(axis=0))
@@ -450,27 +450,50 @@ def _design(panel: Panel, drop_adoption_period: bool, regressors):
     return xy, names + list(panel.control_names), exps, unit_idx, year_idx
 
 
-def _estimate(panel: Panel, drop_adoption_period: bool, regressors, method: str):
-    """The one DID fit of ``_design``'s buffer.  Returns the coefficients,
-    their CR1 standard errors, the row count and the absorbed unit and
-    year counts."""
+def _estimate(panel: Panel, drop_adoption_period: bool, regressors, method: str,
+              post=None):
+    """The DID fit of ``_design``'s buffer [x y], from one projection and
+    its tall triangle R.  Given ``post``, one 0/1 weight per ``regressors``
+    column, TWFE is fitted first from the same R: its ``treated_post`` is
+    the sum of the weighted columns and the projection is linear, so its
+    projected [x y] is the buffer times M, M summing those columns and
+    passing the controls and y, and its triangle is that of R M (Demmel,
+    Grigori, Hoemmen & Langou 2012).  Returns each fit's coefficients and
+    CR1 standard errors, TWFE's first, then the row count and the absorbed
+    unit and year counts."""
     if method not in ("within", "dummies"):
         raise DomainError(f"unknown method {method!r}; use 'within' or 'dummies'")
     xy, names, exps, unit_idx, year_idx = _design(panel, drop_adoption_period, regressors)
     raw = xy.copy(order="F") if method == "dummies" else None
     xy = _two_way_demean(xy, unit_idx, year_idx)
+    r_aug = _tall_triangle(xy)
     x_t, y_t = xy[:, :-1], xy[:, -1]
-    beta, r_inv = _triangle_solve(_tall_triangle(xy), names)
+    n_u, n_y = int(unit_idx.max()) + 1, int(year_idx.max()) + 1
+    fits = []
+    if post is not None:
+        p = len(post)
+        m = np.zeros((len(r_aug), len(r_aug) - p + 1))
+        m[:p, 0] = post
+        m[p:, 1:] = np.eye(len(r_aug) - p)
+        beta, r_inv = _triangle_solve(np.linalg.qr(r_aug @ m, mode="r"),
+                                      ["treated_post", *names[p:]])
+        cols = [x_t[:, :p] @ m[:p, 0], *x_t[:, p:].T]  # x M, the controls as views
+        resid = y_t - x_t @ (m[:-1, :-1] @ beta)
+        se = _clustered_se(cols, resid, unit_idx, n_u + n_y - 1, r_inv)
+        fits.append((beta, se, np.r_[0, exps[p:]]))
+        del cols, resid
+    beta, r_inv = _triangle_solve(r_aug, names)
     resid = y_t - x_t @ beta
     if raw is not None:
         # oracle: refit on the explicit dummy design instead of the projection
         full = _dummy_design(raw[:, :-1], unit_idx, year_idx)
         beta_full, *_ = np.linalg.lstsq(full, raw[:, -1], rcond=None)
         beta, resid = beta_full[:len(beta)], raw[:, -1] - full @ beta_full
-    n_u, n_y = int(unit_idx.max()) + 1, int(year_idx.max()) + 1
-    se = _clustered_se(x_t, resid, unit_idx, n_u + n_y - 1, r_inv)
-    shift = exps[-1] - exps[:-1]  # back to the panel's units
-    return np.ldexp(beta, shift), np.ldexp(se, shift), len(xy), n_u, n_y
+    se = _clustered_se(x_t.T, resid, unit_idx, n_u + n_y - 1, r_inv)
+    fits.append((beta, se, exps))
+    # back to the panel's units
+    return ([(np.ldexp(b, e[-1] - e[:-1]), np.ldexp(s, e[-1] - e[:-1])) for b, s, e in fits],
+            (len(xy), n_u, n_y))
 
 
 def _treated_post(rel: np.ndarray):
@@ -515,7 +538,7 @@ def twfe_did(panel: Panel, drop_adoption_period: bool = True,
     Absorbs unit and year fixed effects, estimates by least squares on the
     projected design, and clusters standard errors by unit.
     """
-    beta, se, *sizes = _estimate(panel, drop_adoption_period, _treated_post, method)
+    [(beta, se)], sizes = _estimate(panel, drop_adoption_period, _treated_post, method)
     return DidResult(float(beta[0]), float(se[0]), *sizes)
 
 
@@ -528,61 +551,32 @@ def event_study(panel: Panel, window: tuple[int, int] = (-5, 5),
     window must cover at least -2..+2.
     """
     _, regressors, result = _event_design(window, drop_adoption_period)
-    beta, se, *sizes = _estimate(panel, drop_adoption_period, regressors, method)
+    [(beta, se)], sizes = _estimate(panel, drop_adoption_period, regressors, method)
     return result(beta, se, sizes)
 
 
-def did_fits(panel: Panel, window: tuple[int, int] = (-5, 5),
+def did_fits(panel: Panel,
              drop_adoption_period: bool = True) -> tuple[DidResult, EventStudyResult]:
-    """``twfe_did`` and ``event_study`` (method 'within') from one design.
+    """``twfe_did`` and ``event_study`` (window (-5, 5), method 'within')
+    from one design, one projection and one tall QR.
 
     TWFE's ``treated_post`` is the sum of the event study's post-period
-    dummies, as binning at the window's end covers every later period,
-    and the projection is linear.  So TWFE's projected ``[x y]`` is the
-    event study's times M, M summing the post-period columns and passing
-    the controls and y, and its triangle that of R M, R the event study's
-    (Demmel, Grigori, Hoemmen & Langou 2012).  The event study is bit for
-    bit ``event_study``'s, and TWFE moves from ``twfe_did``'s by rounding.
-    Errors are those of ``twfe_did`` followed by ``event_study``: where
-    only the event study refuses (its window or its rank), ``twfe_did``
-    runs first, so that its own refusal wins.
+    dummies, as binning at the window's end covers every later period, so
+    ``_estimate`` reads TWFE off the event study's projected design and
+    triangle.  The event study is bit for bit ``event_study``'s, and TWFE
+    moves from ``twfe_did``'s by rounding.  TWFE is checked and fitted
+    first, so errors come as from ``twfe_did`` followed by ``event_study``.
     """
-    try:
-        periods, event_regressors, result = _event_design(window, drop_adoption_period)
-    except DomainError:
-        twfe_did(panel, drop_adoption_period)
-        raise
+    periods, event_regressors, result = _event_design((-5, 5), drop_adoption_period)
 
     def regressors(rel):
         _treated_post(rel)  # TWFE's refusal of a sample without untreated rows
         return event_regressors(rel)
 
-    xy, names, exps, unit_idx, year_idx = _design(panel, drop_adoption_period, regressors)
-    xy = _two_way_demean(xy, unit_idx, year_idx)
-    r_aug = _tall_triangle(xy)
-    try:
-        beta, r_inv = _triangle_solve(r_aug, names)
-    except RankDeficiencyError:
-        twfe_did(panel, drop_adoption_period)
-        raise
-    p = len(periods)
-    m = np.zeros((xy.shape[1], xy.shape[1] - p + 1))
-    m[:p, 0] = np.asarray(periods) >= 0
-    m[p:, 1:] = np.eye(xy.shape[1] - p)
-    tw_beta, tw_r_inv = _triangle_solve(np.linalg.qr(r_aug @ m, mode="r"),
-                                        ["treated_post", *names[p:]])
-    n_u, n_y = int(unit_idx.max()) + 1, int(year_idx.max()) + 1
-    y_t = xy[:, -1]
-    x_tw = xy[:, :-1] @ m[:-1, :-1]  # formed once the projection's temporaries are gone
-    tw_se = _clustered_se(x_tw, y_t - x_tw @ tw_beta, unit_idx, n_u + n_y - 1, tw_r_inv)
-    del x_tw
-    x_t = xy[:, :-1]
-    se = _clustered_se(x_t, y_t - x_t @ beta, unit_idx, n_u + n_y - 1, r_inv)
-    shift = exps[-1] - exps[:-1]  # back to the panel's units; treated_post's is y's
-    sizes = len(xy), n_u, n_y
-    did = DidResult(float(np.ldexp(tw_beta[0], shift[0])),
-                    float(np.ldexp(tw_se[0], shift[0])), *sizes)
-    return did, result(np.ldexp(beta, shift), np.ldexp(se, shift), sizes)
+    fits, sizes = _estimate(panel, drop_adoption_period, regressors, "within",
+                            np.asarray(periods) >= 0)
+    (tw_beta, tw_se), (beta, se) = fits
+    return DidResult(float(tw_beta[0]), float(tw_se[0]), *sizes), result(beta, se, sizes)
 
 
 # Panel CSV schema: unit,year,outcome,adoption_year,control_1..control_m

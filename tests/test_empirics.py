@@ -651,7 +651,7 @@ def test_clustered_se_matches_masked_loop(seed):
     x_t = rng.normal(size=(n, q))
     resid = rng.normal(size=n)
     r_inv = np.linalg.inv(np.linalg.qr(x_t, mode="r"))
-    se = empirics._clustered_se(x_t, resid, clusters, 40, r_inv)
+    se = empirics._clustered_se(x_t.T, resid, clusters, 40, r_inv)
     ref = masked_loop_se(x_t, resid, clusters, 40)
     assert np.all(np.abs(se - ref) <= 1e-12 * np.abs(ref))
 
@@ -710,7 +710,7 @@ def test_clustered_se_matches_rational_cr1_at_the_rank_edge(n, k, n_c, log_dist,
     clusters = rng.integers(0, n_c, n)
     beta, r_inv = qr_solve(np.column_stack([x, y]), [f"x{c}" for c in range(k)])
     resid = y - x @ beta
-    se = empirics._clustered_se(x, resid, clusters, 10, r_inv)
+    se = empirics._clustered_se(x.T, resid, clusters, 10, r_inv)
     exact = np.sqrt([float(v) for v in rational_cr1_variances(x, resid, clusters, 10)])
     bound = 10 * np.linalg.cond(x) * np.finfo(float).eps
     assert np.all(np.abs(se - exact) <= bound * exact)
@@ -776,7 +776,7 @@ def test_fits_are_bitwise_equivariant_under_outcome_scaling(n_units, n_years, n_
 def twfe_fit(panel, method="within"):
     """Every TWFE coefficient (treated_post, then the controls) and its
     standard error, in the panel's units."""
-    beta, se, *_ = empirics._estimate(panel, True, empirics._treated_post, method)
+    [(beta, se)], _ = empirics._estimate(panel, True, empirics._treated_post, method)
     return beta, se
 
 
@@ -819,18 +819,18 @@ def test_fits_are_bitwise_equivariant_under_control_scaling(n_units, n_years, n_
             assert np.array_equal(got, want, equal_nan=True)
 
 
-def separate_fits(panel, window=(-5, 5), drop_adoption_period=True):
+def separate_fits(panel, drop_adoption_period=True):
     """``twfe_did`` then ``event_study``, or the first error they raise."""
     try:
         return (twfe_did(panel, drop_adoption_period),
-                event_study(panel, window, drop_adoption_period))
+                event_study(panel, drop_adoption_period=drop_adoption_period))
     except ModelError as exc:
         return exc
 
 
-def joint_fits(panel, window=(-5, 5), drop_adoption_period=True):
+def joint_fits(panel, drop_adoption_period=True):
     try:
-        return did_fits(panel, window, drop_adoption_period)
+        return did_fits(panel, drop_adoption_period)
     except ModelError as exc:
         return exc
 
@@ -842,19 +842,18 @@ def assert_same_error(got, want):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(n_units=st.integers(6, 40), n_years=st.integers(10, 23), n_controls=st.integers(0, 2),
-       dynamic=st.booleans(), drop=st.booleans(),
-       window=st.sampled_from([(-3, 3), (-5, 5), (-2, 8)]), seed=st.integers(0, 2 ** 16))
-def test_did_fits_match_the_separate_fits(n_units, n_years, n_controls, dynamic, drop,
-                                          window, seed):
-    """The event study bit for bit ``event_study``'s, TWFE within 1e-12 of
-    ``twfe_did``'s, and where they refuse, the same error first.  The ATT
-    moves by rounding relative to the larger of it and its SE: an ATT far
-    inside its SE is the difference of larger numbers."""
+       dynamic=st.booleans(), drop=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_did_fits_match_the_separate_fits(n_units, n_years, n_controls, dynamic, drop, seed):
+    """The event study bit for bit ``event_study``'s, TWFE's SE within 1e-12
+    of ``twfe_did``'s, and where they refuse, the same error first.  The ATT
+    is within 1e-12 of itself where it is at least its SE, and of the SE
+    where it lies inside it: such an ATT is the difference of larger
+    numbers, and its rounding is of the SE's size."""
     panel = generate_panel(small_cfg(
         n_units=n_units, years=(2000, 1999 + n_years), noise_scale=0.3,
         control_coefs=(0.5, -0.2)[:n_controls], seed=seed,
         dynamic_profile=(0.0, 0.05, 0.1, 0.15) if dynamic else None))
-    want, got = separate_fits(panel, window, drop), joint_fits(panel, window, drop)
+    want, got = separate_fits(panel, drop), joint_fits(panel, drop)
     if isinstance(want, ModelError):
         assert_same_error(got, want)
         return
@@ -875,8 +874,8 @@ def with_controls(panel, *columns):
 
 
 def error_case(case):
-    """A panel on which ``twfe_did`` or ``event_study`` refuses, the
-    window, and the class of the first refusal."""
+    """A panel on which ``twfe_did`` or ``event_study`` refuses, and the
+    class of the first refusal."""
     panel = generate_panel(small_cfg(noise_scale=0.3, control_coefs=(0.5,)))
     rel = np.clip(panel.relative_period(), -5, 5)
     unit_constant = np.random.default_rng(1).normal(size=panel.n_units)[panel.unit]
@@ -884,24 +883,20 @@ def error_case(case):
     two = generate_panel(small_cfg(n_units=2, noise_scale=0.3))
     two_rel_2 = (np.clip(two.relative_period(), -5, 5) == 2).astype(float)
     return {
-        "no untreated rows": (all_treated, (-5, 5), DesignError),
-        "no untreated rows, bad window": (all_treated, (-1, 5), DesignError),
-        "bad window": (panel, (-5, 1), DomainError),
+        "no untreated rows": (all_treated, DesignError),
         "TWFE rank deficiency: a control equal to treated_post":
-            (with_controls(panel, (rel >= 0).astype(float)), (-5, 5), RankDeficiencyError),
+            (with_controls(panel, (rel >= 0).astype(float)), RankDeficiencyError),
         "TWFE rank deficiency: an absorbed control":
-            (with_controls(panel, panel.controls[:, 0], unit_constant), (-5, 5),
-             RankDeficiencyError),
+            (with_controls(panel, panel.controls[:, 0], unit_constant), RankDeficiencyError),
         "event-study rank deficiency: a control equal to rel_2":
-            (with_controls(panel, (rel == 2).astype(float)), (-5, 5), RankDeficiencyError),
-        "two clusters": (two, (-5, 5), DesignError),
+            (with_controls(panel, (rel == 2).astype(float)), RankDeficiencyError),
+        "two clusters": (two, DesignError),
         "two clusters and an event-study rank deficiency":
-            (with_controls(two, two_rel_2), (-5, 5), DesignError),
+            (with_controls(two, two_rel_2), DesignError),
     }[case]
 
 
-ERROR_CASES = ["no untreated rows", "no untreated rows, bad window", "bad window",
-               "TWFE rank deficiency: a control equal to treated_post",
+ERROR_CASES = ["no untreated rows", "TWFE rank deficiency: a control equal to treated_post",
                "TWFE rank deficiency: an absorbed control",
                "event-study rank deficiency: a control equal to rel_2", "two clusters",
                "two clusters and an event-study rank deficiency"]
@@ -909,10 +904,10 @@ ERROR_CASES = ["no untreated rows", "no untreated rows, bad window", "bad window
 
 @pytest.mark.parametrize("case", ERROR_CASES)
 def test_did_fits_refuse_as_the_separate_fits_do(case):
-    panel, window, cls = error_case(case)
-    want = separate_fits(panel, window)
+    panel, cls = error_case(case)
+    want = separate_fits(panel)
     assert type(want) is cls
-    assert_same_error(joint_fits(panel, window), want)
+    assert_same_error(joint_fits(panel), want)
 
 
 def test_did_fits_refuse_at_the_count_table_bound(monkeypatch):
