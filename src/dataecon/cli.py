@@ -36,10 +36,9 @@ import numpy as np
 from . import __version__
 from .core import steady_state
 from .dynamics import phase_portrait, shock_experiment
-from .csvcells import (_FLOAT_FORMAT, _PAD, _float_cells, _int_cells, _run_cells, _text_cells,
-                       _write_rows)
-from .empirics import (_CSV_CHUNK_ROWS, DgpConfig, did_fits, generate_panel,
-                       write_panel_csv)
+from .csvcells import (_CSV_CHUNK_ROWS, _FLOAT_FORMAT, _PAD, _float_cells, _int_cells,
+                       _run_cells, _text_cells, _write_rows)
+from .empirics import DgpConfig, did_fits, generate_panel, write_panel_csv
 from .errors import ConfigError, ModelError, ParameterError
 from .params import BASELINE, ModelParams
 from .qtheory import firm_steady_state, investment_rate

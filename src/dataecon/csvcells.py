@@ -27,6 +27,7 @@ _SPLIT = 2.0 ** 27 + 1  # Veltkamp's splitter for float64
 # 4,000-row blocks took 7,700 page faults; in slices of 256 KB, 820.
 _ROWS_BYTES = 1 << 18
 _GATHER_ROWS = 2048  # float cells gathered at once: 0.4 MB of byte indices
+_CSV_CHUNK_ROWS = 4096  # rows per block of the panel and sweep CSV writers
 
 
 def _byte_rows(items: list[bytes]) -> np.ndarray:

@@ -10,8 +10,11 @@ pivoted QR (explicit dummies refit it by least squares as a cross-check),
 and reports unit-clustered standard errors (CR1 small-sample scaling) from
 that QR's triangle.  The design, the controls and the outcome share one
 column-major buffer that the projection overwrites, and the tall QR runs on
-row blocks of it.  ``did_fits`` reads TWFE off the event study's projected
-design and triangle, so one projection and one tall QR serve both fits.
+row blocks of it.  Every design follows one rule: relative periods are
+clipped to a window's ends, -1 is the reference, and each other period
+whose bin holds a sample row gets a dummy; TWFE is the window (-1, 0).
+``did_fits`` reads TWFE off the event study's projected design and
+triangle, so one projection and one tall QR serve both fits.
 
 Rows at relative period 0 (the adoption year itself) are excluded by
 default, mirroring designs that drop the implementation period; the plain
@@ -27,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvcells import _PAD, _float_cells, _int_cells, _text_cells, _write_rows
+from .csvcells import (_CSV_CHUNK_ROWS, _PAD, _float_cells, _int_cells, _text_cells,
+                       _write_rows)
 from .errors import DesignError, DomainError, RankDeficiencyError
 
 _DUMMY_MAX_CELLS = 5e7  # doubles in the dense dummies oracle (400 MB)
@@ -185,8 +189,9 @@ class EventStudyResult:
     """Relative-period coefficients with the -1 reference fixed at zero.
 
     Periods are contiguous over the requested window; endpoints bin all
-    more-extreme periods.  A NaN coefficient marks a period excluded from
-    estimation (relative period 0 when the adoption year is dropped).
+    more-extreme periods.  A NaN coefficient and standard error mark a
+    period whose bin holds no row of the estimation sample: relative period
+    0 when the adoption year is dropped, or one the panel's span misses.
     """
 
     periods: np.ndarray
@@ -420,10 +425,12 @@ def _estimation_sample(panel: Panel, drop_adoption_period: bool):
     return keep, rel
 
 
-def _design(panel: Panel, drop_adoption_period: bool, regressors):
+def _design(panel: Panel, drop_adoption_period: bool, window: tuple[int, int]):
     """The one DID design: the estimation sample's column-major buffer
-    ``[x y]``, x the columns ``regressors(rel)`` builds from the sample's
-    relative periods and then the controls, with its unit and year codes.
+    ``[x y]``, x the dummies of the periods of ``window`` whose bins hold a
+    sample row (TWFE's window (-1, 0) gives ``treated_post``), then the
+    controls, with its unit and year codes.  A sample without untreated
+    rows raises DesignError: its dummies would sum to the unit effects.
 
     Each control and y is scaled by 2^-e once the buffer is filled, e the
     binary exponent of the column's largest magnitude (0 for an all-zero
@@ -431,49 +438,55 @@ def _design(panel: Panel, drop_adoption_period: bool, regressors):
     in y, and a control's scale moves only its own coefficient: y at most
     1 in magnitude keeps the squares of its cluster scores in range, and
     the pivots and the rank test see no column above 1 in magnitude.
-    Returns the buffer, x's column names, each column's e (0 for the
-    regressors) and the codes.
+    Returns the buffer, the periods with a dummy, x's column names, each
+    column's e (0 for the dummies) and the codes.
     """
     keep, rel = _estimation_sample(panel, drop_adoption_period)
+    if (rel >= 0).all():
+        raise DesignError("no untreated observations in the estimation sample")
     unit_idx = np.unique(panel.unit[keep], return_inverse=True)[1]
     year_idx = np.unique(panel.year[keep], return_inverse=True)[1]
-    cols, names = regressors(rel)
-    columns = [*cols, *panel.controls[keep].T, panel.outcome[keep]]
+    binned = np.clip(rel, *window)  # NaN stays NaN: no dummy is set
+    dummies = {t: binned == t for t in range(window[0], window[1] + 1) if t != -1}
+    periods = [t for t, col in dummies.items() if col.any()]
+    names = ["treated_post"] if window == (-1, 0) else [f"rel_{t}" for t in periods]
+    columns = [*map(dummies.get, periods), *panel.controls[keep].T, panel.outcome[keep]]
     xy = np.empty((len(rel), len(columns)), order="F")  # the one design buffer
     for j, col in enumerate(columns):
         xy[:, j] = col
     exps = np.zeros(len(columns), dtype=int)
-    for j in range(len(cols), len(columns)):
+    for j in range(len(periods), len(columns)):
         col = xy[:, j]
         exps[j] = np.frexp(max(col.max(), -col.min()))[1]
         np.ldexp(col, -exps[j], out=col)
-    return xy, names + list(panel.control_names), exps, unit_idx, year_idx
+    return xy, periods, names + list(panel.control_names), exps, unit_idx, year_idx
 
 
-def _estimate(panel: Panel, drop_adoption_period: bool, regressors, method: str,
-              post=None):
+def _estimate(panel: Panel, drop_adoption_period: bool, window: tuple[int, int],
+              method: str, with_twfe: bool = False):
     """The DID fit of ``_design``'s buffer [x y], from one projection and
-    its tall triangle R.  Given ``post``, one 0/1 weight per ``regressors``
-    column, TWFE is fitted first from the same R: its ``treated_post`` is
-    the sum of the weighted columns and the projection is linear, so its
-    projected [x y] is the buffer times M, M summing those columns and
-    passing the controls and y, and its triangle is that of R M (Demmel,
-    Grigori, Hoemmen & Langou 2012).  Returns each fit's coefficients and
-    CR1 standard errors, TWFE's first, then the row count and the absorbed
-    unit and year counts."""
+    its tall triangle R.  With ``with_twfe``, TWFE is fitted first from the
+    same R: its ``treated_post`` is the sum of the dummies of periods 0 and
+    up, as binning at the window's end covers every later period, and the
+    projection is linear, so its projected [x y] is the buffer times M, M
+    summing those columns and passing the controls and y, and its triangle
+    is that of R M (Demmel, Grigori, Hoemmen & Langou 2012).  Returns the
+    periods with a dummy, each fit's coefficients and CR1 standard errors,
+    TWFE's first, then the row count and the absorbed unit and year
+    counts."""
     if method not in ("within", "dummies"):
         raise DomainError(f"unknown method {method!r}; use 'within' or 'dummies'")
-    xy, names, exps, unit_idx, year_idx = _design(panel, drop_adoption_period, regressors)
+    xy, periods, names, exps, unit_idx, year_idx = _design(panel, drop_adoption_period, window)
     raw = xy.copy(order="F") if method == "dummies" else None
     xy = _two_way_demean(xy, unit_idx, year_idx)
     r_aug = _tall_triangle(xy)
     x_t, y_t = xy[:, :-1], xy[:, -1]
     n_u, n_y = int(unit_idx.max()) + 1, int(year_idx.max()) + 1
     fits = []
-    if post is not None:
-        p = len(post)
+    if with_twfe:
+        p = len(periods)
         m = np.zeros((len(r_aug), len(r_aug) - p + 1))
-        m[:p, 0] = post
+        m[:p, 0] = np.asarray(periods) >= 0
         m[p:, 1:] = np.eye(len(r_aug) - p)
         beta, r_inv = _triangle_solve(np.linalg.qr(r_aug @ m, mode="r"),
                                       ["treated_post", *names[p:]])
@@ -492,43 +505,21 @@ def _estimate(panel: Panel, drop_adoption_period: bool, regressors, method: str,
     se = _clustered_se(x_t.T, resid, unit_idx, n_u + n_y - 1, r_inv)
     fits.append((beta, se, exps))
     # back to the panel's units
-    return ([(np.ldexp(b, e[-1] - e[:-1]), np.ldexp(s, e[-1] - e[:-1])) for b, s, e in fits],
+    return (periods,
+            [(np.ldexp(b, e[-1] - e[:-1]), np.ldexp(s, e[-1] - e[:-1])) for b, s, e in fits],
             (len(xy), n_u, n_y))
 
 
-def _treated_post(rel: np.ndarray):
-    """TWFE's regressor: treated and at or after adoption (False on
-    never-treated NaN rows); DesignError when every row is."""
-    treated = rel >= 0
-    if treated.all():
-        raise DesignError("no untreated observations in the estimation sample")
-    return [treated], ["treated_post"]
-
-
-def _event_design(window: tuple[int, int], drop_adoption_period: bool):
-    """The event study's periods with a dummy (all in the window but the
-    reference -1, and 0 when the adoption year is dropped), its regressors,
-    and its result from the fitted coefficients and standard errors."""
-    w_lo, w_hi = int(window[0]), int(window[1])
-    if w_lo > -2 or w_hi < 2:
-        raise DomainError(f"window must cover periods -2..+2, got {window}")
-    periods = [t for t in range(w_lo, w_hi + 1)
-               if t != -1 and not (drop_adoption_period and t == 0)]
-
-    def regressors(rel):
-        binned = np.clip(rel, w_lo, w_hi)  # NaN stays NaN: no dummy is set
-        return [binned == t for t in periods], [f"rel_{t}" for t in periods]
-
-    def result(beta, se, sizes):
-        all_periods = np.arange(w_lo, w_hi + 1)
-        coefs = np.full(len(all_periods), np.nan)
-        errs = np.full(len(all_periods), np.nan)
-        coefs[-1 - w_lo] = errs[-1 - w_lo] = 0.0
-        pos = np.asarray(periods) - w_lo
-        coefs[pos], errs[pos] = beta[:len(pos)], se[:len(pos)]
-        return EventStudyResult(all_periods, coefs, errs, *sizes)
-
-    return periods, regressors, result
+def _event_result(window: tuple[int, int], periods: list[int], beta: np.ndarray,
+                  se: np.ndarray, sizes) -> EventStudyResult:
+    """The event study over ``window``: the fitted coefficients and
+    standard errors at ``periods``, zero at the reference -1 and NaN at
+    every other period."""
+    all_periods = np.arange(window[0], window[1] + 1)
+    fitted = np.full((2, len(all_periods)), np.nan)  # coefficients, standard errors
+    fitted[:, -1 - window[0]] = 0.0
+    fitted[:, np.asarray(periods) - window[0]] = beta[:len(periods)], se[:len(periods)]
+    return EventStudyResult(all_periods, *fitted, *sizes)
 
 
 def twfe_did(panel: Panel, drop_adoption_period: bool = True,
@@ -538,7 +529,7 @@ def twfe_did(panel: Panel, drop_adoption_period: bool = True,
     Absorbs unit and year fixed effects, estimates by least squares on the
     projected design, and clusters standard errors by unit.
     """
-    [(beta, se)], sizes = _estimate(panel, drop_adoption_period, _treated_post, method)
+    _, [(beta, se)], sizes = _estimate(panel, drop_adoption_period, (-1, 0), method)
     return DidResult(float(beta[0]), float(se[0]), *sizes)
 
 
@@ -550,9 +541,12 @@ def event_study(panel: Panel, window: tuple[int, int] = (-5, 5),
     Periods beyond the window endpoints are binned into the endpoints.  The
     window must cover at least -2..+2.
     """
-    _, regressors, result = _event_design(window, drop_adoption_period)
-    [(beta, se)], sizes = _estimate(panel, drop_adoption_period, regressors, method)
-    return result(beta, se, sizes)
+    w_lo, w_hi = int(window[0]), int(window[1])
+    if w_lo > -2 or w_hi < 2:
+        raise DomainError(f"window must cover periods -2..+2, got {window}")
+    window = (w_lo, w_hi)
+    periods, [(beta, se)], sizes = _estimate(panel, drop_adoption_period, window, method)
+    return _event_result(window, periods, beta, se, sizes)
 
 
 def did_fits(panel: Panel,
@@ -560,31 +554,19 @@ def did_fits(panel: Panel,
     """``twfe_did`` and ``event_study`` (window (-5, 5), method 'within')
     from one design, one projection and one tall QR.
 
-    TWFE's ``treated_post`` is the sum of the event study's post-period
-    dummies, as binning at the window's end covers every later period, so
     ``_estimate`` reads TWFE off the event study's projected design and
     triangle.  The event study is bit for bit ``event_study``'s, and TWFE
-    moves from ``twfe_did``'s by rounding.  TWFE is checked and fitted
-    first, so errors come as from ``twfe_did`` followed by ``event_study``.
+    moves from ``twfe_did``'s by rounding.  TWFE is fitted first, so errors
+    come as from ``twfe_did`` followed by ``event_study``.
     """
-    periods, event_regressors, result = _event_design((-5, 5), drop_adoption_period)
-
-    def regressors(rel):
-        _treated_post(rel)  # TWFE's refusal of a sample without untreated rows
-        return event_regressors(rel)
-
-    fits, sizes = _estimate(panel, drop_adoption_period, regressors, "within",
-                            np.asarray(periods) >= 0)
-    (tw_beta, tw_se), (beta, se) = fits
-    return DidResult(float(tw_beta[0]), float(tw_se[0]), *sizes), result(beta, se, sizes)
+    periods, [(tw_beta, tw_se), (beta, se)], sizes = _estimate(
+        panel, drop_adoption_period, (-5, 5), "within", with_twfe=True)
+    return (DidResult(float(tw_beta[0]), float(tw_se[0]), *sizes),
+            _event_result((-5, 5), periods, beta, se, sizes))
 
 
 # Panel CSV schema: unit,year,outcome,adoption_year,control_1..control_m
 # with an empty adoption_year for never-treated rows.
-
-_CSV_CHUNK_ROWS = 4096
-
-
 def write_panel_csv(panel: Panel, path) -> None:
     """Write the panel in blocks of ``_CSV_CHUNK_ROWS`` rows, each column of
     a block formatted at once (17-digit floats)."""

@@ -195,8 +195,9 @@ def render_heatmap(grid: SweepGrid, variable: str, spec: RenderSpec) -> str:
     vals = grid.values(variable)
     ok = np.isfinite(vals)
     finite = vals[ok]
-    log_scale = (finite.size > 0 and np.all(finite > 0)
-                 and finite.max() / max(finite.min(), 1e-300) > 1e3)
+    with np.errstate(over="ignore"):  # a ratio past float64 is past 1e3 too
+        log_scale = (finite.size > 0 and np.all(finite > 0)
+                     and finite.max() / max(finite.min(), 1e-300) > 1e3)
     norm = np.log10(finite) if log_scale else finite
     lo = float(norm.min()) if norm.size else 0.0
     hi = float(norm.max()) if norm.size else 1.0

@@ -776,7 +776,7 @@ def test_fits_are_bitwise_equivariant_under_outcome_scaling(n_units, n_years, n_
 def twfe_fit(panel, method="within"):
     """Every TWFE coefficient (treated_post, then the controls) and its
     standard error, in the panel's units."""
-    [(beta, se)], _ = empirics._estimate(panel, True, empirics._treated_post, method)
+    _, [(beta, se)], _ = empirics._estimate(panel, True, (-1, 0), method)
     return beta, se
 
 
@@ -828,11 +828,16 @@ def separate_fits(panel, drop_adoption_period=True):
         return exc
 
 
-def joint_fits(panel, drop_adoption_period=True):
+def fit_or_refusal(fit, *args, **kwargs):
+    """The fit's result, or the ModelError it raises."""
     try:
-        return did_fits(panel, drop_adoption_period)
+        return fit(*args, **kwargs)
     except ModelError as exc:
         return exc
+
+
+def joint_fits(panel, drop_adoption_period=True):
+    return fit_or_refusal(did_fits, panel, drop_adoption_period)
 
 
 def assert_same_error(got, want):
@@ -950,11 +955,15 @@ def test_no_treated_units_design_error():
 
 
 def test_all_treated_before_span_design_error():
+    """Every row sits in a bin at or after adoption, so the dummies would
+    sum to the unit effects: each fit refuses the sample."""
     cfg = small_cfg(share_treated=1.0, adoption_years=(2000,),
                     noise_scale=0.1)
     panel = generate_panel(cfg)
-    with pytest.raises(DesignError):
-        twfe_did(panel)
+    for fit in (twfe_did, event_study, did_fits):
+        with pytest.raises(DesignError,
+                           match="no untreated observations in the estimation sample"):
+            fit(panel)
 
 
 def test_monte_carlo_unbiased_under_null():
@@ -1010,6 +1019,47 @@ def test_event_study_window_validation():
         event_study(panel, window=(-5, 1))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n_units=st.integers(6, 40), n_years=st.integers(5, 9),
+       adoption=st.none() | st.lists(st.integers(0, 11), min_size=1, max_size=3),
+       drop=st.booleans(), method=st.sampled_from(["within", "dummies"]),
+       seed=st.integers(0, 2 ** 16))
+@example(30, 7, None, True, "within", 1)  # did-sim's config that named rel_-5 rank deficient
+def test_empty_bins_read_nan_and_the_rest_match_the_window_cut_to_the_span(
+        n_units, n_years, adoption, drop, method, seed):
+    """On spans shorter than the window (-5, 5), with adoption years inside
+    and past the span, each period whose bin holds no sample row reads NaN
+    in coefficient and SE.  Where the window cut to the sample's relative
+    periods still covers -2..+2, it bins the same rows into the same
+    dummies, so every period equals its fit bit for bit, and a refusal is
+    the same refusal."""
+    panel = generate_panel(small_cfg(
+        n_units=n_units, years=(2000, 1999 + n_years), noise_scale=0.3,
+        adoption_years=None if adoption is None else tuple(2000 + a for a in adoption),
+        seed=seed))
+    rel = panel.relative_period()
+    rel = rel[~np.isnan(rel) & ((rel != 0) | (not drop))]
+    lo, hi = max(-5, int(rel.min())), min(5, int(rel.max()))
+    es = fit_or_refusal(event_study, panel, drop_adoption_period=drop, method=method)
+    cut = None
+    if lo <= -2 and hi >= 2:
+        cut = fit_or_refusal(event_study, panel, (lo, hi), drop, method)
+    if isinstance(es, ModelError):
+        if cut is not None:
+            assert_same_error(cut, es)
+        return
+    empty = ~np.isin(es.periods, np.clip(rel, -5, 5)) & (es.periods != -1)
+    assert np.array_equal(np.isnan(es.coefficients), empty)
+    assert np.array_equal(np.isnan(es.std_errors), empty)
+    if cut is not None:
+        inside = slice(lo + 5, hi + 6)
+        assert np.array_equal(es.periods[inside], cut.periods)
+        assert np.array_equal(es.coefficients[inside], cut.coefficients, equal_nan=True)
+        assert np.array_equal(es.std_errors[inside], cut.std_errors, equal_nan=True)
+        assert ((es.n_obs, es.n_units_absorbed, es.n_years_absorbed)
+                == (cut.n_obs, cut.n_units_absorbed, cut.n_years_absorbed))
+
+
 def test_event_study_noisy_leads_within_three_se():
     cfg = small_cfg(n_units=150, years=(2000, 2017), noise_scale=0.3,
                     effect=0.05, seed=42)
@@ -1051,7 +1101,7 @@ def rowwise_panel_csv(panel, path):
             ])
 
 
-@pytest.mark.parametrize("chunk", [7, empirics._CSV_CHUNK_ROWS])
+@pytest.mark.parametrize("chunk", [7, csvcells._CSV_CHUNK_ROWS])
 def test_panel_csv_matches_rowwise_writer(tmp_path, monkeypatch, chunk):
     # 400 units x 12 years = 4800 rows: more than one default chunk
     panel = generate_panel(small_cfg(n_units=400, noise_scale=0.7,
