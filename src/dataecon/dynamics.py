@@ -11,7 +11,9 @@ Jacobian, the steady state's linearization in closed form (its speed of
 convergence does not depend on theta), nullclines, an adaptive embedded
 Runge-Kutta integrator (Dormand-Prince 5(4), every stage read from one
 tableau and computed on plain floats), stable-branch extraction by backward
-integration, and parameter-shock comparisons of phase portraits.
+integration, and parameter-shock comparisons of phase portraits.  In units
+of k*, (c, k)/k*, the flow holds neither theta nor w: the stable branches are
+integrated so and scaled by k* once; everything else stays in levels.
 
 Conventions: State and Trajectory store (c, k); portrait geometry (nullcline
 polylines, vector-field samples) is stored in plot order (k, c).
@@ -114,10 +116,12 @@ def _unpack(s) -> tuple[float, float]:
     return float(c), float(k)
 
 
-def _field(p: ModelParams):
-    """Plain-float vector field closure on the coefficients of ``p``."""
+def _field(p: ModelParams, log_k: float | None = None):
+    """Plain-float vector field closure on the coefficients of ``p``, r(k)
+    anchored at ``log_k``: log k* (levels) by default, 0.0 for (c, k)/k*."""
     co = core._reduced(p)
-    log_k, r_exp, yk = (float(v) for v in (co.log_k, co.r_exp, co.yk))
+    r_exp, yk = float(co.r_exp), float(co.yk)
+    log_k = float(co.log_k) if log_k is None else log_k
     rho_delta = p.rho + p.delta
     sigma, delta, log_max = p.sigma, p.delta, core._LOG_MAX
 
@@ -355,10 +359,11 @@ def saddle_path(p: ModelParams, k_targets: tuple[float, float],
                 max_time: float | None = None) -> tuple[Trajectory, Trajectory]:
     """Extract both stable branches of a saddle equilibrium.
 
-    Each branch is seeded at (c*, k*) +/- eps * v_s, with v_s the stable
-    eigenvector and eps = eps_scale * k*, then integrated backward in time
-    (backward integration contracts transverse perturbations, so the branch
-    is recovered stably) until its capital coordinate covers ``k_targets``.
+    Each branch is integrated in units of k*, free of theta and w: seeded
+    at (c*/k*, 1) +/- eps_scale * v_s, v_s the stable eigenvector, then
+    integrated backward in time (which contracts transverse perturbations,
+    so the branch is recovered stably) until k/k* covers ``k_targets``/k*,
+    and scaled by k* at the end.  Its times are the same at every theta and w.
     Branches are returned as forward-time trajectories running from the far
     end toward the equilibrium; status ``converged`` marks full coverage,
     ``left-domain`` and ``max-time`` mark truncation.
@@ -367,42 +372,36 @@ def saddle_path(p: ModelParams, k_targets: tuple[float, float],
     if cls.classification != "saddle":
         raise ClassificationError(
             f"saddle path requires a saddle, got {cls.classification}")
-    ss = cls.steady_state
+    k_star = cls.steady_state.k_star
     klo, khi = float(k_targets[0]), float(k_targets[1])
-    if not (0.0 < klo < ss.k_star < khi):
+    if not (0.0 < klo < k_star < khi):
         raise DomainError(
-            f"k_targets {k_targets} must straddle k* = {ss.k_star:.6g}")
+            f"k_targets {k_targets} must straddle k* = {k_star:.6g}")
 
     lam_s = float(cls.eigenvalues[0])
     vc, vk = (float(x) for x in cls.eigenvectors[:, 0])  # vk > 0: toward more capital
-    eps = eps_scale * ss.k_star
+    v_star = float(core.Coefficients(p).yk) - p.delta  # c*/k*
+    u_lo, u_hi = klo / k_star, khi / k_star
     if max_time is None:
-        span = max(ss.k_star - klo, khi - ss.k_star)
-        max_time = 3.0 * (math.log(max(span / eps, 2.0)) + 10.0) / abs(lam_s)
+        span = max(1.0 - u_lo, u_hi - 1.0)
+        max_time = 3.0 * (math.log(max(span / eps_scale, 2.0)) + 10.0) / abs(lam_s)
 
-    f = _field(p)
+    f = _field(p, log_k=0.0)
 
-    def f_back(c, k):
-        dc, dk = f(c, k)
-        return -dc, -dk
+    def f_back(v, u):
+        dv, du = f(v, u)
+        return -dv, -du
 
     branches = []
-    for sign, target in ((-1.0, klo), (+1.0, khi)):
-        c_seed = ss.c_star + sign * eps * vc
-        k_seed = ss.k_star + sign * eps * vk
-        if sign < 0:
-            stop = lambda t, c, k: k <= target
-        else:
-            stop = lambda t, c, k: k >= target
-        ts, cs, ks, status = _rk45(f_back, c_seed, k_seed, max_time,
-                                   rtol=tol, stop=stop)
-        if status == "stopped":
-            status = "converged"
-        # flip to forward time: far end first, seed (near equilibrium) last
-        t_arr = np.asarray(ts)
-        t_fwd = t_arr[-1] - t_arr[::-1]
-        states = np.column_stack([cs, ks])[::-1]
-        branches.append(Trajectory(t_fwd, states.astype(float), status))
+    for sign, target in ((-1.0, u_lo), (+1.0, u_hi)):
+        ts, vs, us, status = _rk45(
+            f_back, v_star + sign * eps_scale * vc, 1.0 + sign * eps_scale * vk,
+            max_time, rtol=tol, stop=lambda t, v, u: sign * (u - target) >= 0.0)
+        # forward time (far end first, seed last), in levels again
+        t_back = np.asarray(ts)
+        branches.append(Trajectory(t_back[-1] - t_back[::-1],
+                                   np.column_stack([vs, us])[::-1] * k_star,
+                                   "converged" if status == "stopped" else status))
     return branches[0], branches[1]
 
 
@@ -421,8 +420,7 @@ def phase_portrait(p: ModelParams, k_range: tuple[float, float] | None = None,
 
     paths: tuple[Trajectory, ...] = ()
     if include_saddle and cls.classification == "saddle":
-        lo = max(k_range[0], 1e-12)
-        paths = saddle_path(p, (lo, k_range[1]), tol=tol)
+        paths = saddle_path(p, k_range, tol=tol)
 
     nk, nc = _FIELD_SHAPE
     c_top = float(np.max(c_null[:, 1]))

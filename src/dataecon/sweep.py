@@ -87,12 +87,13 @@ class SensitivityReport:
     dc_dtheta: Derivative
 
 
-def _check_axis(name: str, axis) -> np.ndarray:
+def _check_axis(name: str, axis, closed: bool) -> np.ndarray:
+    """The axis as an array in [0, 1] if ``closed`` (theta), else in [0, 1) (eta)."""
     arr = np.asarray(axis, dtype=float)
     if arr.ndim != 1 or len(arr) == 0:
         raise DomainError(f"{name} must be a nonempty 1-D vector")
-    if np.any(arr < 0.0) or np.any(arr >= 1.0):
-        raise DomainError(f"{name} values must lie in [0, 1)")
+    if np.any(arr < 0.0) or np.any(arr > 1.0 if closed else arr >= 1.0):
+        raise DomainError(f"{name} values must lie in [0, 1{']' if closed else ')'}")
     if len(arr) > 1 and not np.all(np.diff(arr) > 0):
         raise DomainError(f"{name} must be sorted and deduplicated")
     return arr
@@ -115,8 +116,8 @@ def grid_sweep(p_base: ModelParams, theta_axis, eta_axis) -> SweepGrid:
     grid of more than 2.5e6 cells (``_MAX_CELLS``) raises DomainError before
     anything is allocated.
     """
-    thetas = _check_axis("theta_axis", theta_axis)
-    etas = _check_axis("eta_axis", eta_axis)
+    thetas = _check_axis("theta_axis", theta_axis, closed=True)
+    etas = _check_axis("eta_axis", eta_axis, closed=False)
     _check_grid_size(len(thetas), len(etas))
     mask, values = steady_states(p_base, *np.meshgrid(thetas, etas, indexing="ij"))
     ok = mask == "ok"

@@ -4,7 +4,7 @@ import pytest
 from dataecon import ModelParams, baseline_params
 
 hypothesis.settings.register_profile(
-    "default", deadline=None, max_examples=60,
+    "default", deadline=None, max_examples=60, derandomize=True,
     suppress_health_check=[hypothesis.HealthCheck.filter_too_much,
                            hypothesis.HealthCheck.too_slow])
 hypothesis.settings.load_profile("default")

@@ -757,13 +757,13 @@ def sorted_pair(lo, hi):
 @st.composite
 def model_docs(draw):
     """Config documents for the seven model commands: valid parameters
-    with theta 0, 1 or 10^-20 to 1 and w 10^-2 to 10^3, and small sweep,
+    with theta 0, 1 or 10^-300 to 1 and w 10^-2 to 10^3, and small sweep,
     contour, threshold and shock sections."""
     alpha = draw(st.floats(0.15, 0.9))
     beta = draw(st.floats(0.05, min(0.9, 1.0 - alpha)))
     eta_cap = min(0.95, (1.0 - beta) / alpha)  # 1 - beta - alpha*eta > 0
     eta = st.floats(0.0, 0.999).map(lambda u: u * eta_cap)
-    theta = st.floats(-20, 0).map(lambda e: 10.0 ** e) | st.sampled_from([0.0, 1.0])
+    theta = st.floats(-300, 0).map(lambda e: 10.0 ** e) | st.sampled_from([0.0, 1.0])
     params = {"alpha": alpha, "beta": beta, "eta": draw(eta), "theta": draw(theta),
               "w": 10.0 ** draw(st.floats(-2, 3)), "delta": draw(st.floats(0.01, 0.5)),
               "rho": draw(st.floats(0.01, 0.5)), "sigma": draw(st.floats(1.01, 10.0)),
@@ -800,6 +800,7 @@ WIDE_SWEEP_DOC = {"params": {"alpha": 0.5, "beta": 0.28125, "delta": 0.5, "rho":
 @given(doc=model_docs(), rerun=st.booleans())
 @example(doc=DEFECT_DOC, rerun=False)  # open defect 2: phase.svg drew arrows at inf
 @example(doc=WIDE_SWEEP_DOC, rerun=False)  # a RuntimeWarning escaped render_heatmap
+@example(doc={"params": {"theta": 1e-30}}, rerun=False)  # open defect 14: k* = 9.6e-42
 def test_model_commands_write_finite_artifacts_or_exit_with_a_typed_error(command, doc,
                                                                          rerun):
     """Under warnings as errors, every model command exits 0, 1 or 2 with
@@ -1150,6 +1151,43 @@ def test_phase_figures_finite_near_the_top_of_float64(tmp_path, command):
         assert run_command(cfg, command) == 0
     svg = (tmp_path / f"{command}.svg").read_text()
     assert svg_numbers_finite(svg)
+
+
+@pytest.mark.parametrize("args", [
+    ["phase", "--theta", "1e-30"],
+    ["shock", "--theta-before", "1e-30", "--theta-after", "1e-29"]])
+def test_saddles_far_below_k_star_1e12_are_drawn(tmp_path, args):
+    """Open defect 14: the branch range was clamped at k = 1e-12, so a
+    saddle with k* = 9.6e-42 (theta = 1e-30) exited 1 with "k_targets must
+    straddle k*"."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*args, "--out", str(tmp_path)]) == 0
+    for path in tmp_path.iterdir():
+        if path.suffix == ".json":
+            json.loads(path.read_text(), parse_constant=refuse_constant)
+        elif path.suffix == ".svg":
+            assert svg_coordinates_finite(path.read_text()), path.name
+    saddles = sorted(tmp_path.glob("*_saddle.csv"))
+    assert len(saddles) == (1 if args[0] == "phase" else 2)
+    for path in saddles:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {row["branch"] for row in rows} == {"low", "high"}
+        assert all(0.0 < float(row[q]) < 1e-38 for row in rows for q in ("c", "k"))
+
+
+def test_sweep_and_contour_take_theta_one(tmp_path):
+    """Open defect 13: the theta axis was held to [0, 1), refusing theta = 1."""
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({
+        "sweep": {"theta_min": 0.5, "theta_max": 1.0, "theta_n": 3, "eta_n": 3},
+        "contour": {"theta_min": 0.5, "theta_max": 1.0, "theta_n": 3, "eta_n": 3}}))
+    for command in ("sweep", "contour"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg_file), "--out", str(out)]) == 0
+    rows = read_sweep_csv(tmp_path / "sweep" / "sweep.csv")
+    assert [float(row["theta"]) for row in rows[-3:]] == [1.0] * 3
 
 
 def test_one_row_contour_component_drawn_as_a_dot():

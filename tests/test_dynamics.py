@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dataecon import (ClassificationError, DomainError, IntegrationError,
@@ -10,6 +10,7 @@ from dataecon import (ClassificationError, DomainError, IntegrationError,
                       classify_equilibrium, integrate, jacobian, nullclines,
                       phase_portrait, rhs, saddle_path, shock_experiment,
                       steady_state, validate_params)
+from dataecon.core import steady_states
 from dataecon.dynamics import _TINY, _as_trajectory, _field, _rk45, _unpack
 
 from .strategies import model_params, positive_state
@@ -522,6 +523,73 @@ def test_saddle_forward_reintegration_approaches_equilibrium():
         traj = integrate(State(c0, k0), p, float(branch.t[-1]), tol=1e-11)
         d_min = float(np.min(np.hypot(traj.c - ss.c_star, traj.k - ss.k_star)))
         assert d_min < 0.05 * d_start
+
+
+@st.composite
+def saddle_pairs(draw):
+    """A saddle, the same saddle at another theta (10^-300 to 1) and w
+    (10^-2 to 10^3), and capital targets at multiples of k* that both
+    k*s carry to units and back exactly."""
+    p = draw(model_params(feasible=True))
+    q = p.replace(theta=10.0 ** draw(st.floats(-300.0, 0.0)), w=10.0 ** draw(st.floats(-2.0, 3.0)))
+    assume(classify_equilibrium(p).classification == "saddle")
+    m = (draw(st.floats(0.05, 0.95)), draw(st.floats(1.05, 3.0)))
+    mask, values = steady_states(q)
+    k_stars = [steady_state(p).k_star, float(values["k_star"])]
+    assume(mask == "ok" and all(1e-280 < ks < 1e280 for ks in k_stars))
+    assume(all((mi * ks) / ks == mi for mi in m for ks in k_stars))
+    return p, q, m
+
+
+@settings(max_examples=40)
+@given(saddle_pairs())
+def test_saddle_branches_in_units_of_k_star_do_not_depend_on_theta_or_w(pair):
+    """Divided by k*, the flow holds neither theta nor w, and the branches
+    are integrated that way: their times agree bit for bit, their states up
+    to the rounding of the one scaling by k*."""
+    p, q, m = pair
+    runs = []
+    for x in (p, q):
+        ks = steady_state(x).k_star
+        runs.append([(b.t, b.states / ks, b.status)
+                     for b in saddle_path(x, (m[0] * ks, m[1] * ks))])
+    for (t_p, s_p, status_p), (t_q, s_q, status_q) in zip(*runs):
+        assert status_p == status_q
+        assert np.array_equal(t_p, t_q)
+        np.testing.assert_allclose(s_p, s_q, rtol=2 * np.finfo(float).eps, atol=0.0)
+
+
+def off_curve_distance(branch, reference, p):
+    """Largest |c - c_ref(k)|/k* over the branch, with c_ref the reference
+    branch read by cubic Hermite interpolation in k/k*, its slopes dc/dk
+    taken from the vector field."""
+    ks = steady_state(p).k_star
+    f = _field(p, log_k=0.0)
+    order = np.argsort(reference.k)
+    u_r, v_r = reference.k[order] / ks, reference.c[order] / ks
+    slope = np.array([dv / du for dv, du in (f(v, u) for v, u in zip(v_r, u_r))])
+    u, v = branch.k / ks, branch.c / ks
+    j = np.clip(np.searchsorted(u_r, u) - 1, 0, len(u_r) - 2)
+    h = u_r[j + 1] - u_r[j]
+    s = (u - u_r[j]) / h
+    assert np.all((s >= 0.0) & (s <= 1.0))  # the reference covers the branch
+    v_ref = ((2 * s ** 3 - 3 * s ** 2 + 1) * v_r[j] + (s ** 3 - 2 * s ** 2 + s) * h * slope[j]
+             + (3 * s ** 2 - 2 * s ** 3) * v_r[j + 1] + (s ** 3 - s ** 2) * h * slope[j + 1])
+    return float(np.max(np.abs(v - v_ref)))
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.2, 0.3])
+def test_saddle_branches_lie_on_a_tol_1e12_reference(eta):
+    """At the default tol the branch points lie within 5e-10 k* of the
+    curve a tol = 1e-12 integration traces (2.3e-10 measured at eta = 0.2
+    and 0.3, whether the branch is integrated in levels or in units of k*),
+    far less than the 1e-4 relative by which points move along it when the
+    step sequence changes."""
+    p = validate_params({"eta": eta})
+    ks = steady_state(p).k_star
+    reference = saddle_path(p, (0.4 * ks, 1.6 * ks), tol=1e-12)
+    for branch, ref in zip(saddle_path(p, (0.5 * ks, 1.5 * ks)), reference):
+        assert off_curve_distance(branch, ref, p) < 5e-10
 
 
 def test_saddle_requires_saddle_classification():

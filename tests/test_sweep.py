@@ -159,10 +159,22 @@ def test_axis_validation():
         grid_sweep(BASE, [0.5, 0.3], [0.2])     # unsorted
     with pytest.raises(DomainError):
         grid_sweep(BASE, [0.5, 0.5], [0.2])     # duplicated
-    with pytest.raises(DomainError):
-        grid_sweep(BASE, [1.0], [0.2])          # theta = 1 outside [0, 1)
+    with pytest.raises(DomainError, match=r"theta_axis values must lie in \[0, 1\]"):
+        grid_sweep(BASE, [1.5], [0.2])          # theta = 1.5 outside [0, 1]
+    with pytest.raises(DomainError, match=r"eta_axis values must lie in \[0, 1\)"):
+        grid_sweep(BASE, [0.5], [1.0])          # eta = 1 outside [0, 1)
     with pytest.raises(DomainError):
         grid_sweep(BASE, [-0.1], [0.2])
+
+
+def test_theta_one_cells_equal_steady_state():
+    """theta = 1 is in the model's range, so the grid takes it too."""
+    etas = np.linspace(0.0, 0.95, 20)
+    grid = grid_sweep(BASE, [0.5, 1.0], etas)
+    assert np.sum(grid.mask[1] == "ok") >= 15
+    for j, eta in enumerate(etas):
+        if grid.mask[1, j] == "ok":
+            assert cell(grid, 1, j) == steady_state(BASE.replace(theta=1.0, eta=float(eta)))
 
 
 def test_oversized_grid_refused_before_allocating(monkeypatch):
