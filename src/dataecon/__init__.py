@@ -24,8 +24,8 @@ from .errors import (ClassificationError, ConfigError, DegenerateError,
                      DesignError, DomainError, IntegrationError, ModelError,
                      ParameterError, RankDeficiencyError, RegimeError,
                      SearchError)
-from .params import (BASELINE, DEFAULT_SINGULAR_BAND, ModelParams, Regime,
-                     baseline_params, regime, validate_params)
+from .params import (BASELINE, DEFAULT_SINGULAR_BAND, ModelParams, baseline_params,
+                     validate_params)
 from .qtheory import QState, firm_steady_state, investment_rate, k_of_q, q_dot
 from .sweep import (Derivative, IsoContour, SensitivityReport, SweepGrid,
                     ThresholdCurve, band_free_intervals, grid_sweep,

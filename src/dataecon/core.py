@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateError, DomainError, ModelError, RegimeError
+from .errors import DomainError, ModelError, RegimeError
 from .params import ModelParams
 
 _LOG_MAX = 709.0  # exp overflow threshold for float64
@@ -135,7 +135,7 @@ def _refusal(co: Coefficients, code) -> ModelError:
     """The error a scalar solve on ``co`` raises for outcome ``code``."""
     if code == _SINGULAR:
         return RegimeError(
-            f"alpha+beta+alpha*eta-1 = {co.p.k_exponent:.6g} lies inside the "
+            f"alpha+beta+alpha*eta-1 = {float(co.kx):.6g} lies inside the "
             f"singular band (half-width {co.p.singular_band}); "
             "closed forms are not evaluated there")
     if code == _NO_DATA:
@@ -188,18 +188,6 @@ def interest_rate(k: float, p: ModelParams) -> float:
     marginal value of one more unit of k.
     """
     return float(_reduced(p, k).rate(k))
-
-
-def capital_from_marginal_value(target: float, p: ModelParams) -> float:
-    """Invert r(k) = target for capital.
-
-    Shared by the household-side steady state (target = rho + delta) and the
-    q-theory block, so both encode the same inversion bit for bit.
-    """
-    co = _reduced(p)
-    if target <= 0.0:
-        raise DegenerateError(f"marginal-value target must be positive, got {target}")
-    return float(co.capital(target))
 
 
 def steady_state(p: ModelParams) -> SteadyState:

@@ -246,9 +246,12 @@ def _rk45(f, c0: float, k0: float, t_max: float, rtol: float,
     ``rtol`` restricted to [1e-12, 1e-3].  Returns (ts, cs, ks, status) with
     status in {'converged', 'max-time', 'left-domain', 'stopped'}.  Raises
     IntegrationError on step underflow that is not caused by the domain
-    boundary, attaching the partial arrays.
+    boundary, attaching the partial arrays; a ``t_max`` that is not finite
+    and >= 0 raises DomainError before the first step.
     """
     _check_tol(rtol)
+    if not 0.0 <= t_max < math.inf:
+        raise DomainError(f"time horizon must be finite and nonnegative, got {t_max}")
     t, c, k = 0.0, c0, k0
     ts, cs, ks = [0.0], [c0], [k0]
     fc, fk = f(c, k)
@@ -346,8 +349,6 @@ def integrate(s0, p: ModelParams, t_max: float, tol: float = 1e-9) -> Trajectory
     (status ``left-domain``).  ``tol`` is the relative step-error tolerance,
     restricted to [1e-12, 1e-3].
     """
-    if t_max < 0.0:
-        raise DomainError(f"t_max must be nonnegative, got {t_max}")
     c0, k0 = _unpack(s0)
     f = _field(p)
     ts, cs, ks, status = _rk45(f, c0, k0, t_max, rtol=tol, conv_tol=tol)

@@ -75,8 +75,11 @@ class DgpConfig:
             raise DomainError(f"panel would hold {cells} cells (limit {_DUMMY_MAX_CELLS:.0f})")
         if not 0.0 <= self.share_treated <= 1.0:
             raise DomainError(f"share_treated must lie in [0, 1], got {self.share_treated}")
-        if self.noise_scale < 0.0:
-            raise DomainError("noise_scale must be nonnegative")
+        for name in ("unit_effect_scale", "year_effect_scale", "noise_scale"):
+            if not getattr(self, name) >= 0.0:
+                raise DomainError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        if not self.seed >= 0:
+            raise DomainError(f"seed must be nonnegative, got {self.seed}")
         if self.dynamic_profile is not None and len(self.dynamic_profile) == 0:
             raise DomainError("dynamic_profile must be nonempty when given")
         if self.adoption_years is not None:

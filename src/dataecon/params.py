@@ -1,16 +1,12 @@
-"""Model parameters, validation, and the exponent regime.
+"""Model parameters and their validation.
 
 The economy is summarized by nine scalars: output elasticities ``alpha``
 (capital) and ``beta`` (labor), the data-technology conversion rate ``eta``,
 the dataization share ``theta``, the wage ``w``, depreciation ``delta``, the
 utility discount rate ``rho``, relative risk aversion ``sigma``, and the
-investment adjustment-cost coefficient ``a``.
-
-Every reduced-form exponent in the model is built from the composite
-``alpha + beta + alpha*eta - 1``.  When that composite crosses zero the
-closed-form steady state degenerates (its exponent diverges), so a small
-band around zero is treated as singular and closed-form evaluation is
-refused there.
+investment adjustment-cost coefficient ``a``.  ``singular_band`` is the
+half-width of the band around a zero composite exponent inside which
+``core`` refuses closed forms.
 """
 
 from __future__ import annotations
@@ -89,37 +85,12 @@ class ModelParams:
         if bad:
             raise ParameterError(bad)
 
-    @property
-    def k_exponent(self) -> float:
-        """The composite exponent alpha + beta + alpha*eta - 1."""
-        return self.alpha + self.beta + self.alpha * self.eta - 1.0
-
     def replace(self, **changes) -> "ModelParams":
         return replace(self, **changes)
 
 
 #: The baseline calibration: every model parameter with its default.
 BASELINE = {f.name: f.default for f in fields(ModelParams) if f.name != "singular_band"}
-
-
-@dataclass(frozen=True)
-class Regime:
-    """Sign of the composite exponent and whether it sits in the singular band."""
-
-    k_exponent_sign: int
-    singular: bool
-
-
-def regime(p: ModelParams) -> Regime:
-    """Classify the exponent regime of ``p``.
-
-    Inside ``p.singular_band`` the closed-form steady-state exponent
-    1/(alpha+beta+alpha*eta-1) overflows, so dependent operations raise
-    instead of evaluating.
-    """
-    kx = p.k_exponent
-    sign = 0 if kx == 0.0 else (1 if kx > 0.0 else -1)
-    return Regime(k_exponent_sign=sign, singular=abs(kx) < p.singular_band)
 
 
 def validate_params(raw: dict) -> ModelParams:

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import capital_from_marginal_value, interest_rate
+from . import core
+from .core import interest_rate
 from .errors import DegenerateError, DomainError
 from .params import ModelParams
 
@@ -60,16 +61,16 @@ def k_of_q(q: float, r: float, p: ModelParams) -> float:
     """Steady capital stock at shadow price q: the root of q_dot in k.
 
     Raises DegenerateError when the bracket (r + delta) q minus the
-    adjustment terms is nonpositive, i.e. no capital stock supports that q.
+    adjustment terms is not positive (or NaN): no capital stock supports that q.
     """
     if q <= 0.0:
         raise DomainError(f"q must be positive, got {q}")
     numerator = (r + p.delta) * q - _adjustment_terms(q, p)
-    if numerator <= 0.0:
+    if not numerator > 0.0:
         raise DegenerateError(
             f"no steady capital at q={q}: marginal-value bracket is {numerator:.6g}"
         )
-    return capital_from_marginal_value(numerator, p)
+    return float(core._reduced(p).capital(numerator))
 
 
 def firm_steady_state(r: float, p: ModelParams) -> QState:

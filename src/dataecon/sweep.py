@@ -92,7 +92,7 @@ def _check_axis(name: str, axis, closed: bool) -> np.ndarray:
     arr = np.asarray(axis, dtype=float)
     if arr.ndim != 1 or len(arr) == 0:
         raise DomainError(f"{name} must be a nonempty 1-D vector")
-    if np.any(arr < 0.0) or np.any(arr > 1.0 if closed else arr >= 1.0):
+    if not np.all((arr >= 0.0) & (arr <= 1.0 if closed else arr < 1.0)):
         raise DomainError(f"{name} values must lie in [0, 1{']' if closed else ')'}")
     if len(arr) > 1 and not np.all(np.diff(arr) > 0):
         raise DomainError(f"{name} must be sorted and deduplicated")
@@ -191,7 +191,7 @@ def threshold_curve(p_base: ModelParams, thetas,
 
     if not lo < top:
         raise refusal(thetas[0])
-    above = p_base.replace(eta=lo).k_exponent > 0.0
+    above = Coefficients(p_base, eta=lo).kx > 0.0
     if not above:  # compare log c* = log k* + log(y*/k* - delta) at the two ends
         ends = Coefficients(p_base, thetas[:, None], [lo, top])
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -3,7 +3,12 @@
 import hypothesis.strategies as st
 from hypothesis import assume
 
-from dataecon import ModelParams, regime, steady_state
+from dataecon import ModelParams, steady_state
+
+
+def kx(p):
+    """The composite exponent alpha + beta + alpha*eta - 1 of ``p``."""
+    return p.alpha + p.beta + p.alpha * p.eta - 1.0
 
 
 @st.composite
@@ -15,8 +20,7 @@ def model_params(draw, eta_min=0.0, eta_max=0.9, nonsingular=True,
     theta = draw(st.floats(0.05, 1.0))
     p = ModelParams(alpha=alpha, beta=beta, eta=eta, theta=theta)
     if nonsingular:
-        assume(abs(p.k_exponent) >= p.singular_band + margin)
-        assume(not regime(p).singular)
+        assume(abs(kx(p)) >= p.singular_band + margin)
     if feasible:
         ss = steady_state(p)
         assume(ss.feasible and ss.k_star < 1e12 and ss.c_star > 1e-12)

@@ -270,6 +270,11 @@ MALFORMED_VALUES = [
     ("did-sim", '{"dgp": {"years": [2000]}}', "dgp.years must be a list of 2 items"),
     ("did-sim", '{"dgp": {"n_units": 1000000000}}',
      "invalid dgp: panel would hold 80000000000 cells (limit 50000000)"),
+    ("did-sim", '{"dgp": {"unit_effect_scale": -1}}',
+     "invalid dgp: unit_effect_scale must be nonnegative, got -1.0"),
+    ("did-sim", '{"dgp": {"year_effect_scale": -1}}',
+     "invalid dgp: year_effect_scale must be nonnegative, got -1.0"),
+    ("did-sim", '{"dgp": {"seed": -1}}', "invalid dgp: seed must be nonnegative, got -1"),
     ("threshold", '{"threshold": {"thetas": []}}', "invalid threshold: thetas must be a nonempty"),
     ("sweep", '{"sweep": {"theta_n": 0}}', "invalid sweep: theta_n must be at least 1, got 0"),
     ("sweep", '{"sweep": {"eta_n": -2}}', "invalid sweep: eta_n must be at least 1, got -2"),

@@ -12,7 +12,7 @@ from dataecon import (DomainError, ModelParams, RegimeError, baseline_params,
 from dataecon.core import steady_states
 
 from . import decimal_oracle
-from .strategies import model_params
+from .strategies import kx, model_params
 
 BASE = baseline_params()
 EPS = 2.0 ** -52
@@ -350,7 +350,7 @@ def relative_bound(ss, p):
     """Relative rounding bound of each steady-state quantity: log k* =
     N/kx carries about eps (1 + |log k*|)/|kx| of error, and c* = k*(y*/k*
     - delta) adds the cancellation of its ratio, eps y*/c*."""
-    k_bound = 16 * EPS * (1.0 + abs(math.log(ss.k_star))) / abs(p.k_exponent)
+    k_bound = 16 * EPS * (1.0 + abs(math.log(ss.k_star))) / abs(kx(p))
     return {"k_star": k_bound, "l_star": k_bound, "y_star": k_bound,
             "c_star": k_bound + 16 * EPS * ss.y_star / ss.c_star}
 

@@ -13,7 +13,7 @@ from dataecon import (ClassificationError, DomainError, IntegrationError,
 from dataecon.core import steady_states
 from dataecon.dynamics import _TINY, _as_trajectory, _field, _rk45, _unpack
 
-from .strategies import model_params, positive_state
+from .strategies import kx, model_params, positive_state
 
 BASE = baseline_params()
 SS = steady_state(BASE)
@@ -145,7 +145,7 @@ def test_closed_form_linearization_matches_eigvals_oracle(p, theta):
         for i in range(2):
             v = cls.eigenvectors[:, i]
             assert np.linalg.norm(j @ v - lams[i] * v) <= 1e-12 * scale
-    assert (cls.classification == "saddle") == (p.k_exponent < 0.0)
+    assert (cls.classification == "saddle") == (kx(p) < 0.0)
     assert cls.jacobian[1, 1] > p.rho
     other = p.replace(theta=theta)
     assume(steady_state(other).feasible)
@@ -203,6 +203,18 @@ def test_integrate_tol_validation():
         integrate(s0, BASE, 1.0, tol=1e-13)
     with pytest.raises(DomainError):
         integrate(s0, BASE, -1.0)
+
+
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, -math.inf])
+def test_integrate_refuses_a_non_finite_horizon_before_the_first_step(horizon):
+    with pytest.raises(DomainError, match="time horizon must be finite and nonnegative"):
+        integrate(State(0.9 * SS.c_star, 1.1 * SS.k_star), BASE, horizon)
+
+
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, -1.0])
+def test_saddle_path_refuses_a_bad_max_time_before_the_first_step(horizon):
+    with pytest.raises(DomainError, match="time horizon must be finite and nonnegative"):
+        saddle_path(BASE, (0.6 * SS.k_star, 1.4 * SS.k_star), max_time=horizon)
 
 
 def test_numpy_scalar_state_integrates_on_plain_floats():

@@ -111,6 +111,12 @@ def test_config_validation():
         DgpConfig(share_treated=1.5)
     with pytest.raises(DomainError):
         DgpConfig(noise_scale=-0.1)
+    for name in ("unit_effect_scale", "year_effect_scale", "noise_scale"):
+        for value in (-1.0, math.nan):
+            with pytest.raises(DomainError, match=f"{name} must be nonnegative"):
+                DgpConfig(**{name: value})
+    with pytest.raises(DomainError, match="seed must be nonnegative, got -1"):
+        DgpConfig(seed=-1)
     with pytest.raises(DomainError):
         DgpConfig(adoption_years=(1990,), years=(2000, 2010))
     with pytest.raises(DomainError, match="dynamic_profile must be nonempty"):

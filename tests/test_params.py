@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dataecon import (BASELINE, ModelParams, ParameterError, baseline_params,
-                      regime, validate_params)
+from dataecon import (BASELINE, ModelParams, ParameterError, RegimeError,
+                      baseline_params, steady_state, validate_params)
+from dataecon.core import steady_states
+
+from .strategies import kx
 
 
 def test_baseline_values():
@@ -17,9 +20,8 @@ def test_baseline_values():
 
 def test_baseline_regime_sign_negative():
     p = validate_params({"eta": 0.2, "theta": 0.5})
-    r = regime(p)
-    assert r.k_exponent_sign == -1
-    assert not r.singular
+    assert kx(p) < 0.0
+    assert steady_states(p)[0] == "ok"
 
 
 @pytest.mark.parametrize("field,value", [
@@ -64,16 +66,18 @@ def test_unknown_field_rejected():
 def test_singular_at_band_center():
     # alpha+beta+alpha*eta-1 = 0 exactly at eta = (1-alpha-beta)/alpha
     p = ModelParams(alpha=0.6, beta=0.2, eta=1.0 / 3.0, theta=0.5)
-    r = regime(p)
-    assert r.singular
-    assert r.k_exponent_sign == 0 or abs(p.k_exponent) < 1e-15
+    assert abs(kx(p)) < 1e-15
+    with pytest.raises(RegimeError, match="inside the singular band"):
+        steady_state(p)
+    assert steady_states(p)[0] == "singular"
 
 
 def test_band_is_configurable():
     p = ModelParams(alpha=0.6, beta=0.2, eta=0.31, theta=0.5)
-    assert regime(p).singular          # default band 0.02; exponent -0.014
+    assert steady_states(p)[0] == "singular"    # default band 0.02; exponent -0.014
     q = p.replace(singular_band=0.005)
-    assert not regime(q).singular
+    assert steady_states(q)[0] == "ok"
+    assert steady_state(q).feasible
 
 
 def test_edges_admitted_for_reductions():

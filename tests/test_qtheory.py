@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -72,6 +74,11 @@ def test_k_of_q_degenerate_bracket():
     # q far below 1 at a near-zero discount rate drives the bracket negative
     with pytest.raises(DegenerateError):
         k_of_q(0.01, 0.0001, BASE)
+
+
+def test_k_of_q_nan_bracket_is_degenerate():
+    with pytest.raises(DegenerateError, match="marginal-value bracket is nan"):
+        k_of_q(1.0, math.nan, BASE)
 
 
 def test_k_of_q_singular_refused():

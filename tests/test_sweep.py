@@ -11,13 +11,13 @@ from dataecon import (DegenerateError, DomainError, ModelError, ModelParams,
                       ParameterError, RegimeError, SearchError, SteadyState,
                       SweepGrid, ThresholdCurve, band_free_intervals,
                       baseline_params, grid_sweep, interest_rate,
-                      iso_equilibrium_contour, regime, rhs, sensitivity_signs,
+                      iso_equilibrium_contour, rhs, sensitivity_signs,
                       steady_state, threshold_curve, validate_params)
 from dataecon import sweep
 from dataecon.core import Coefficients, steady_states
 
 from . import decimal_oracle, marching_squares
-from .strategies import model_params
+from .strategies import kx, model_params
 
 BASE = baseline_params()
 
@@ -150,7 +150,7 @@ def test_grid_matches_scalar_solver_cell_by_cell(case):
             p = base.replace(theta=theta, eta=eta)
             mask, ss = scalar_cell(p)
             assert grid.mask[i, j] == mask, (theta, eta)
-            assert (mask == "singular") == regime(p).singular, (theta, eta)
+            assert (mask == "singular") == (abs(kx(p)) < p.singular_band), (theta, eta)
             assert cell(grid, i, j) == ss, (theta, eta)  # exact on 'ok' cells
 
 
@@ -165,6 +165,18 @@ def test_axis_validation():
         grid_sweep(BASE, [0.5], [1.0])          # eta = 1 outside [0, 1)
     with pytest.raises(DomainError):
         grid_sweep(BASE, [-0.1], [0.2])
+
+
+@pytest.mark.parametrize("theta_axis", [[math.nan], [0.5, math.nan], [math.nan, 0.5]])
+def test_nan_on_the_theta_axis_is_outside_its_range(theta_axis):
+    with pytest.raises(DomainError, match=r"theta_axis values must lie in \[0, 1\]"):
+        grid_sweep(BASE, theta_axis, [0.2])
+
+
+@pytest.mark.parametrize("eta_axis", [[math.nan], [0.2, math.nan], [math.nan, 0.2]])
+def test_nan_on_the_eta_axis_is_outside_its_range(eta_axis):
+    with pytest.raises(DomainError, match=r"eta_axis values must lie in \[0, 1\)"):
+        grid_sweep(BASE, [0.5], eta_axis)
 
 
 def test_theta_one_cells_equal_steady_state():
@@ -487,7 +499,7 @@ def test_threshold_at_the_band_edge_finds_the_cell_rounding_puts_inside_it():
     theta, tol = 0.2801851018685939, 1e-4
     lo, hi = band_free_intervals(BAND_EDGE, (0.0, 0.99))[0]
     assert (lo, hi) == (0.0, 0.42001430505957127)
-    assert regime(BAND_EDGE.replace(eta=hi)).singular
+    assert steady_states(BAND_EDGE.replace(eta=hi))[0] == "singular"
     curve = threshold_curve(BAND_EDGE, [theta], (lo, hi), tol)
     etas = np.linspace(lo, hi, 10_000)
     grid = grid_sweep(BAND_EDGE, [theta], etas)
@@ -651,7 +663,7 @@ def model_contour(draw, side):
     and reach down to 1e-30; the eta axis may start at 0."""
     p = draw(model_params(nonsingular=False))
     parts = [(a, b) for a, b in band_free_intervals(p, (0.0, 0.95))
-             if (p.replace(eta=a).k_exponent > 0.0) == (side == "above")]
+             if (kx(p.replace(eta=a)) > 0.0) == (side == "above")]
     assume(parts)
     (lo, hi), = parts
     etas = draw(st.lists(st.floats(lo, hi, exclude_max=True), min_size=2, max_size=12))
@@ -936,10 +948,10 @@ def derivative_bound(p):
     ss = steady_state(p)
     k, rd, eps = ss.k_star, p.rho + p.delta, 2.0 ** -52
     yk = rd * (1.0 - p.alpha * p.eta) / p.alpha
-    kx = abs(p.k_exponent)
-    rel = 16 * eps * (1.0 + abs(math.log(k))) / kx
+    abs_kx = abs(kx(p))
+    rel = 16 * eps * (1.0 + abs(math.log(k))) / abs_kx
     k_eta = k * p.alpha * (abs(math.log(yk)) + abs(math.log(p.theta)) + 1.0
-                           + abs(math.log(k))) / kx
+                           + abs(math.log(k))) / abs_kx
     k_theta = abs(rep.dk_dtheta.value)
     k_noise, c_noise = 1e-45 * k, 1e-45 * ss.y_star
     return rep, {"dk_deta": rel * k_eta + k_noise, "dk_dtheta": rel * k_theta + k_noise,
