@@ -30,6 +30,6 @@ from .qtheory import QState, firm_steady_state, investment_rate, k_of_q, q_dot
 from .sweep import (Derivative, IsoContour, SensitivityReport, SweepGrid,
                     ThresholdCurve, band_free_intervals, grid_sweep,
                     iso_equilibrium_contour, sensitivity_signs, threshold_curve)
-from .svgplot import RenderSpec, render_svg
+from .svgplot import RenderSpec
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -12,8 +12,8 @@ when the file is parsed.  Flags override single keys (``--seed`` is
 ``dgp.seed``), so a run's ``effective_config.json`` reruns it.
 
 Outputs are deterministic: JSON floats and float CSV columns serialize with
-17 significant digits (cells of an object column go through ``str``, None
-empty), keys are sorted, and SVG is assembled from fixed-format strings.
+17 significant digits, keys are sorted, and SVG is assembled from
+fixed-format strings.
 CSV is written in blocks of rows, each column of a block formatted at once
 into a byte matrix; a large sweep streams blocks of whole theta rows.
 Every artifact carries the effective parameters and tool version, embedded
@@ -192,11 +192,10 @@ def write_csv(path, header, blocks) -> None:
     """RFC-4180 CSV, UTF-8, LF line endings, float-dtype columns in 17 digits.
 
     ``blocks`` yields blocks of equally long columns in header order, each
-    written before the next is read.  Cells of an object column (floats
-    mixed with None or str) go through ``str``, None empty.
+    written before the next is read.
     """
     with open(path, "wb") as fh:
-        _write_rows(fh, [_text_cells([cell]) for cell in _str_cells(header)])
+        _write_rows(fh, [_text_cells([cell]) for cell in header])
         for block in blocks:
             _write_rows(fh, [_csv_column(col) for col in block])
 
@@ -214,8 +213,8 @@ class _Cells:
 
 def _csv_column(col) -> np.ndarray:
     """The cell matrix of one column: floats in 17 digits (NaN empty),
-    integers in decimal, a list or tuple of strings as given, anything else
-    through ``str`` (None empty); only string cells are quoted."""
+    integers in decimal, a list or tuple of strings as given; only string
+    cells are quoted.  Any other column raises TypeError."""
     if isinstance(col, _Cells):
         return col.matrix
     if isinstance(col, (list, tuple)) and all(type(v) is str for v in col):
@@ -225,13 +224,7 @@ def _csv_column(col) -> np.ndarray:
         return _float_cells(arr)
     if arr.dtype.kind in "iu":
         return _int_cells(arr)
-    return _text_cells(_str_cells(arr.tolist()))
-
-
-def _str_cells(values) -> list[str]:
-    """Each value through ``str`` one by one, None empty: True, 1 and 1.0
-    compare equal but print differently."""
-    return ["" if v is None else str(v) for v in values]
+    raise TypeError(f"no CSV cells for a column of dtype {arr.dtype}")
 
 
 # ---------------------------------------------------------------------------

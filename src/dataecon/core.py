@@ -145,8 +145,8 @@ def _refusal(co: Coefficients, code) -> ModelError:
 
 
 def _reduced(p: ModelParams, k: float | None = None) -> Coefficients:
-    """The record of ``p``; refuses k <= 0, the singular band and theta <= 0 < eta."""
-    if k is not None and k <= 0.0:
+    """The record of ``p``; refuses a k not > 0, the singular band and theta <= 0 < eta."""
+    if k is not None and not k > 0.0:
         raise DomainError(f"capital must be positive, got {k}")
     co = Coefficients(p)
     if co.refused != _OK:
@@ -171,7 +171,7 @@ def output(k: float, l: float, p: ModelParams) -> float:
 
     The returned y satisfies y = ((theta*y)^eta * k)^alpha * l^beta.
     """
-    if k <= 0.0 or l <= 0.0:
+    if not (k > 0.0 and l > 0.0):
         raise DomainError(f"capital and labor must be positive, got k={k}, l={l}")
     if p.eta > 0.0 and p.theta <= 0.0:
         raise DomainError(_NO_DATA_MESSAGE)

@@ -80,6 +80,11 @@ class DgpConfig:
                 raise DomainError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if not self.seed >= 0:
             raise DomainError(f"seed must be nonnegative, got {self.seed}")
+        for name, values in (("effect", (self.effect,)),
+                             ("dynamic_profile", self.dynamic_profile or ()),
+                             ("control_coefs", self.control_coefs)):
+            if not all(map(math.isfinite, values)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if self.dynamic_profile is not None and len(self.dynamic_profile) == 0:
             raise DomainError("dynamic_profile must be nonempty when given")
         if self.adoption_years is not None:
@@ -542,8 +547,10 @@ def event_study(panel: Panel, window: tuple[int, int] = (-5, 5),
     """Dynamic DID with relative-period indicators, reference period -1.
 
     Periods beyond the window endpoints are binned into the endpoints.  The
-    window must cover at least -2..+2.
+    window's ends must be whole numbers, and it must cover at least -2..+2.
     """
+    if not all(float(end).is_integer() for end in window):  # False on NaN and inf too
+        raise DomainError(f"window ends must be whole numbers, got {window}")
     w_lo, w_hi = int(window[0]), int(window[1])
     if w_lo > -2 or w_hi < 2:
         raise DomainError(f"window must cover periods -2..+2, got {window}")

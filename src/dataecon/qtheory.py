@@ -63,7 +63,7 @@ def k_of_q(q: float, r: float, p: ModelParams) -> float:
     Raises DegenerateError when the bracket (r + delta) q minus the
     adjustment terms is not positive (or NaN): no capital stock supports that q.
     """
-    if q <= 0.0:
+    if not q > 0.0:
         raise DomainError(f"q must be positive, got {q}")
     numerator = (r + p.delta) * q - _adjustment_terms(q, p)
     if not numerator > 0.0:

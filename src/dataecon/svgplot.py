@@ -18,10 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PhasePortrait, ShockResult
-from .empirics import EventStudyResult
 from .errors import DomainError
-from .sweep import IsoContour, SweepGrid
 
 # Anchors of a dark-to-light perceptual ramp (viridis-like).
 _VIRIDIS = (
@@ -34,17 +31,15 @@ _VIRIDIS = (
 
 @dataclass(frozen=True)
 class RenderSpec:
-    """Figure kind plus canvas geometry."""
+    """Axis ranges of a figure, None to fit the data.  No renderer reads
+    ``kind``; it stays while the benchmark and ``scripts/run_did_study.py``
+    build ``RenderSpec(kind="event-study")``."""
 
     kind: str  # 'surface-heatmap' | 'contour' | 'phase' | 'event-study'
-    width: int = 720
-    height: int = 540
     x_range: tuple[float, float] | None = None
     y_range: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise DomainError("render dimensions must be positive")
         for rng in (self.x_range, self.y_range):
             if rng is not None:
                 _check_range(rng)
@@ -55,6 +50,7 @@ def _check_range(rng) -> None:
         raise DomainError(f"empty axis range {rng}")
 
 
+_WIDTH, _HEIGHT = 720, 540  # every figure's canvas, in px
 _MARGIN = 56.0
 
 
@@ -77,21 +73,19 @@ def _color(t: float) -> str:
 
 
 class _Canvas:
-    def __init__(self, spec: RenderSpec, x_range, y_range, title: str,
-                 x_label: str, y_label: str):
-        self.spec = spec
+    def __init__(self, x_range, y_range, title: str, x_label: str, y_label: str):
         self.x0, self.x1 = x_range
         self.y0, self.y1 = y_range
-        self.px0, self.px1 = _MARGIN, spec.width - 18.0
-        self.py0, self.py1 = spec.height - _MARGIN, 30.0
+        self.px0, self.px1 = _MARGIN, _WIDTH - 18.0
+        self.py0, self.py1 = _HEIGHT - _MARGIN, 30.0
         self.frame = (f'x="{_fmt(self.px0)}" y="{_fmt(self.py1)}" '
                       f'width="{_fmt(self.px1 - self.px0)}" height="{_fmt(self.py0 - self.py1)}"')
         self.parts = [
             '<?xml version="1.0" encoding="UTF-8"?>\n'
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.width}" '
-            f'height="{spec.height}" viewBox="0 0 {spec.width} {spec.height}">\n',
-            f'<rect x="0" y="0" width="{spec.width}" height="{spec.height}" fill="white"/>\n',
-            f'<text x="{_fmt(spec.width / 2)}" y="20" text-anchor="middle" '
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+            f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">\n',
+            f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>\n',
+            f'<text x="{_fmt(_WIDTH / 2)}" y="20" text-anchor="middle" '
             f'font-family="monospace" font-size="13">{title}</text>\n',
         ]
         self._axes(x_label, y_label)
@@ -209,7 +203,7 @@ def render_heatmap(grid: SweepGrid, variable: str, spec: RenderSpec) -> str:
     xr = spec.x_range or (float(tx[0]), float(tx[-1]))
     yr = spec.y_range or (float(ey[0]), float(ey[-1]))
     scale_tag = "log10" if log_scale else "linear"
-    cv = _Canvas(spec, xr, yr, f"{variable} ({scale_tag} color scale)",
+    cv = _Canvas(xr, yr, f"{variable} ({scale_tag} color scale)",
                  "theta", "eta")
     x0, x1 = cv.px(tx[0] - dx / 2), cv.px(tx[-1] + dx / 2)
     y0, y1 = cv.py(ey[-1] + dy / 2), cv.py(ey[0] - dy / 2)
@@ -226,7 +220,7 @@ def render_heatmap(grid: SweepGrid, variable: str, spec: RenderSpec) -> str:
 
 def render_contour(contour: IsoContour, spec: RenderSpec) -> str:
     """One iso-level contour, every component, in the (theta, eta) plane."""
-    cv = _Canvas(spec, spec.x_range or (0.0, 1.0), spec.y_range or (0.0, 1.0),
+    cv = _Canvas(spec.x_range or (0.0, 1.0), spec.y_range or (0.0, 1.0),
                  f"iso-{contour.variable} contours", "theta", "eta")
     color = _color(0.15)
     for comp in contour.components:
@@ -270,7 +264,7 @@ def render_phase(portrait: PhasePortrait, spec: RenderSpec) -> str:
     xr = spec.x_range or portrait.k_range
     y_hi = float(np.max(portrait.c_nullcline[:, 1]))
     yr = spec.y_range or (0.0, y_hi)
-    cv = _Canvas(spec, xr, yr,
+    cv = _Canvas(xr, yr,
                  f"consumption-capital phase diagram ({portrait.classification})",
                  "k", "c")
     _portrait_layers(cv, portrait, "#1f2a6e", "E")
@@ -284,7 +278,7 @@ def render_shock(shock: ShockResult, spec: RenderSpec) -> str:
     y_hi = max(float(np.max(shock.before.c_nullcline[:, 1])),
                float(np.max(shock.after.c_nullcline[:, 1])))
     yr = spec.y_range or (0.0, y_hi)
-    cv = _Canvas(spec, xr, yr, "equilibrium shift under a parameter shock", "k", "c")
+    cv = _Canvas(xr, yr, "equilibrium shift under a parameter shock", "k", "c")
     _portrait_layers(cv, shock.before, "#333333", "E1", with_field=False)
     _portrait_layers(cv, shock.after, "#1f77b4", "E2", with_field=False)
     return cv.finish()
@@ -299,7 +293,7 @@ def render_curve(xs, ys, spec: RenderSpec, title: str,
     pad_y = 0.05 * (ys.max() - ys.min() or 1.0)
     xr = spec.x_range or (float(xs.min()) - pad_x, float(xs.max()) + pad_x)
     yr = spec.y_range or (float(ys.min()) - pad_y, float(ys.max()) + pad_y)
-    cv = _Canvas(spec, xr, yr, title, x_label, y_label)
+    cv = _Canvas(xr, yr, title, x_label, y_label)
     cv.polyline(xs, ys, "#1f77b4", width=2.0)
     for x, y in zip(xs, ys):
         cv.marker(x, y, "#1f77b4", r=3.0)
@@ -317,7 +311,7 @@ def render_event_study(result: EventStudyResult, spec: RenderSpec) -> str:
     pad = 0.1 * max(float(np.max(np.abs(np.concatenate([hi, lo])))), 1e-12)
     xr = spec.x_range or (float(result.periods[0]) - 0.5, float(result.periods[-1]) + 0.5)
     yr = spec.y_range or (float(lo.min()) - pad, float(hi.max()) + pad)
-    cv = _Canvas(spec, xr, yr, "event-study coefficients", "relative period", "effect")
+    cv = _Canvas(xr, yr, "event-study coefficients", "relative period", "effect")
     zy = cv.py(0.0)
     cv.parts.append(f'<line x1="{_fmt(cv.px0)}" y1="{_fmt(zy)}" x2="{_fmt(cv.px1)}" '
                     f'y2="{_fmt(zy)}" stroke="#999999" stroke-width="1" '
@@ -329,27 +323,3 @@ def render_event_study(result: EventStudyResult, spec: RenderSpec) -> str:
                         'stroke="#1f77b4" stroke-width="1.4"/>\n')
         cv.marker(t, b, "#1f77b4", r=3.0)
     return cv.finish()
-
-
-def render_svg(artifact, spec: RenderSpec, variable: str = "c_star") -> str:
-    """Dispatch on ``spec.kind``; the artifact type must match the kind."""
-    kind = spec.kind
-    if kind == "surface-heatmap":
-        if not isinstance(artifact, SweepGrid):
-            raise DomainError("surface-heatmap requires a SweepGrid")
-        return render_heatmap(artifact, variable, spec)
-    if kind == "contour":
-        if not isinstance(artifact, IsoContour):
-            raise DomainError("contour rendering requires an IsoContour")
-        return render_contour(artifact, spec)
-    if kind == "phase":
-        if isinstance(artifact, ShockResult):
-            return render_shock(artifact, spec)
-        if isinstance(artifact, PhasePortrait):
-            return render_phase(artifact, spec)
-        raise DomainError("phase rendering requires a PhasePortrait or ShockResult")
-    if kind == "event-study":
-        if not isinstance(artifact, EventStudyResult):
-            raise DomainError("event-study rendering requires an EventStudyResult")
-        return render_event_study(artifact, spec)
-    raise DomainError(f"unknown figure kind {kind!r}")

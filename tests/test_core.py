@@ -161,6 +161,17 @@ def test_output_domain_errors():
         output(1.0, 1.0, validate_params({"eta": 0.5, "theta": 0.0}))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: interest_rate(math.nan, BASE), "capital must be positive, got nan"),
+    (lambda: output(math.nan, 1.0, BASE), "capital and labor must be positive, got k=nan"),
+    (lambda: output(1.0, math.nan, BASE), "capital and labor must be positive, got k=1.0, l=nan"),
+], ids=["interest_rate-k", "output-k", "output-l"])
+def test_nan_capital_or_labor_refused(call, message):
+    # the checks once read k <= 0.0, which NaN passes
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
 @given(model_params(nonsingular=False),
        st.floats(0.1, 50.0), st.floats(0.1, 50.0))
 def test_output_fixed_point_property(p, k, l):

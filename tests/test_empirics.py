@@ -125,6 +125,10 @@ def test_config_validation():
         DgpConfig(years=(2000.5, 2010))
     with pytest.raises(DomainError, match="adoption_years must be integers"):
         DgpConfig(adoption_years=(2005.5, 2010))
+    for name, value in (("effect", math.nan), ("effect", -math.inf),
+                        ("dynamic_profile", (0.1, math.nan)), ("control_coefs", (math.inf,))):
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            DgpConfig(**{name: value})
 
 
 def test_oversized_panel_refused_before_it_is_drawn():
@@ -1023,6 +1027,14 @@ def test_event_study_window_validation():
         event_study(panel, window=(-1, 5))
     with pytest.raises(DomainError):
         event_study(panel, window=(-5, 1))
+
+
+@pytest.mark.parametrize("window", [(-2.5, 2.7), (math.nan, 2), (-3, math.inf)],
+                         ids=["fractions", "nan", "inf"])
+def test_event_study_window_ends_must_be_whole(window):
+    # int() once cut (-2.5, 2.7) to (-2, 2) and failed untyped on NaN and inf
+    with pytest.raises(DomainError, match="window ends must be whole numbers"):
+        event_study(generate_panel(small_cfg()), window=window)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

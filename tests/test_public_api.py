@@ -15,7 +15,7 @@ PUBLIC_NAMES = [
     "did_fits", "dynamics", "empirics", "errors", "event_study", "firm_steady_state",
     "generate_panel", "grid_sweep", "integrate", "interest_rate", "investment_rate",
     "iso_equilibrium_contour", "jacobian", "k_of_q", "nullclines", "output", "params",
-    "phase_portrait", "q_dot", "qtheory", "read_panel_csv", "render_svg", "rhs",
+    "phase_portrait", "q_dot", "qtheory", "read_panel_csv", "rhs",
     "saddle_path", "sensitivity_signs", "shock_experiment", "steady_state", "svgplot",
     "sweep", "threshold_curve", "twfe_did", "validate_params", "write_panel_csv",
 ]

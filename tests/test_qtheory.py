@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dataecon import (DegenerateError, QState, RegimeError, baseline_params,
+from dataecon import (DegenerateError, DomainError, QState, RegimeError, baseline_params,
                       firm_steady_state, interest_rate, investment_rate,
                       k_of_q, q_dot, steady_state, validate_params)
 
@@ -79,6 +79,12 @@ def test_k_of_q_degenerate_bracket():
 def test_k_of_q_nan_bracket_is_degenerate():
     with pytest.raises(DegenerateError, match="marginal-value bracket is nan"):
         k_of_q(1.0, math.nan, BASE)
+
+
+def test_k_of_q_nan_q_refused():
+    # the check once read q <= 0.0, which NaN passes into the bracket
+    with pytest.raises(DomainError, match="q must be positive, got nan"):
+        k_of_q(math.nan, 0.07, BASE)
 
 
 def test_k_of_q_singular_refused():

@@ -1,9 +1,11 @@
+import ast
 import base64
 import math
 import re
 import struct
 import warnings
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dataecon import (DomainError, ModelError, ModelParams, RenderSpec, baseline_params,
-                      grid_sweep, phase_portrait)
-from dataecon.svgplot import (_VIRIDIS, _Canvas, _color, _fmt, _ramp, render_heatmap,
-                              render_phase)
+                      grid_sweep, phase_portrait, svgplot)
+from dataecon.svgplot import (_HEIGHT, _VIRIDIS, _WIDTH, _Canvas, _color, _fmt, _ramp,
+                              render_heatmap, render_phase)
 
 
 def scalar_color(t):
@@ -151,7 +153,7 @@ def test_image_spans_the_half_step_extended_axes(ranges):
     grid = grid_sweep(baseline_params(), thetas, etas)
     spec = RenderSpec(kind="surface-heatmap", x_range=ranges[0], y_range=ranges[1])
     svg = render_heatmap(grid, "c_star", spec)
-    cv = _Canvas(spec, ranges[0] or (0.1, 0.6), ranges[1] or (0.2, 0.4), "", "", "")
+    cv = _Canvas(ranges[0] or (0.1, 0.6), ranges[1] or (0.2, 0.4), "", "", "")
     dx, dy = 0.05, 0.2 / 6
     x0, x1 = cv.px(thetas[0] - dx / 2), cv.px(thetas[-1] + dx / 2)
     y0, y1 = cv.py(etas[-1] + dy / 2), cv.py(etas[0] - dy / 2)
@@ -228,7 +230,26 @@ def test_phase_svg_coordinates_finite(p):
     assert svg_numbers_finite(svg)
     arrows = re.findall(r'<line x1="([-0-9.]+)" y1="([-0-9.]+)" x2="([-0-9.]+)" '
                         r'y2="([-0-9.]+)" stroke="#777777"', svg)
-    frame_w, frame_h = spec.width - 18.0 - 56.0, spec.height - 56.0 - 30.0
+    frame_w, frame_h = _WIDTH - 18.0 - 56.0, _HEIGHT - 56.0 - 30.0
     for x1, y1, x2, y2 in arrows[::3]:  # each shaft, then its two head strokes
         assert abs(float(x2) - float(x1)) <= 0.035 * frame_w + 0.01
         assert abs(float(y2) - float(y1)) <= 0.035 * frame_h + 0.01
+
+
+# ---------------------------------------------------------------------------
+# imports
+
+def test_svgplot_imports_no_dataecon_module_but_errors():
+    """svgplot is a leaf: drawing a figure loads no model, sweep or DID
+    module, so each command can import only what it runs."""
+    tree = ast.parse(Path(svgplot.__file__).read_text(encoding="utf-8"))
+    local = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            local += [node.module] if node.module else [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module.partition(".")[0] == "dataecon":
+            local.append(node.module.partition(".")[2])
+        elif isinstance(node, ast.Import):
+            local += [a.name.partition(".")[2] for a in node.names
+                      if a.name.partition(".")[0] == "dataecon"]
+    assert local == ["errors"]
